@@ -81,7 +81,18 @@ def _write_report(args, command: str, records: list[dict], seed=None) -> None:
 
 
 def _passed(records: list[dict]) -> bool:
-    return all(r.get("pass", True) for r in records)
+    """True when there are records and all pass: an empty check is no pass."""
+    return bool(records) and all(r.get("pass", True) for r in records)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True)
     sp = ver.add_parser("suite", help="the full finite/limit identity battery")
     sp.add_argument("--process", default="free_poisson")
-    sp.add_argument("--k-max", dest="k_max", type=int, default=4)
+    sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_verify_suite)
     sp = ver.add_parser("main-theorem", help="inner-scalar factorization residuals")
     sp.add_argument("--process", default="free_poisson")
-    sp.add_argument("--k-max", dest="k_max", type=int, default=4)
+    sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
     sp.add_argument("--order", choices=("L1", "L2", "both"), default="both")
     sp.add_argument("--t", default="1")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_verify_main_theorem)
     sp = ver.add_parser("examples", help="worked closed-form residuals")
     sp.add_argument("--which", choices=("free_poisson", "brownian"), required=True)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=4)
+    sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
     sp.add_argument("--t", default="1")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_verify_examples)

@@ -5,6 +5,14 @@ a projection-valued subdivision by one semicircular-type matrix.  The
 centered variance process uses independent Hermitian Gaussian increments,
 which is standard plumbing rather than part of the exact calculus.
 
+The constant-cumulant increments P_i = s_i s_i* stay factored: an
+`IncrementSet` holds the sampled s, the column slice of each interval and
+small r_i x r_i cores.  Products on one interval multiply cores through the
+Gram blocks s_i* s_i, and a partition sum over intervals is
+s blockdiag(cores) s*, so a block costs about one d x d product plus one
+per nested gap instead of N.  Gaussian increments and hand-built sets have no
+factor and run through the same code on the d x d matrices themselves.
+
 Everything is seeded per trial from the master seed, so runs are
 reproducible and trials are order-insensitive.
 """
@@ -13,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -51,18 +59,32 @@ class MatrixEnsembleConfig:
 
 @dataclass
 class IncrementSet:
-    """Per-component, per-interval increment matrices.
+    """Per-component, per-interval increments X[j][i] = s_i cores[j][i] s_i*.
+
+    s_i is the column slice `factor[:, slices[i]]` of one d x d matrix, so a
+    poisson_sps increment P_i = s_i s_i* is held as s and an r_i x r_i
+    identity core, and products of increments on one interval stay r_i x r_i
+    through the Gram blocks `grams[i]` = s_i* s_i.  With no factor each s_i
+    is the identity and the cores are the d x d increment matrices.
 
     Sampled increments are Hermitian (checked at sampling time); derived
     diagonal components hold products and need not be.
     """
 
     subdivision: Subdivision
-    matrices: list[list[np.ndarray]]
+    cores: list[list[np.ndarray]]
+    factor: np.ndarray | None = None
+    slices: tuple[slice, ...] | None = None
+    grams: list[np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.factor is not None and self.grams is None:
+            self.grams = [self.factor[:, sl].conj().T @ self.factor[:, sl]
+                          for sl in self.slices]
 
     @property
     def k(self) -> int:
-        return len(self.matrices)
+        return len(self.cores)
 
     @property
     def n(self) -> int:
@@ -70,7 +92,21 @@ class IncrementSet:
 
     @property
     def dim(self) -> int:
-        return self.matrices[0][0].shape[0]
+        return (self.cores[0][0] if self.factor is None else self.factor).shape[0]
+
+    @property
+    def matrices(self) -> list[list[np.ndarray]]:
+        """The d x d increment matrices, built afresh from the factor if any;
+        a core shared by several components is expanded once."""
+        if self.factor is None:
+            return self.cores
+        cols = [self.factor[:, sl] for sl in self.slices]
+        dense: dict[tuple[int, int], np.ndarray] = {}
+        for comp in self.cores:
+            for i, core in enumerate(comp):
+                if (i, id(core)) not in dense:
+                    dense[i, id(core)] = cols[i] @ core @ cols[i].conj().T
+        return [[dense[i, id(core)] for i, core in enumerate(comp)] for comp in self.cores]
 
 
 def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
@@ -113,9 +149,10 @@ def sample_increments(spec: ProcessSpec, sub: Subdivision, cfg: MatrixEnsembleCo
     """Draw one trial's increment matrices for all components.
 
     poisson_sps squeezes disjoint diagonal projections (ranks matched to
-    the interval shares) between one semicircular-type matrix; it models
-    the constant-cumulant process at rate 1.  gaussian_increments draws
-    independent Hermitian Gaussians scaled by sqrt of each length.
+    the interval shares) between one semicircular-type matrix s; it models
+    the constant-cumulant process at rate 1, and P_i = s_i s_i* is kept
+    factored.  gaussian_increments draws independent Hermitian Gaussians
+    scaled by sqrt of each length.
     """
     kind = _single_atom(spec)
     d = cfg.dim
@@ -124,38 +161,69 @@ def sample_increments(spec: ProcessSpec, sub: Subdivision, cfg: MatrixEnsembleCo
         if kind != "poisson" or spec.atoms()[0].data[0] != 1:
             raise ValueError("poisson_sps requires the rate-1 constant-cumulant process")
         s = hermitian_gaussian(rng, d)
+        _check_hermitian([s])
         ranks = projection_ranks(sub, d)
-        mats, start = [], 0
-        for r in ranks:
-            cols = s[:, start:start + r]
-            mats.append(cols @ cols.conj().T)
-            start += r
-    elif cfg.model == "gaussian_increments":
+        bounds = list(itertools.accumulate(ranks, initial=0))
+        slices = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+        cores = [np.eye(r, dtype=complex) for r in ranks]
+        return IncrementSet(sub, [cores] * spec.k, s, slices)
+    if cfg.model == "gaussian_increments":
         if kind != "semicircular":
             raise ValueError("gaussian_increments requires the centered variance process")
         mats = [
             math.sqrt(float(l)) * hermitian_gaussian(rng, d) for l in sub.lengths
         ]
-    else:  # pragma: no cover - config validates
-        raise ValueError(cfg.model)
+        _check_hermitian(mats)
+        return IncrementSet(sub, [mats] * spec.k)
+    raise ValueError(cfg.model)  # pragma: no cover - config validates
+
+
+def _check_hermitian(mats) -> None:
     for m in mats:
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("increment matrix is not Hermitian")
-    return IncrementSet(sub, [mats] * spec.k)
+
+
+def _between(inc: IncrementSet, gap: np.ndarray | None) -> list[np.ndarray | None]:
+    """Per interval, what a gap becomes between two cores: s_i* gap s_i, or
+    the Gram block s_i* s_i for an empty gap.  Unfactored, the gap itself."""
+    if inc.factor is None:
+        return [gap] * inc.n
+    if gap is None:
+        return inc.grams
+    right = gap @ inc.factor
+    return [inc.factor[:, sl].conj().T @ right[:, sl] for sl in inc.slices]
+
+
+def _interval_cores(inc: IncrementSet, positions, betweens) -> list[np.ndarray]:
+    """Per interval i: cores[positions[0]][i] betweens[0][i] cores[positions[1]][i] ...
+    (components 1-based, a None between skipped)."""
+    out = []
+    for i in range(inc.n):
+        prod = inc.cores[positions[0] - 1][i]
+        for between, pos in zip(betweens, positions[1:]):
+            if between[i] is not None:
+                prod = prod @ between[i]
+            prod = prod @ inc.cores[pos - 1][i]
+        out.append(prod)
+    return out
+
+
+def _assemble(inc: IncrementSet, cores) -> np.ndarray:
+    """Sum over intervals of s_i cores[i] s_i* = s blockdiag(cores) s*, with
+    one d x d product; unfactored, the plain sum of the cores."""
+    if inc.factor is None:
+        return sum(cores)
+    s = inc.factor
+    left = np.concatenate([s[:, sl] @ c for sl, c in zip(inc.slices, cores)], axis=1)
+    return left @ s.conj().T
 
 
 def derived_increments(inc: IncrementSet, groups) -> IncrementSet:
-    """Per-interval products over each group: the diagonal-measure model."""
-    mats = []
-    for g in groups:
-        comp = []
-        for i in range(inc.n):
-            prod = inc.matrices[g[0] - 1][i]
-            for pos in g[1:]:
-                prod = prod @ inc.matrices[pos - 1][i]
-            comp.append(prod)
-        mats.append(comp)
-    return IncrementSet(inc.subdivision, mats)
+    """Per-interval products over each group: the diagonal-measure model.
+    Factored sets keep the factor and multiply cores through the Gram blocks."""
+    cores = [_interval_cores(inc, g, [_between(inc, None)] * (len(g) - 1)) for g in groups]
+    return replace(inc, cores=cores)
 
 
 # ---------------------------------------------------------------------------
@@ -179,69 +247,40 @@ def pr_matrix(p: Partition, inc: IncrementSet) -> np.ndarray:
     if inc.n**m * p.k > MAX_MATMULS:
         raise SizeGuardError("brute-force Pr sum exceeds the matmul guard")
     labels = p.block_index()
+    mats = inc.matrices
     d = inc.dim
     total = np.zeros((d, d), dtype=complex)
     for assign in itertools.product(range(inc.n), repeat=m):
-        word = inc.matrices[0][assign[labels[0]]]
+        word = mats[0][assign[labels[0]]]
         for pos in range(1, p.k):
-            word = word @ inc.matrices[pos][assign[labels[pos]]]
+            word = word @ mats[pos][assign[labels[pos]]]
         total += word
     return total
 
 
-def _pr_nested(p: Partition, inc: IncrementSet) -> np.ndarray:
-    spans = [(b[0], b[-1]) for b in p.blocks]
-
-    def parent_of(i: int) -> int | None:
-        lo, hi = spans[i]
-        best, best_span = None, None
-        for j, (jlo, jhi) in enumerate(spans):
-            if j != i and jlo < lo and hi < jhi:
-                if best is None or jhi - jlo < best_span:
-                    best, best_span = j, jhi - jlo
-        return best
-
-    children: dict[int, list[int]] = {i: [] for i in range(p.num_blocks)}
-    roots = []
-    for i in range(p.num_blocks):
-        par = parent_of(i)
-        if par is None:
-            roots.append(i)
-        else:
-            children[par].append(i)
-
-    d = inc.dim
-    values: dict[int, np.ndarray] = {}
-
-    def value(i: int) -> np.ndarray:
-        if i in values:
-            return values[i]
-        block = p.blocks[i]
-        kids = sorted(children[i], key=lambda j: spans[j][0])
-        # product of child values sitting between consecutive block elements
-        gaps: list[np.ndarray | None] = []
-        for lo, hi in zip(block, block[1:]):
-            gap = None
-            for j in kids:
-                if lo < spans[j][0] and spans[j][1] < hi:
-                    gap = value(j) if gap is None else gap @ value(j)
-            gaps.append(gap)
-        total = np.zeros((d, d), dtype=complex)
-        for idx in range(inc.n):
-            word = inc.matrices[block[0] - 1][idx]
-            for gap, pos in zip(gaps, block[1:]):
-                if gap is not None:
-                    word = word @ gap
-                word = word @ inc.matrices[pos - 1][idx]
-            total += word
-        values[i] = total
-        return total
-
-    roots.sort(key=lambda j: spans[j][0])
-    out = value(roots[0])
-    for i in roots[1:]:
-        out = out @ value(i)
+def _product(mats) -> np.ndarray | None:
+    out = None
+    for m in mats:
+        out = m if out is None else out @ m
     return out
+
+
+def _pr_nested(p: Partition, inc: IncrementSet) -> np.ndarray:
+    """Each block's interval sum with the values of the blocks nested in its
+    gaps substituted; blocks are taken children first, since a nested block
+    spans fewer positions than the block around it."""
+    spans = [(b[0], b[-1]) for b in p.blocks]
+    # values of the blocks evaluated so far and not yet placed in a gap
+    pending: dict[int, np.ndarray] = {}
+    for i in sorted(range(p.num_blocks), key=lambda j: spans[j][1] - spans[j][0]):
+        block = p.blocks[i]
+        betweens = []
+        for lo, hi in zip(block, block[1:]):
+            inside = sorted((j for j in pending if lo < spans[j][0] < hi),
+                            key=lambda j: spans[j][0])
+            betweens.append(_between(inc, _product(pending.pop(j) for j in inside)))
+        pending[i] = _assemble(inc, _interval_cores(inc, block, betweens))
+    return _product(pending[j] for j in sorted(pending, key=lambda j: spans[j][0]))
 
 
 def st_matrix(p: Partition, inc: IncrementSet) -> np.ndarray:
@@ -271,18 +310,24 @@ def _mean_stderr(samples) -> tuple[float, float]:
 def calibrate(spec: ProcessSpec, sub: Subdivision, cfg: MatrixEnsembleConfig,
               orders, references) -> list[dict]:
     """Mean normalized traces of powers of the total increment vs the
-    exact engine's moments."""
+    exact engine's moments.
+
+    The total increment A is Hermitian, so tr(A^n) is the Frobenius inner
+    product of A^floor(n/2) and A^ceil(n/2): only powers up to
+    ceil(max(orders)/2) are formed.
+    """
     samples: dict[int, list[float]] = {n: [] for n in orders}
     for trial in range(cfg.trials):
         inc = sample_increments(spec, sub, cfg, trial)
-        total = sum(inc.matrices[0])
-        power = np.eye(cfg.dim, dtype=complex)
-        traces = {}
-        for n in range(1, max(orders) + 1):
-            power = power @ total
-            traces[n] = normalized_trace(power)
+        powers = [_assemble(inc, inc.cores[0])]
+        while len(powers) < (max(orders) + 1) // 2:
+            powers.append(powers[-1] @ powers[0])
         for n in orders:
-            samples[n].append(traces[n])
+            if n == 1:
+                samples[n].append(normalized_trace(powers[0]))
+            else:
+                inner = np.vdot(powers[n // 2 - 1], powers[(n + 1) // 2 - 1])
+                samples[n].append(float(inner.real) / cfg.dim)
     records = []
     for n in orders:
         est, se = _mean_stderr(samples[n])
@@ -303,6 +348,10 @@ def lem_proj_decay(cfg: MatrixEnsembleConfig, meshes, word_len: int,
     The blocks supplied between projections must be centered; a sampler
     whose normalized trace stays away from zero is rejected.
     """
+    if word_len < 1:
+        raise ValueError("word length k must be >= 1")
+    if not meshes:
+        raise ValueError("need at least one mesh")
     d = cfg.dim
     sampler = z_sampler or hermitian_gaussian
     probe = sampler(trial_rng(cfg.seed, 0, stream=99), d)

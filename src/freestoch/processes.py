@@ -218,6 +218,8 @@ class Subdivision:
 
     @classmethod
     def uniform(cls, n: int, t=1) -> "Subdivision":
+        if n < 1:
+            raise ValueError(f"need at least one interval, got N={n}")
         t = Fraction(t)
         return cls(t, (t / n,) * n)
 

@@ -7,6 +7,8 @@ from direct index-tuple sums.
 
 from fractions import Fraction
 
+import numpy as np
+
 from freestoch.cumulants import moments_from_cumulants
 from freestoch.partitions import (
     iter_exact_index_tuples,
@@ -81,3 +83,24 @@ def brute_expect_pr(p, sub, spec):
     for v in iter_geq_index_tuples(p, sub.n):
         total += moments_from_cumulants(tuple_increment_cumulants(spec, sub, v))
     return total
+
+
+def dense_index_sum(tuples, mats):
+    """Sum of the words mats[0][v_1 - 1] mats[1][v_2 - 1] ... over index tuples v."""
+    total = np.zeros_like(mats[0][0], dtype=complex)
+    for v in tuples:
+        word = mats[0][v[0] - 1]
+        for comp, i in zip(mats[1:], v[1:]):
+            word = word @ comp[i - 1]
+        total += word
+    return total
+
+
+def dense_pr_sum(p, mats):
+    """Pr_p of dense increment matrices, straight from its definition."""
+    return dense_index_sum(iter_geq_index_tuples(p, len(mats[0])), mats)
+
+
+def dense_st_sum(p, mats):
+    """St_p of dense increment matrices, straight from its definition."""
+    return dense_index_sum(iter_exact_index_tuples(p, len(mats[0])), mats)

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 
-from freestoch.cli import run
+import pytest
+
+from freestoch.cli import _passed, run
 
 
 def _run_json(capsys, argv):
@@ -155,7 +157,25 @@ def test_usage_errors_exit_2(capsys):
     assert run(["partitions", "classify", "--partition", "((1,2)"]) == 2
     assert run(["partitions", "enumerate", "--k", "13"]) == 2
     assert run(["verify", "suite", "--process", "unknown_name"]) == 2
-    capsys.readouterr()
+    for cmd in (["verify", "main-theorem"], ["verify", "suite"],
+                ["verify", "examples", "--which", "brownian"]):
+        assert run(cmd + ["--k-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--k-max: expected an integer >= 1" in captured.err
+    assert not _passed([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--n", "0", "--trials", "2"],
+    ["main-theorem", "--n", "0", "--trials", "1"],
+    ["proj-decay", "--meshes", "0,4", "--trials", "2"],
+    ["proj-decay", "--k", "0", "--trials", "2"],
+])
+def test_simulate_size_errors_exit_2_with_one_error_line(capsys, argv):
+    assert run(["simulate", *argv, "--dim", "20"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_failing_check_exits_1(capsys, monkeypatch):

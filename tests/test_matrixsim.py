@@ -1,4 +1,7 @@
+import gc
 import itertools
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +27,7 @@ from freestoch.measures import exact_moment, limit_expect_st
 from freestoch.partitions import (
     Partition,
     coarsenings,
+    enumerate_noncrossing,
     enumerate_set_partitions,
 )
 from freestoch.processes import (
@@ -33,12 +37,25 @@ from freestoch.processes import (
     make_tuple,
 )
 
+from helpers import dense_pr_sum, dense_st_sum
+
 POISSON = make_free_poisson(1)
 SEMI = make_semicircular()
 
+# uneven shares; d < N leaves intervals of rank 0, as does the 1/20 share at d=10
+SUBDIVISION_CASES = [
+    (12, Subdivision.of(["1/2", "1/3", "1/6"])),
+    (10, Subdivision.uniform(16)),
+    (10, Subdivision.of(["1/20", "3/5", "1/20", "3/10"])),
+]
+
 
 def _copies(inc, k):
-    return IncrementSet(inc.subdivision, inc.matrices[0:1] * k)
+    return replace(inc, cores=inc.cores[0:1] * k)
+
+
+def _rel(a, b, scale=None):
+    return np.linalg.norm(a - b) / (np.linalg.norm(b) if scale is None else scale)
 
 
 def test_determinism():
@@ -101,13 +118,14 @@ def test_pr_matrix_nested_collapse_matches_brute_force():
     cfg = MatrixEnsembleConfig(dim=25, trials=1, seed=17, model="poisson_sps")
     sub = Subdivision.of(["1/2", "1/4", "1/4"])
     inc = _copies(sample_increments(POISSON, sub, cfg), 4)
+    mats = inc.matrices
     for p in enumerate_set_partitions(4):
         labels = p.block_index()
         brute = np.zeros((25, 25), dtype=complex)
         for assign in itertools.product(range(sub.n), repeat=p.num_blocks):
-            word = inc.matrices[0][assign[labels[0]]]
+            word = mats[0][assign[labels[0]]]
             for pos in range(1, 4):
-                word = word @ inc.matrices[pos][assign[labels[pos]]]
+                word = word @ mats[pos][assign[labels[pos]]]
             brute += word
         assert np.allclose(pr_matrix(p, inc), brute, atol=1e-9), p
 
@@ -211,6 +229,14 @@ def test_lem_proj_decay_rejects_uncentered_blocks():
         lem_proj_decay(cfg, [4], 1, z_sampler=lambda rng, d: np.eye(d, dtype=complex))
 
 
+def test_lem_proj_decay_rejects_empty_words_and_meshes():
+    cfg = MatrixEnsembleConfig(dim=20, trials=1, seed=1, model="poisson_sps")
+    with pytest.raises(ValueError, match="word length"):
+        lem_proj_decay(cfg, [4], 0)
+    with pytest.raises(ValueError, match="mesh"):
+        lem_proj_decay(cfg, [], 1)
+
+
 def test_main_theorem_matrix_residual_trivial_partition():
     # one block: both sides are literally the same sum
     cfg = MatrixEnsembleConfig(dim=60, trials=2, seed=8, model="poisson_sps")
@@ -249,14 +275,73 @@ def test_sandwich_matrix_trend():
     assert residuals[0] > residuals[1] > residuals[2]
 
 
+@pytest.mark.parametrize("d,sub", SUBDIVISION_CASES)
+def test_factored_sums_match_dense_reference(d, sub):
+    cfg = MatrixEnsembleConfig(dim=d, trials=1, seed=4, model="poisson_sps")
+    for k in (1, 2, 3, 4):
+        inc = sample_increments(make_tuple(POISSON, "identical", k=k), sub, cfg)
+        assert inc.factor is not None
+        mats = inc.matrices
+        dense = IncrementSet(sub, mats)
+        for p in enumerate_noncrossing(k):
+            pr_ref = dense_pr_sum(p, mats)
+            assert _rel(pr_matrix(p, inc), pr_ref) <= 1e-12, p
+            assert _rel(pr_matrix(p, dense), pr_ref) <= 1e-12, p
+            # St can vanish exactly (more blocks than intervals): scale by Pr
+            st_ref = dense_st_sum(p, mats)
+            scale = max(np.linalg.norm(st_ref), np.linalg.norm(pr_ref))
+            assert _rel(st_matrix(p, inc), st_ref, scale) <= 1e-12, p
+            assert _rel(st_matrix(p, dense), st_ref, scale) <= 1e-12, p
+
+
 def test_derived_increments_products():
-    cfg = MatrixEnsembleConfig(dim=20, trials=1, seed=4, model="poisson_sps")
-    inc = _copies(sample_increments(POISSON, Subdivision.uniform(3), cfg), 3)
-    der = derived_increments(inc, [(1, 3), (2,)])
-    for i in range(3):
-        assert np.allclose(der.matrices[0][i],
-                           inc.matrices[0][i] @ inc.matrices[2][i])
-        assert np.allclose(der.matrices[1][i], inc.matrices[1][i])
+    groups = [(1, 3), (2,), (1, 2, 3)]
+    for d, sub in SUBDIVISION_CASES:
+        cfg = MatrixEnsembleConfig(dim=d, trials=1, seed=4, model="poisson_sps")
+        inc = sample_increments(make_tuple(POISSON, "identical", k=3), sub, cfg)
+        mats = inc.matrices
+        der = derived_increments(inc, groups)
+        assert der.factor is inc.factor
+        dense = derived_increments(IncrementSet(sub, mats), groups)
+        for g, got, ref in zip(groups, der.matrices, dense.matrices):
+            for i in range(sub.n):
+                prod = mats[g[0] - 1][i]
+                for pos in g[1:]:
+                    prod = prod @ mats[pos - 1][i]
+                scale = max(np.linalg.norm(prod), 1.0)
+                assert np.linalg.norm(ref[i] - prod) <= 1e-12 * scale
+                assert np.linalg.norm(got[i] - prod) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("model,spec", [("poisson_sps", POISSON), ("gaussian_increments", SEMI)])
+def test_calibrate_trace_identity_matches_explicit_powers(model, spec):
+    sub = Subdivision.of(["1/2", "1/3", "1/6"])
+    cfg = MatrixEnsembleConfig(dim=40, trials=3, seed=6, model=model)
+    orders = [1, 2, 3, 4, 5]
+    records = calibrate(spec, sub, cfg, orders, {n: 0 for n in orders})
+    explicit = {n: [] for n in orders}
+    for trial in range(cfg.trials):
+        total = sum(sample_increments(spec, sub, cfg, trial).matrices[0])
+        power = total
+        for n in orders:
+            explicit[n].append(normalized_trace(power))
+            power = power @ total
+    for r in records:
+        ref = float(np.mean(explicit[r["order"]]))
+        assert abs(r["estimate"] - ref) <= 1e-12 * max(abs(ref), 1.0), r
+
+
+def test_pr_matrix_leaves_no_reference_cycle():
+    cfg = MatrixEnsembleConfig(dim=12, trials=1, seed=4, model="poisson_sps")
+    inc = _copies(sample_increments(POISSON, Subdivision.uniform(3), cfg), 4)
+    ref = weakref.ref(inc)
+    gc.disable()
+    try:
+        pr_matrix(Partition.parse("((1,4)(2)(3))"), inc)
+        del inc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_hermitian_gaussian_normalization():

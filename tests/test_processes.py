@@ -153,6 +153,8 @@ def test_subdivision_validation():
         Subdivision(Fraction(1), (Fraction(1, 2),))
     with pytest.raises(ValueError):
         Subdivision(Fraction(1), (Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ValueError):
+        Subdivision.uniform(0)
 
 
 def test_restrict_and_reverse():
