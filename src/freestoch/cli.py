@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .cumulants import (
@@ -26,6 +27,7 @@ from .cumulants import (
 )
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
 from .measures import (
+    MAX_PRODUCT_ARITY,
     exact_moment,
     example_formulas_check,
     identity_suite,
@@ -92,6 +94,16 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_rational(text: str) -> Fraction:
+    try:
+        value = parse_rational(text)
+    except ValueError:
+        value = Fraction(0)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a rational > 0, got {text!r}")
     return value
 
 
@@ -203,20 +215,19 @@ def _cmd_verify_suite(args) -> int:
 
 def _cmd_verify_main_theorem(args) -> int:
     base = _parse_process(args.process)
-    t = parse_rational(args.t)
     orders = ["L1", "L2"] if args.order == "both" else [args.order]
     records = []
     for k in range(1, args.k_max + 1):
         spec = make_tuple(base, "identical", k=k)
         for p in enumerate_noncrossing(k):
             for order in orders:
-                if order == "L2" and 2 * k > 8:
+                if order == "L2" and 2 * k > MAX_PRODUCT_ARITY:
                     continue
-                res = main_theorem_residual(p, spec, order, t)
+                res = main_theorem_residual(p, spec, order, args.t)
                 records.append({
                     "check": f"main_theorem_{order.lower()}",
                     "partition": str(p), "process": args.process,
-                    "subdivision": f"limit,t={format_rational(t)}",
+                    "subdivision": f"limit,t={format_rational(args.t)}",
                     "residual": format_rational(res), "pass": res == 0,
                 })
     _write_report(args, "verify main-theorem", records)
@@ -228,7 +239,7 @@ def _cmd_verify_formula(args) -> int:
     p = Partition.parse(args.partition)
     base = _parse_process(args.process)
     spec = make_tuple(base, "identical", k=p.k) if base.k == 1 else base
-    formula = st_uniform_formula(p, spec, parse_rational(args.t))
+    formula = st_uniform_formula(p, spec, args.t)
     records = [{
         "partition": str(p), "process": args.process,
         "inv_n_power": j, "coefficient": format_rational(c), "pass": True,
@@ -238,15 +249,14 @@ def _cmd_verify_formula(args) -> int:
 
 
 def _cmd_verify_examples(args) -> int:
-    t = parse_rational(args.t)
     records = []
     for k in range(1, args.k_max + 1):
         for p in enumerate_noncrossing(k):
-            l1, l2 = example_formulas_check(args.which, p, t)
+            l1, l2 = example_formulas_check(args.which, p, args.t)
             records.append({
                 "check": f"example_{args.which}",
                 "partition": str(p), "process": args.which,
-                "subdivision": f"limit,t={format_rational(t)}",
+                "subdivision": f"limit,t={format_rational(args.t)}",
                 "residual": format_rational(l1), "residual_l2": format_rational(l2),
                 "pass": l1 == 0 and l2 == 0,
             })
@@ -333,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = cums.add_parser("to-moments", help="moments from cumulants")
     sp.add_argument("--process", default="free_poisson",
                     help="process name or JSON descriptor")
-    sp.add_argument("--order", type=int, default=4)
+    sp.add_argument("--order", type=_positive_int, default=4)
     sp.add_argument("--functional", default=None,
                     help="path to a cumulant-functional JSON file")
     _add_output_flags(sp)
@@ -356,19 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--process", default="free_poisson")
     sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
     sp.add_argument("--order", choices=("L1", "L2", "both"), default="both")
-    sp.add_argument("--t", default="1")
+    sp.add_argument("--t", type=_positive_rational, default="1")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_verify_main_theorem)
     sp = ver.add_parser("examples", help="worked closed-form residuals")
     sp.add_argument("--which", choices=("free_poisson", "brownian"), required=True)
     sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
-    sp.add_argument("--t", default="1")
+    sp.add_argument("--t", type=_positive_rational, default="1")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_verify_examples)
     sp = ver.add_parser("formula", help="uniform closed form as a 1/N coefficient table")
     sp.add_argument("--partition", required=True)
     sp.add_argument("--process", default="free_poisson")
-    sp.add_argument("--t", default="1")
+    sp.add_argument("--t", type=_positive_rational, default="1")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_verify_formula)
 

@@ -246,7 +246,7 @@ def pr_matrix(p: Partition, inc: IncrementSet) -> np.ndarray:
     m = p.num_blocks
     if inc.n**m * p.k > MAX_MATMULS:
         raise SizeGuardError("brute-force Pr sum exceeds the matmul guard")
-    labels = p.block_index()
+    labels = p.rgs()
     mats = inc.matrices
     d = inc.dim
     total = np.zeros((d, d), dtype=complex)

@@ -13,6 +13,7 @@ patterns contribute at any finite subdivision and only die in the limit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,13 +26,13 @@ from .partitions import (
     concat,
     enumerate_noncrossing,
     enumerate_set_partitions,
+    interval_partition,
     is_noncrossing,
     join,
     mobius,
     mobius_zero_hat_full,
     noncrossing_refinements,
     opposite,
-    refines,
     restrict,
 )
 from .processes import (
@@ -103,7 +104,7 @@ def expect_st(p: Partition, sub: Subdivision, spec: ProcessSpec,
     injective interval-product sum.
     """
     _check_engine_args(p, sub, spec, max_blocks, max_n)
-    labels = p.block_index()
+    labels = p.rgs()
     power_sums = _power_sums(sub.lengths, p.k)
     total = Fraction(0)
     for rho in noncrossing_refinements(p):
@@ -133,7 +134,7 @@ def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
         r = spec.partition_cumulant(rho)
         if r == 0:
             continue
-        jlabels = join(rho, p).block_index()
+        jlabels = join(rho, p).rgs()
         counts: dict[int, int] = {}
         for block in rho.blocks:
             lab = jlabels[block[0] - 1]
@@ -248,77 +249,49 @@ def st_report(p: Partition, spec: ProcessSpec, sub: Subdivision) -> ExpectationR
 # products of St/Pr factors
 
 
-def _interval_partition(sizes) -> Partition:
-    blocks, pos = [], 0
-    for s in sizes:
-        blocks.append(tuple(range(pos + 1, pos + s + 1)))
-        pos += s
-    return Partition(pos, tuple(blocks))
-
-
-def _combined_pattern(factors) -> tuple[Partition, Partition, list[str]]:
-    parts = [p for p, _ in factors]
-    kinds = [kind for _, kind in factors]
-    if any(kind not in ("st", "pr") for kind in kinds):
+def _combined_pattern(factors) -> tuple[Partition, Partition]:
+    """The concatenated pattern of the factors, and the partition whose
+    blocks keep a factor's blocks apart: a whole St factor, since St pins
+    its within-factor pattern exactly, and each block of a Pr factor, which
+    only bounds that pattern from below."""
+    if any(kind not in ("st", "pr") for _, kind in factors):
         raise ValueError("factor kind must be 'st' or 'pr'")
-    total = parts[0]
-    for q in parts[1:]:
-        total = concat(total, q)
-    tau = _interval_partition([p.k for p in parts])
-    return total, tau, kinds
+    pi_total = functools.reduce(concat, (p for p, _ in factors))
+    apart = functools.reduce(concat, (Partition.one_hat(p.k) if kind == "st" else p
+                                      for p, kind in factors))
+    return pi_total, apart
 
 
-def _factor_match(sigma: Partition, tau: Partition, targets, kinds) -> bool:
-    """Does sigma's within-factor pattern meet each factor's constraint?
-
-    Restricting sigma to a factor's positions is its meet with the
-    interval pattern there; St factors pin it exactly, Pr factors only
-    bound it below.
-    """
-    for cblock, target, kind in zip(tau.blocks, targets, kinds):
-        within = restrict(sigma, cblock)
-        if kind == "st":
-            if within != target:
-                return False
-        elif not refines(target, within):
-            return False
-    return True
+def _product_patterns(factors, spec: ProcessSpec) -> list[Partition]:
+    """Coincidence patterns sigma of the concatenated word whose restriction
+    to each factor matches it: the coarsenings of the concatenated pattern
+    that merge no two blocks of one St factor."""
+    pi_total, apart = _combined_pattern(factors)
+    if pi_total.k != spec.k:
+        raise DimensionError(f"factors cover [{pi_total.k}] vs {spec.k} components")
+    if pi_total.k > MAX_PRODUCT_ARITY:
+        raise SizeGuardError(f"total arity {pi_total.k} exceeds guard {MAX_PRODUCT_ARITY}")
+    return coarsenings(pi_total, apart)
 
 
 def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fraction:
     """Trace of a product of St/Pr factors over consecutive component groups.
 
-    Expands over all coincidence patterns sigma of the concatenated word
-    whose within-factor restriction matches each factor, then sums the
-    St_sigma traces.
+    Expands over the coincidence patterns sigma of the concatenated word
+    that match each factor, then sums the St_sigma traces.
     """
-    pi_total, tau, kinds = _combined_pattern(factors)
-    if pi_total.k != spec.k:
-        raise DimensionError(f"factors cover [{pi_total.k}] vs {spec.k} components")
-    if pi_total.k > MAX_PRODUCT_ARITY:
-        raise SizeGuardError(f"total arity {pi_total.k} exceeds guard {MAX_PRODUCT_ARITY}")
-    targets = [restrict(pi_total, cblock) for cblock in tau.blocks]
-    total = Fraction(0)
-    for sigma in enumerate_set_partitions(pi_total.k):
-        if _factor_match(sigma, tau, targets, kinds):
-            total += expect_st(sigma, sub, spec, max_blocks=pi_total.k)
-    return total
+    return sum((expect_st(sigma, sub, spec, max_blocks=spec.k)
+                for sigma in _product_patterns(factors, spec)), Fraction(0))
 
 
 def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
     """Mesh limit of the product trace; only noncrossing patterns survive."""
     if not factors:
         return Fraction(1)
-    pi_total, tau, kinds = _combined_pattern(factors)
-    if pi_total.k != spec.k:
-        raise DimensionError(f"factors cover [{pi_total.k}] vs {spec.k} components")
-    if pi_total.k > MAX_PRODUCT_ARITY:
-        raise SizeGuardError(f"total arity {pi_total.k} exceeds guard {MAX_PRODUCT_ARITY}")
     t = Fraction(t)
-    targets = [restrict(pi_total, cblock) for cblock in tau.blocks]
     total = Fraction(0)
-    for sigma in enumerate_noncrossing(pi_total.k):
-        if _factor_match(sigma, tau, targets, kinds):
+    for sigma in _product_patterns(factors, spec):
+        if is_noncrossing(sigma):
             r = spec.partition_cumulant(sigma)
             if r:
                 total += t**sigma.num_blocks * r
@@ -569,13 +542,9 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
                 records.append(_record("inner_peeling_l2", p, process_name, "limit",
                                        inner_peeling_residual(p, spec, "L2")))
         for sizes in _compositions(k):
-            blocks, pos = [], 0
-            for s in sizes:
-                blocks.append(tuple(range(pos + 1, pos + s + 1)))
-                pos += s
-            records.append(_record("diagonal_nesting", Partition(k, tuple(blocks)),
-                                   process_name, "limit",
-                                   diagonal_nesting_residual(spec, blocks)))
+            nesting = interval_partition(sizes)
+            records.append(_record("diagonal_nesting", nesting, process_name, "limit",
+                                   diagonal_nesting_residual(spec, nesting.blocks)))
     for t in (Fraction(1), Fraction(3, 2)):
         records.append(_record("free_sandwich_limit", None, process_name,
                                f"t={format_rational(t)}",

@@ -13,7 +13,9 @@ enumeration order is reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +26,10 @@ from .errors import CrossingPartitionError, DimensionError, SizeGuardError
 MAX_FULL_ENUMERATION = 10
 MAX_NONCROSSING_ENUMERATION = 12
 MAX_INDEX_TUPLES = 2_000_000
+
+# Bound of every per-partition lru_cache below, far above the few thousand
+# entries a long exact session keeps live.
+CACHE_MAXSIZE = 1 << 14
 
 Block = tuple[int, ...]
 
@@ -105,13 +111,6 @@ class Partition:
                 labels[el - 1] = idx
         return tuple(labels)
 
-    def block_index(self) -> tuple[int, ...]:
-        """For each element of [k], the index of its block."""
-        return self.rgs()
-
-    def block_of(self, element: int) -> Block:
-        return self.blocks[self.rgs()[element - 1]]
-
 
 def _check_same_k(a: Partition, b: Partition) -> None:
     if a.k != b.k:
@@ -137,6 +136,8 @@ def _rgs_strings(k: int):
     yield from rec(1, 0) if k > 1 else iter([(0,)] if k == 1 else [])
 
 
+# The two whole-lattice caches are keyed by k alone, and k is bounded by the
+# enumeration guards, so they stay unbounded.
 @lru_cache(maxsize=None)
 def _all_set_partitions(k: int) -> tuple[Partition, ...]:
     return tuple(Partition.from_rgs(r) for r in _rgs_strings(k))
@@ -189,7 +190,7 @@ def enumerate_noncrossing(k: int, max_k: int = MAX_NONCROSSING_ENUMERATION) -> l
 # order and lattice operations
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def is_noncrossing(p: Partition) -> bool:
     """True iff no a < b < c < d has a, c and b, d in two distinct blocks."""
     labels = p.rgs()
@@ -224,7 +225,7 @@ def refines(s: Partition, p: Partition) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def meet(s: Partition, p: Partition) -> Partition:
     """Common refinement: blockwise intersections, empty ones dropped."""
     _check_same_k(s, p)
@@ -235,7 +236,7 @@ def meet(s: Partition, p: Partition) -> Partition:
     return Partition.of(groups.values(), s.k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def join(s: Partition, p: Partition) -> Partition:
     """Finest common coarsening: transitive closure of the union relation."""
     _check_same_k(s, p)
@@ -321,20 +322,58 @@ def restrict(p: Partition, elements) -> Partition:
     return Partition.of(blocks, len(elems))
 
 
-def coarsenings(p: Partition) -> list[Partition]:
-    """All sigma >= p, by partitioning the set of blocks of p."""
-    m = p.num_blocks
-    out = []
-    for grouping in _all_set_partitions(m):
-        merged = [
-            sorted(el for idx in grp for el in p.blocks[idx - 1])
-            for grp in grouping.blocks
-        ]
-        out.append(Partition.of(merged, p.k))
+def interval_partition(sizes) -> Partition:
+    """Consecutive blocks of the given sizes: (1..s1)(s1+1..s1+s2)..."""
+    blocks, pos = [], 0
+    for s in sizes:
+        blocks.append(tuple(range(pos + 1, pos + s + 1)))
+        pos += s
+    return Partition(pos, tuple(blocks))
+
+
+def coarsenings(p: Partition, apart: Partition | None = None) -> list[Partition]:
+    """All sigma >= p; with `apart` (p <= apart), only those whose meet with
+    `apart` is p, i.e. no block of sigma joins two blocks of p that lie in
+    one block of `apart`.
+
+    A backtracking walk assigns the blocks of p, in order, to an earlier
+    group or a new one and never makes a forbidden merge, so it visits only
+    the sigmas it returns, in the restricted-growth order of the grouping.
+    """
+    if apart is None:
+        tags = list(range(p.num_blocks))
+    else:
+        if not refines(p, apart):
+            raise ValueError(f"{p} does not refine {apart}")
+        labels = apart.rgs()
+        tags = [labels[block[0] - 1] for block in p.blocks]
+    out: list[Partition] = []
+    groups: list[list[int]] = []
+    group_tags: list[set[int]] = []
+
+    def walk(j: int) -> None:
+        if j == p.num_blocks:
+            out.append(Partition(p.k, tuple(tuple(sorted(g)) for g in groups)))
+            return
+        block, tag = p.blocks[j], tags[j]
+        for g, used in zip(groups, group_tags):
+            if tag not in used:
+                g.extend(block)
+                used.add(tag)
+                walk(j + 1)
+                del g[len(g) - len(block):]
+                used.discard(tag)
+        groups.append(list(block))
+        group_tags.append({tag})
+        walk(j + 1)
+        groups.pop()
+        group_tags.pop()
+
+    walk(0)
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def noncrossing_refinements(p: Partition) -> tuple[Partition, ...]:
     """All rho in NC(k) with rho <= p."""
     return tuple(r for r in _all_noncrossing(p.k) if refines(r, p))
@@ -393,42 +432,28 @@ def classify_classes(p: Partition) -> ClassSplit:
 # ---------------------------------------------------------------------------
 # Mobius function
 
-_MOBIUS_CACHE: dict[tuple[Partition, Partition, bool], Fraction] = {}
+
+def _mu_full(n: int) -> int:
+    """mu(0-hat, 1-hat) in P(n): (-1)^(n-1) (n-1)!."""
+    return (-1) ** (n - 1) * math.factorial(n - 1)
 
 
-def _interval_members(s: Partition, p: Partition, noncrossing: bool) -> list[Partition]:
-    """All z with s <= z <= p (and z noncrossing, if asked)."""
-    plabels = p.rgs()
-    groups: dict[int, list[int]] = {}
-    for idx, block in enumerate(s.blocks):
-        groups.setdefault(plabels[block[0] - 1], []).append(idx)
-    choices = []
-    for sub_indices in groups.values():
-        ways = []
-        for grouping in _all_set_partitions(len(sub_indices)):
-            merged = [
-                sorted(
-                    el
-                    for pos in grp
-                    for el in s.blocks[sub_indices[pos - 1]]
-                )
-                for grp in grouping.blocks
-            ]
-            ways.append(merged)
-        choices.append(ways)
-    members = []
-    for combo in itertools.product(*choices):
-        z = Partition.of([blk for part in combo for blk in part], s.k)
-        if not noncrossing or is_noncrossing(z):
-            members.append(z)
-    return members
+def _mu_noncrossing(n: int) -> int:
+    """mu(0-hat, 1-hat) in NC(n): (-1)^(n-1) Catalan(n-1)."""
+    return (-1) ** (n - 1) * (math.comb(2 * n - 2, n - 1) // n)
 
 
 def mobius(s: Partition, p: Partition, lattice: str = "full") -> Fraction:
-    """Mobius function of the interval [s, p] in P(k) or NC(k).
+    """Mobius function of the interval [s, p] in P(k) or NC(k), in closed form.
 
-    Computed from the defining recursion mu(x, x) = 1,
-    mu(x, y) = -sum over x <= z < y of mu(x, z); memoized per interval.
+    The interval is the product over the blocks W of p of the intervals
+    [s|W, 1-hat] (Nica-Speicher, Lectures on the Combinatorics of Free
+    Probability, Lectures 9-10), and mu multiplies along the factors.  In
+    P(k) a factor is the whole lattice P(n), n the number of blocks of s
+    inside W, so it contributes (-1)^(n-1) (n-1)!.  In NC(k) the Kreweras
+    complement K maps [s|W, 1-hat] onto [0-hat, K(s|W)], itself a product
+    of NC(|V|) over the blocks V of K(s|W), so the factor is the product of
+    (-1)^(|V|-1) Catalan(|V|-1).
     """
     if lattice not in ("full", "noncrossing"):
         raise ValueError(f"unknown lattice {lattice!r}")
@@ -437,37 +462,22 @@ def mobius(s: Partition, p: Partition, lattice: str = "full") -> Fraction:
         raise CrossingPartitionError("noncrossing lattice requires noncrossing endpoints")
     if not refines(s, p):
         raise ValueError(f"{s} does not refine {p}: interval is empty")
-    key = (s, p, nc)
-    if key in _MOBIUS_CACHE:
-        return _MOBIUS_CACHE[key]
-    members = _interval_members(s, p, nc)
-    # Finest first: any strict refinement has strictly more blocks.
-    members.sort(key=lambda q: (-q.num_blocks, q.blocks))
-    values: dict[Partition, Fraction] = {}
-    for z in members:
-        if z == s:
-            values[z] = Fraction(1)
-        else:
-            values[z] = -sum(
-                (values[y] for y in members if y != z and refines(y, z)),
-                Fraction(0),
-            )
-        _MOBIUS_CACHE[(s, z, nc)] = values[z]
-    return values[p]
+    out = 1
+    if nc:
+        for w in p.blocks:
+            for v in kreweras(restrict(s, w)).blocks:
+                out *= _mu_noncrossing(len(v))
+    else:
+        plabels = p.rgs()
+        for n in Counter(plabels[block[0] - 1] for block in s.blocks).values():
+            out *= _mu_full(n)
+    return Fraction(out)
 
 
 def mobius_zero_hat_full(p: Partition) -> Fraction:
     """Closed form for mu(0-hat, p) in the full lattice: the product over
     blocks of (-1)^(n-1) (n-1)!."""
-    out = Fraction(1)
-    for block in p.blocks:
-        n = len(block)
-        sign = -1 if (n - 1) % 2 else 1
-        fact = 1
-        for i in range(2, n):
-            fact *= i
-        out *= sign * fact
-    return out
+    return Fraction(math.prod(_mu_full(len(block)) for block in p.blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
-from .partitions import Partition, enumerate_noncrossing, is_noncrossing, refines
+from .partitions import (
+    Partition,
+    enumerate_noncrossing,
+    interval_partition,
+    is_noncrossing,
+    refines,
+)
 from .rational import format_rational, parse_rational
 
 _ATOM_UIDS = itertools.count(1)
@@ -302,14 +308,6 @@ def tuple_increment_cumulants(spec: ProcessSpec, sub: Subdivision, indices):
 # the substitution-rule oracle
 
 
-def _interval_partition(sizes) -> Partition:
-    blocks, pos = [], 0
-    for s in sizes:
-        blocks.append(tuple(range(pos + 1, pos + s + 1)))
-        pos += s
-    return Partition(pos, tuple(blocks))
-
-
 def diagonal_substitution_residual(spec: ProcessSpec, groups) -> dict[int, Fraction]:
     """Difference of two expansions of the t-polynomial moment of a
     product of diagonal measures, keyed by power of t.
@@ -323,7 +321,7 @@ def diagonal_substitution_residual(spec: ProcessSpec, groups) -> dict[int, Fract
     flat = [i for g in groups for i in g]
     ell = len(flat)
     flattened = spec.restrict(flat)
-    sigma = _interval_partition([len(g) for g in groups])
+    sigma = interval_partition([len(g) for g in groups])
 
     poly_a: dict[int, Fraction] = {}
     for tau in enumerate_noncrossing(ell):

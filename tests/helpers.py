@@ -11,8 +11,15 @@ import numpy as np
 
 from freestoch.cumulants import moments_from_cumulants
 from freestoch.partitions import (
+    Partition,
+    enumerate_noncrossing,
+    enumerate_set_partitions,
+    interval_partition,
+    is_noncrossing,
     iter_exact_index_tuples,
     iter_geq_index_tuples,
+    refines,
+    restrict,
 )
 from freestoch.processes import (
     make_custom_process,
@@ -104,3 +111,67 @@ def dense_pr_sum(p, mats):
 def dense_st_sum(p, mats):
     """St_p of dense increment matrices, straight from its definition."""
     return dense_index_sum(iter_exact_index_tuples(p, len(mats[0])), mats)
+
+
+def interval_members(s, p, noncrossing):
+    """All z with s <= z <= p (and z noncrossing, if asked), by merging the
+    blocks of s inside each block of p in every possible way."""
+    plabels = p.rgs()
+    groups = {}
+    for block in s.blocks:
+        groups.setdefault(plabels[block[0] - 1], []).append(block)
+    members = [[]]
+    for blocks in groups.values():
+        members = [
+            done + [[el for i in grp for el in blocks[i - 1]] for grp in grouping.blocks]
+            for done in members
+            for grouping in enumerate_set_partitions(len(blocks))
+        ]
+    out = [Partition.of(m, s.k) for m in members]
+    return [z for z in out if not noncrossing or is_noncrossing(z)]
+
+
+def recursive_mobius(s, p, lattice="full"):
+    """Mobius function of [s, p] from its defining recursion
+    mu(s, s) = 1, mu(s, z) = -sum over s <= y < z of mu(s, y)."""
+    members = interval_members(s, p, lattice == "noncrossing")
+    # finest first: a strict refinement has strictly more blocks
+    members.sort(key=lambda q: -q.num_blocks)
+    labels = [q.rgs() for q in members]
+    mu = []
+    for j, z in enumerate(members):
+        if z == s:
+            mu.append(Fraction(1))
+            continue
+        below = Fraction(0)
+        for i in range(j):
+            if members[i].num_blocks > z.num_blocks and all(
+                    labels[j][el - 1] == labels[j][block[0] - 1]
+                    for block in members[i].blocks for el in block):
+                below += mu[i]
+        mu.append(-below)
+    return mu[members.index(p)]
+
+
+def factor_match(sigma, tau, targets, kinds):
+    """Does sigma's within-factor pattern meet each factor's constraint?
+    St factors pin the restriction to their positions exactly, Pr factors
+    only bound it below."""
+    for cblock, target, kind in zip(tau.blocks, targets, kinds):
+        within = restrict(sigma, cblock)
+        if kind == "st":
+            if within != target:
+                return False
+        elif not refines(target, within):
+            return False
+    return True
+
+
+def product_patterns_by_filter(factors, noncrossing=False):
+    """The product-expansion patterns, by filtering the whole lattice."""
+    parts = [p for p, _ in factors]
+    kinds = [kind for _, kind in factors]
+    k = sum(p.k for p in parts)
+    tau = interval_partition([p.k for p in parts])
+    lattice = enumerate_noncrossing(k) if noncrossing else enumerate_set_partitions(k)
+    return [sigma for sigma in lattice if factor_match(sigma, tau, parts, kinds)]

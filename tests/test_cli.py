@@ -166,6 +166,21 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "formula", "--partition", "((1,2))", "--t", "-1"],
+    ["verify", "formula", "--partition", "((1,2))", "--t", "1/0"],
+    ["verify", "main-theorem", "--t", "-1"],
+    ["verify", "examples", "--which", "brownian", "--t", "0"],
+    ["cumulants", "to-moments", "--order", "0"],
+    ["cumulants", "to-moments", "--order", "-2"],
+])
+def test_nonpositive_time_and_order_exit_2_with_one_error_line(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and len(errors) == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["calibrate", "--n", "0", "--trials", "2"],
     ["main-theorem", "--n", "0", "--trials", "1"],
     ["proj-decay", "--meshes", "0,4", "--trials", "2"],

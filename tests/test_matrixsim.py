@@ -120,7 +120,7 @@ def test_pr_matrix_nested_collapse_matches_brute_force():
     inc = _copies(sample_increments(POISSON, sub, cfg), 4)
     mats = inc.matrices
     for p in enumerate_set_partitions(4):
-        labels = p.block_index()
+        labels = p.rgs()
         brute = np.zeros((25, 25), dtype=complex)
         for assign in itertools.product(range(sub.n), repeat=p.num_blocks):
             word = mats[0][assign[labels[0]]]

@@ -1,5 +1,6 @@
 import pytest
 
+import freestoch.partitions as partitions_module
 from freestoch.errors import CrossingPartitionError, DimensionError, SizeGuardError
 from freestoch.partitions import (
     Partition,
@@ -8,6 +9,7 @@ from freestoch.partitions import (
     concat,
     enumerate_noncrossing,
     enumerate_set_partitions,
+    interval_partition,
     is_noncrossing,
     iter_exact_index_tuples,
     iter_geq_index_tuples,
@@ -290,6 +292,36 @@ def test_coarsenings():
         assert all(refines(q, c) for c in cs)
         assert len(cs) == len([c for c in enumerate_set_partitions(4) if refines(q, c)])
 
+
+
+def test_coarsenings_keep_blocks_apart():
+    zero = Partition.zero_hat(3)
+    apart = Partition.parse("((1,2)(3))")
+    assert set(coarsenings(zero, apart)) == {
+        zero, Partition.parse("((1,3)(2))"), Partition.parse("((1)(2,3))")}
+    # apart = p itself forbids nothing, apart = 1-hat forbids every merge
+    for q in enumerate_set_partitions(4):
+        assert coarsenings(q, q) == coarsenings(q)
+        assert coarsenings(q, Partition.one_hat(4)) == [q]
+    with pytest.raises(ValueError):
+        coarsenings(Partition.one_hat(3), zero)
+
+
+def test_interval_partition():
+    assert interval_partition([2, 1, 3]) == Partition.parse("((1,2)(3)(4,5,6))")
+    assert interval_partition([4]) == Partition.one_hat(4)
+
+
+def test_lattice_caches_are_bounded():
+    unbounded = set()
+    for name, obj in vars(partitions_module).items():
+        info = getattr(obj, "cache_parameters", None)
+        if callable(info) and info()["maxsize"] is None:
+            unbounded.add(name)
+    # keyed by k alone and bounded by the enumeration guards
+    assert unbounded == {"_all_set_partitions", "_all_noncrossing"}
+    assert partitions_module.is_noncrossing.cache_parameters()["maxsize"] == \
+        partitions_module.CACHE_MAXSIZE
 
 def test_text_syntax():
     p = Partition.parse(" ( (1, 6,7) (2,5)(3)(4)(8)(9,10) ) ")
