@@ -43,8 +43,9 @@ def _subset_word(base: Subset, inner: Subset) -> Subset:
 
 
 @dataclass(frozen=True)
-class MomentFunctional:
-    """Joint moments M(B; A) of a k-tuple, one value per nonempty subset."""
+class _SubsetFunctional:
+    """One value per nonempty subset of [k]; a partition gets the product
+    of the values on its blocks."""
 
     k: int
     values: dict[Subset, Fraction]
@@ -53,7 +54,7 @@ class MomentFunctional:
         _check_values(self.k, self.values)
 
     @classmethod
-    def from_single_variable(cls, k: int, seq) -> "MomentFunctional":
+    def from_single_variable(cls, k: int, seq):
         """All components equal; the value depends only on the subset size."""
         seq = [Fraction(x) for x in seq]
         if len(seq) < k:
@@ -68,7 +69,12 @@ class MomentFunctional:
 
 
 @dataclass(frozen=True)
-class CumulantFunctional:
+class MomentFunctional(_SubsetFunctional):
+    """Joint moments M(B; A) of a k-tuple."""
+
+
+@dataclass(frozen=True)
+class CumulantFunctional(_SubsetFunctional):
     """Joint free cumulants R(B; A), with optional freeness and norm data.
 
     `freeness` partitions the component indices into freely independent
@@ -76,30 +82,15 @@ class CumulantFunctional:
     16^k bound check.
     """
 
-    k: int
-    values: dict[Subset, Fraction]
     freeness: Partition | None = None
     norms: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        _check_values(self.k, self.values)
+        super().__post_init__()
         if self.freeness is not None and self.freeness.k != self.k:
             raise DimensionError("freeness partition arity mismatch")
         if self.norms is not None and len(self.norms) != self.k:
             raise DimensionError("need one norm per component")
-
-    @classmethod
-    def from_single_variable(cls, k: int, seq) -> "CumulantFunctional":
-        seq = [Fraction(x) for x in seq]
-        if len(seq) < k:
-            raise ValueError(f"need {k} orders, got {len(seq)}")
-        return cls(k, {b: seq[len(b) - 1] for b in nonempty_subsets(k)})
-
-    def on_partition(self, p: Partition) -> Fraction:
-        out = Fraction(1)
-        for block in p.blocks:
-            out *= self.values[block]
-        return out
 
 
 def moments_from_cumulants(r: CumulantFunctional, p: Partition | None = None) -> Fraction:
@@ -128,11 +119,8 @@ def cumulants_from_moments(m: MomentFunctional, p: Partition | None = None) -> F
     return total
 
 
-def _transform_subsetwise(k: int, values: dict, convert) -> dict:
-    out = {}
-    for b in nonempty_subsets(k):
-        out[b] = convert(b)
-    return out
+def _transform_subsetwise(k: int, convert) -> dict:
+    return {b: convert(b) for b in nonempty_subsets(k)}
 
 
 def moment_functional(r: CumulantFunctional) -> MomentFunctional:
@@ -147,23 +135,25 @@ def moment_functional(r: CumulantFunctional) -> MomentFunctional:
             total += term
         return total
 
-    return MomentFunctional(r.k, _transform_subsetwise(r.k, r.values, convert))
+    return MomentFunctional(r.k, _transform_subsetwise(r.k, convert))
 
 
 def cumulant_functional(m: MomentFunctional) -> CumulantFunctional:
     """The full cumulant functional of m; inverse of moment_functional."""
 
+    # mu(sigma, 1-hat) depends on sigma alone: one list per subset size
+    weighted = {n: [(sigma, mobius(sigma, Partition.one_hat(n), "noncrossing"))
+                    for sigma in enumerate_noncrossing(n)] for n in range(1, m.k + 1)}
+
     def convert(b: Subset) -> Fraction:
-        one = Partition.one_hat(len(b))
         total = Fraction(0)
-        for sigma in enumerate_noncrossing(len(b)):
-            term = mobius(sigma, one, "noncrossing")
+        for sigma, term in weighted[len(b)]:
             for block in sigma.blocks:
                 term *= m.values[_subset_word(b, block)]
             total += term
         return total
 
-    return CumulantFunctional(m.k, _transform_subsetwise(m.k, m.values, convert))
+    return CumulantFunctional(m.k, _transform_subsetwise(m.k, convert))
 
 
 def mixed_cumulant_vanishing_check(r: CumulantFunctional) -> bool:

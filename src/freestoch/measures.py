@@ -14,7 +14,7 @@ patterns contribute at any finite subdivision and only die in the limit.
 from __future__ import annotations
 
 import functools
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,93 +57,114 @@ MAX_PRODUCT_ARITY = 8
 Factor = tuple[Partition, str]  # kind: "st" | "pr"
 
 
-def _power_sums(lengths, max_power: int) -> list[Fraction]:
-    """P[c] = sum of lengths^c for c = 0..max_power."""
-    out = [Fraction(len(lengths))]
-    for c in range(1, max_power + 1):
-        out.append(sum((l**c for l in lengths), Fraction(0)))
-    return out
+class FiniteTraces:
+    """The St/Pr traces of one tuple at one subdivision, each computed once.
 
-
-def _injective_weight(exponents, power_sums) -> Fraction:
-    """Sum over injective maps w of prod_i lengths[w(i)]^e_i.
-
-    Coincidence inclusion-exclusion: sum over set partitions gamma of the
-    index set of mu(0, gamma) times the power-sum product with exponents
-    merged along gamma.  The closed-form Mobius values keep this fast; the
-    recursive definition cross-checks them in the tests.
+    Holds the power sums P[c] = sum of lengths^c (c = 0..k), the unit-time
+    R_rho, the injective weights (keyed by sorted exponents, since a weight
+    is symmetric in them) and every St_p and Pr_p asked for.  A table lives
+    for the one call that builds it; the callers check the guards.
     """
-    m = len(exponents)
-    total = Fraction(0)
-    for gamma in enumerate_set_partitions(m):
-        term = mobius_zero_hat_full(gamma)
-        for grp in gamma.blocks:
-            term *= power_sums[sum(exponents[i - 1] for i in grp)]
-        total += term
-    return total
+
+    def __init__(self, spec: ProcessSpec, sub: Subdivision):
+        self.spec = spec
+        self.power_sums = [sum((l**c for l in sub.lengths), Fraction(0))
+                           for c in range(spec.k + 1)]
+        self._cumulants: dict[Partition, Fraction] = {}
+        self._weights: dict[tuple[int, ...], Fraction] = {}
+        self._st: dict[Partition, Fraction] = {}
+        self._pr: dict[Partition, Fraction] = {}
+
+    def _cumulant(self, rho: Partition) -> Fraction:
+        if rho not in self._cumulants:
+            self._cumulants[rho] = self.spec.partition_cumulant(rho)
+        return self._cumulants[rho]
+
+    def _injective_weight(self, exponents) -> Fraction:
+        """Sum over injective maps w of prod_i lengths[w(i)]^e_i.
+
+        Coincidence inclusion-exclusion: sum over set partitions gamma of
+        the index set of mu(0, gamma) times the power-sum product with
+        exponents merged along gamma.  The closed-form Mobius values keep
+        this fast; the recursive definition cross-checks them in the tests.
+        """
+        key = tuple(sorted(exponents))
+        if key not in self._weights:
+            total = Fraction(0)
+            for gamma in enumerate_set_partitions(len(key)):
+                term = mobius_zero_hat_full(gamma)
+                for grp in gamma.blocks:
+                    term *= self.power_sums[sum(key[i - 1] for i in grp)]
+                total += term
+            self._weights[key] = total
+        return self._weights[key]
+
+    def st(self, p: Partition) -> Fraction:
+        """Trace of St_p: indices distinct across blocks, constant on them.
+
+        Only noncrossing refinements of p contribute (a cumulant block
+        across two p-blocks meets two disjoint intervals), each weighted by
+        the injective interval-product sum.
+        """
+        if p not in self._st:
+            labels = p.rgs()
+            total = Fraction(0)
+            for rho in noncrossing_refinements(p):
+                r = self._cumulant(rho)
+                if r == 0:
+                    continue
+                exps = [0] * p.num_blocks
+                for block in rho.blocks:
+                    exps[labels[block[0] - 1]] += 1
+                total += r * self._injective_weight(exps)
+            self._st[p] = total
+        return self._st[p]
+
+    def pr(self, p: Partition) -> Fraction:
+        """Trace of Pr_p: indices merely constant on the blocks of p.
+
+        Free maps factor over the groups into which join(rho, p) collapses
+        the blocks of p, giving plain power sums instead of injective ones.
+        """
+        if p not in self._pr:
+            total = Fraction(0)
+            for rho in enumerate_noncrossing(p.k):
+                r = self._cumulant(rho)
+                if r == 0:
+                    continue
+                jlabels = join(rho, p).rgs()
+                for c in Counter(jlabels[block[0] - 1] for block in rho.blocks).values():
+                    r *= self.power_sums[c]
+                total += r
+            self._pr[p] = total
+        return self._pr[p]
 
 
-def _check_engine_args(p: Partition, sub: Subdivision, spec: ProcessSpec,
-                       max_blocks: int | None, max_n: int | None) -> None:
-    if p.k != spec.k:
-        raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
-    max_blocks = MAX_DIRECT_BLOCKS if max_blocks is None else max_blocks
+def _check_n(sub: Subdivision, max_n: int | None = None) -> None:
     max_n = MAX_DIRECT_N if max_n is None else max_n
-    if p.num_blocks > max_blocks:
-        raise SizeGuardError(f"|p| = {p.num_blocks} exceeds direct-sum guard {max_blocks}")
     if sub.n > max_n:
         raise SizeGuardError(f"N = {sub.n} exceeds direct-sum guard {max_n}")
 
 
 def expect_st(p: Partition, sub: Subdivision, spec: ProcessSpec,
               max_blocks: int | None = None, max_n: int | None = None) -> Fraction:
-    """Trace of St_p(X, S): indices distinct across blocks, constant on them.
-
-    Only noncrossing refinements of p contribute (a cumulant block across
-    two p-blocks meets two disjoint intervals), each weighted by the
-    injective interval-product sum.
-    """
-    _check_engine_args(p, sub, spec, max_blocks, max_n)
-    labels = p.rgs()
-    power_sums = _power_sums(sub.lengths, p.k)
-    total = Fraction(0)
-    for rho in noncrossing_refinements(p):
-        r = spec.partition_cumulant(rho)
-        if r == 0:
-            continue
-        exps = [0] * p.num_blocks
-        for block in rho.blocks:
-            exps[labels[block[0] - 1]] += 1
-        total += r * _injective_weight(exps, power_sums)
-    return total
+    """Trace of St_p(X, S), indices distinct across blocks (FiniteTraces.st)."""
+    if p.k != spec.k:
+        raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
+    max_blocks = MAX_DIRECT_BLOCKS if max_blocks is None else max_blocks
+    if p.num_blocks > max_blocks:
+        raise SizeGuardError(f"|p| = {p.num_blocks} exceeds direct-sum guard {max_blocks}")
+    _check_n(sub, max_n)
+    return FiniteTraces(spec, sub).st(p)
 
 
 def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
-    """Trace of Pr_p(X, S): indices merely constant on the blocks of p.
-
-    Free maps factor over the groups into which join(rho, p) collapses
-    the blocks of p, giving plain power sums instead of injective ones.
-    """
+    """Trace of Pr_p(X, S), indices constant on blocks (FiniteTraces.pr)."""
     if p.k != spec.k:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
     if p.k > MAX_PRODUCT_ARITY:
         raise SizeGuardError(f"arity {p.k} exceeds guard {MAX_PRODUCT_ARITY}")
-    power_sums = _power_sums(sub.lengths, p.k)
-    total = Fraction(0)
-    for rho in enumerate_noncrossing(p.k):
-        r = spec.partition_cumulant(rho)
-        if r == 0:
-            continue
-        jlabels = join(rho, p).rgs()
-        counts: dict[int, int] = {}
-        for block in rho.blocks:
-            lab = jlabels[block[0] - 1]
-            counts[lab] = counts.get(lab, 0) + 1
-        term = r
-        for c in counts.values():
-            term *= power_sums[c]
-        total += term
-    return total
+    return FiniteTraces(spec, sub).pr(p)
 
 
 def limit_expect_st(p: Partition, spec: ProcessSpec, t=1) -> Fraction:
@@ -187,10 +208,6 @@ class UniformFormula:
     def limit(self) -> Fraction:
         return self.coeffs.get(0, Fraction(0))
 
-    @property
-    def constant_term(self) -> Fraction:
-        return self.limit
-
     def rows(self):
         return [(j, self.coeffs[j]) for j in sorted(self.coeffs)]
 
@@ -199,10 +216,7 @@ def _falling_factorial_coeffs(m: int) -> list[Fraction]:
     """Coefficients of N(N-1)...(N-m+1) in powers of N."""
     poly = [Fraction(1)]
     for j in range(m):
-        shifted = [Fraction(0)] + poly
-        poly = [a - j * b for a, b in itertools.zip_longest(shifted, poly + [Fraction(0)],
-                                                            fillvalue=Fraction(0))]
-        poly = poly[: m + 1]
+        poly = [a - j * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
     return poly
 
 
@@ -249,29 +263,23 @@ def st_report(p: Partition, spec: ProcessSpec, sub: Subdivision) -> ExpectationR
 # products of St/Pr factors
 
 
-def _combined_pattern(factors) -> tuple[Partition, Partition]:
-    """The concatenated pattern of the factors, and the partition whose
-    blocks keep a factor's blocks apart: a whole St factor, since St pins
-    its within-factor pattern exactly, and each block of a Pr factor, which
-    only bounds that pattern from below."""
+def _product_patterns(factors, spec: ProcessSpec, noncrossing: bool = False) -> list[Partition]:
+    """Coincidence patterns sigma of the concatenated word whose restriction
+    to each factor matches it (only the noncrossing ones, if asked): the
+    coarsenings of the concatenated pattern that keep apart the blocks of
+    `apart`, whose blocks are each whole St factor, since St pins its
+    within-factor pattern exactly, and each block of a Pr factor, which only
+    bounds that pattern from below."""
     if any(kind not in ("st", "pr") for _, kind in factors):
         raise ValueError("factor kind must be 'st' or 'pr'")
     pi_total = functools.reduce(concat, (p for p, _ in factors))
     apart = functools.reduce(concat, (Partition.one_hat(p.k) if kind == "st" else p
                                       for p, kind in factors))
-    return pi_total, apart
-
-
-def _product_patterns(factors, spec: ProcessSpec) -> list[Partition]:
-    """Coincidence patterns sigma of the concatenated word whose restriction
-    to each factor matches it: the coarsenings of the concatenated pattern
-    that merge no two blocks of one St factor."""
-    pi_total, apart = _combined_pattern(factors)
     if pi_total.k != spec.k:
         raise DimensionError(f"factors cover [{pi_total.k}] vs {spec.k} components")
     if pi_total.k > MAX_PRODUCT_ARITY:
         raise SizeGuardError(f"total arity {pi_total.k} exceeds guard {MAX_PRODUCT_ARITY}")
-    return coarsenings(pi_total, apart)
+    return coarsenings(pi_total, apart, noncrossing)
 
 
 def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fraction:
@@ -280,8 +288,12 @@ def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fracti
     Expands over the coincidence patterns sigma of the concatenated word
     that match each factor, then sums the St_sigma traces.
     """
-    return sum((expect_st(sigma, sub, spec, max_blocks=spec.k)
-                for sigma in _product_patterns(factors, spec)), Fraction(0))
+    if not factors:
+        return Fraction(1)
+    patterns = _product_patterns(factors, spec)
+    _check_n(sub)
+    traces = FiniteTraces(spec, sub)
+    return sum((traces.st(sigma) for sigma in patterns), Fraction(0))
 
 
 def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
@@ -290,11 +302,10 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
         return Fraction(1)
     t = Fraction(t)
     total = Fraction(0)
-    for sigma in _product_patterns(factors, spec):
-        if is_noncrossing(sigma):
-            r = spec.partition_cumulant(sigma)
-            if r:
-                total += t**sigma.num_blocks * r
+    for sigma in _product_patterns(factors, spec, noncrossing=True):
+        r = spec.partition_cumulant(sigma)
+        if r:
+            total += t**sigma.num_blocks * r
     return total
 
 
@@ -513,28 +524,27 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
     records = []
     for k in range(1, k_max + 1):
         spec = make_tuple(base, "identical", k=k)
+        above = [(p, [(s, mobius(p, s, "full")) for s in coarsenings(p)])
+                 for p in enumerate_set_partitions(k)]
+        # The covered sets of the outer blocks tile [k] in order, so the
+        # product of their Pr factors runs over the components of spec.
+        outer = [(p, _product_patterns([(restrict(p, sorted(c)), "pr")
+                                        for c in classify_classes(p).covered_sets], spec))
+                 for p in enumerate_noncrossing(k)]
         for sub in battery:
-            for p in enumerate_set_partitions(k):
-                direct = expect_pr(p, sub, spec)
-                via_st = sum((expect_st(s, sub, spec, max_blocks=k) for s in coarsenings(p)),
-                             Fraction(0))
-                records.append(_record("st_pr_inversion", p, process_name,
-                                       sub.describe(), direct - via_st))
-                back = sum((mobius(p, s, "full") * expect_pr(s, sub, spec)
-                            for s in coarsenings(p)), Fraction(0))
-                records.append(_record("mobius_inversion", p, process_name,
-                                       sub.describe(), expect_st(p, sub, spec, max_blocks=k) - back))
-            for p in enumerate_noncrossing(k):
-                split = classify_classes(p)
-                factors, indices = [], []
-                for i, _outer in enumerate(split.outer):
-                    covered = sorted(split.covered_sets[i])
-                    factors.append((restrict(p, covered), "pr"))
-                    indices.extend(covered)
-                lhs = expect_pr(p, sub, spec)
-                rhs = expect_product_of_st(factors, spec.restrict(indices), sub)
-                records.append(_record("pr_outer_product", p, process_name,
-                                       sub.describe(), lhs - rhs))
+            _check_n(sub)
+            traces, where = FiniteTraces(spec, sub), sub.describe()
+            for p, coarser in above:
+                via_st = sum((traces.st(s) for s, _ in coarser), Fraction(0))
+                records.append(_record("st_pr_inversion", p, process_name, where,
+                                       traces.pr(p) - via_st))
+                back = sum((mu * traces.pr(s) for s, mu in coarser), Fraction(0))
+                records.append(_record("mobius_inversion", p, process_name, where,
+                                       traces.st(p) - back))
+            for p, patterns in outer:
+                rhs = sum((traces.st(s) for s in patterns), Fraction(0))
+                records.append(_record("pr_outer_product", p, process_name, where,
+                                       traces.pr(p) - rhs))
         for p in enumerate_noncrossing(k):
             records.append(_record("inner_peeling_l1", p, process_name, "limit",
                                    inner_peeling_residual(p, spec, "L1")))

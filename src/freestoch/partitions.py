@@ -331,14 +331,23 @@ def interval_partition(sizes) -> Partition:
     return Partition(pos, tuple(blocks))
 
 
-def coarsenings(p: Partition, apart: Partition | None = None) -> list[Partition]:
+def _span(mask: int) -> int:
+    """The bits from the lowest set bit of mask up to, not including, its highest."""
+    return (1 << (mask.bit_length() - 1)) - (mask & -mask)
+
+
+def coarsenings(p: Partition, apart: Partition | None = None,
+                noncrossing: bool = False) -> list[Partition]:
     """All sigma >= p; with `apart` (p <= apart), only those whose meet with
     `apart` is p, i.e. no block of sigma joins two blocks of p that lie in
-    one block of `apart`.
+    one block of `apart`; with `noncrossing`, only the noncrossing sigma.
 
     A backtracking walk assigns the blocks of p, in order, to an earlier
     group or a new one and never makes a forbidden merge, so it visits only
     the sigmas it returns, in the restricted-growth order of the grouping.
+    Two disjoint groups cross iff each has a point inside the other's span;
+    a crossing stays as blocks are added, so the noncrossing walk drops
+    such a branch at once.
     """
     if apart is None:
         tags = list(range(p.num_blocks))
@@ -347,27 +356,41 @@ def coarsenings(p: Partition, apart: Partition | None = None) -> list[Partition]
             raise ValueError(f"{p} does not refine {apart}")
         labels = apart.rgs()
         tags = [labels[block[0] - 1] for block in p.blocks]
+    bits = [sum(1 << el for el in block) for block in p.blocks]
     out: list[Partition] = []
     groups: list[list[int]] = []
     group_tags: list[set[int]] = []
+    masks: list[int] = []
+
+    def crosses(mask: int, skip: int) -> bool:
+        if not noncrossing:
+            return False
+        span = _span(mask)
+        return any(other & span and mask & _span(other) and i != skip
+                   for i, other in enumerate(masks))
 
     def walk(j: int) -> None:
         if j == p.num_blocks:
             out.append(Partition(p.k, tuple(tuple(sorted(g)) for g in groups)))
             return
-        block, tag = p.blocks[j], tags[j]
-        for g, used in zip(groups, group_tags):
-            if tag not in used:
+        block, tag, bit = p.blocks[j], tags[j], bits[j]
+        for i, (g, used) in enumerate(zip(groups, group_tags)):
+            if tag not in used and not crosses(masks[i] | bit, i):
                 g.extend(block)
                 used.add(tag)
+                masks[i] |= bit
                 walk(j + 1)
                 del g[len(g) - len(block):]
                 used.discard(tag)
-        groups.append(list(block))
-        group_tags.append({tag})
-        walk(j + 1)
-        groups.pop()
-        group_tags.pop()
+                masks[i] ^= bit
+        if not crosses(bit, -1):
+            groups.append(list(block))
+            group_tags.append({tag})
+            masks.append(bit)
+            walk(j + 1)
+            groups.pop()
+            group_tags.pop()
+            masks.pop()
 
     walk(0)
     return out
@@ -402,14 +425,6 @@ class ClassSplit:
     @property
     def inner_count(self) -> int:
         return len(self.inner)
-
-    def inner_support(self) -> tuple[int, ...]:
-        """C(pi): all elements lying in inner blocks, sorted."""
-        return tuple(sorted(el for b in self.inner for el in b))
-
-    def covered_interior(self, i: int) -> tuple[int, ...]:
-        """Elements strictly covered by outer[i] (its span minus itself)."""
-        return tuple(sorted(self.covered_sets[i] - set(self.outer[i])))
 
 
 def classify_classes(p: Partition) -> ClassSplit:
@@ -484,19 +499,12 @@ def mobius_zero_hat_full(p: Partition) -> Fraction:
 # index tuples
 
 
-def falling_factorial(n: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
-
-
 def kernel_index_counts(p: Partition, n: int) -> tuple[int, int]:
     """(|[N]^k with pattern exactly p|, |[N]^k with pattern >= p|)."""
     if n < 1:
         raise ValueError("N must be positive")
     m = p.num_blocks
-    return max(falling_factorial(n, m), 0), n**m
+    return math.perm(n, m), n**m
 
 
 def iter_exact_index_tuples(p: Partition, n: int, max_tuples: int = MAX_INDEX_TUPLES):

@@ -149,40 +149,33 @@ def make_custom_process(seq) -> ProcessSpec:
     return ProcessSpec(((_new_atom("custom", data),),), ("custom",))
 
 
-def make_tuple(base: ProcessSpec, mode: str, k: int | None = None,
-               components: list[ProcessSpec] | None = None) -> ProcessSpec:
-    """Identical copies of a single process, or a freely independent family.
-
-    identical: all k components share the base's atom, so every mixed
-    cumulant is the base's r_n.  free_family: each input keeps its own
-    internal structure but gets fresh atoms, so cumulants across inputs
-    vanish (this holds even if the same spec object is passed twice).
-    """
-    if mode == "identical":
-        if base.k != 1:
-            raise DimensionError("identical copies need a single-component base")
-        if k is None or k < 1:
-            raise ValueError("identical copies need k >= 1")
-        return ProcessSpec((base.words[0],) * k, tuple(f"copy{i + 1}" for i in range(k)))
-    if mode == "free_family":
-        specs = components if components is not None else []
-        if base is not None and components is None:
-            raise ValueError("free_family takes components=[...]")
-        words: list[tuple[Atom, ...]] = []
-        labels: list[str] = []
-        for s_idx, spec in enumerate(specs):
-            fresh = {a: _new_atom(a.kind, a.data) for a in spec.atoms()}
-            for c_idx, w in enumerate(spec.words):
-                words.append(tuple(fresh[a] for a in w))
-                labels.append(f"f{s_idx + 1}c{c_idx + 1}")
-        if not words:
-            raise ValueError("free_family needs at least one component")
-        return ProcessSpec(tuple(words), tuple(labels))
-    raise ValueError(f"unknown mode {mode!r}")
+def make_tuple(base: ProcessSpec, mode: str, k: int | None = None) -> ProcessSpec:
+    """Identical copies of a single process (the only mode, "identical"):
+    all k components share the base's atom, so every mixed cumulant is the
+    base's r_n.  Freely independent families come from free_family."""
+    if mode != "identical":
+        raise ValueError(f"unknown mode {mode!r}")
+    if base.k != 1:
+        raise DimensionError("identical copies need a single-component base")
+    if k is None or k < 1:
+        raise ValueError("identical copies need k >= 1")
+    return ProcessSpec((base.words[0],) * k, tuple(f"copy{i + 1}" for i in range(k)))
 
 
 def free_family(specs: list[ProcessSpec]) -> ProcessSpec:
-    return make_tuple(None, "free_family", components=specs)
+    """A freely independent family: each input keeps its own internal
+    structure but gets fresh atoms, so cumulants across inputs vanish (this
+    holds even if the same spec object is passed twice)."""
+    words: list[tuple[Atom, ...]] = []
+    labels: list[str] = []
+    for s_idx, spec in enumerate(specs):
+        fresh = {a: _new_atom(a.kind, a.data) for a in spec.atoms()}
+        for c_idx, w in enumerate(spec.words):
+            words.append(tuple(fresh[a] for a in w))
+            labels.append(f"f{s_idx + 1}c{c_idx + 1}")
+    if not words:
+        raise ValueError("free_family needs at least one component")
+    return ProcessSpec(tuple(words), tuple(labels))
 
 
 def derived_diagonal_tuple(spec: ProcessSpec, groups) -> ProcessSpec:
@@ -241,13 +234,6 @@ class Subdivision:
     @property
     def mesh(self) -> Fraction:
         return max(self.lengths)
-
-    def intervals(self) -> list[tuple[Fraction, Fraction]]:
-        out, pos = [], Fraction(0)
-        for l in self.lengths:
-            out.append((pos, pos + l))
-            pos += l
-        return out
 
     def describe(self) -> str:
         if len(set(self.lengths)) == 1:

@@ -10,14 +10,29 @@ from fractions import Fraction
 import numpy as np
 
 from freestoch.cumulants import moments_from_cumulants
+from freestoch.measures import (
+    MAX_PRODUCT_ARITY,
+    SUBDIVISION_BATTERY,
+    _compositions,
+    _record,
+    diagonal_nesting_residual,
+    expect_pr,
+    expect_product_of_st,
+    expect_st,
+    free_sandwich_residual,
+    inner_peeling_residual,
+)
 from freestoch.partitions import (
     Partition,
+    classify_classes,
+    coarsenings,
     enumerate_noncrossing,
     enumerate_set_partitions,
     interval_partition,
     is_noncrossing,
     iter_exact_index_tuples,
     iter_geq_index_tuples,
+    mobius,
     refines,
     restrict,
 )
@@ -25,8 +40,10 @@ from freestoch.processes import (
     make_custom_process,
     make_free_poisson,
     make_semicircular,
+    make_tuple,
     tuple_increment_cumulants,
 )
+from freestoch.rational import format_rational
 
 CUSTOM_SEQ = (
     Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
@@ -90,6 +107,53 @@ def brute_expect_pr(p, sub, spec):
     for v in iter_geq_index_tuples(p, sub.n):
         total += moments_from_cumulants(tuple_increment_cumulants(spec, sub, v))
     return total
+
+
+def identity_suite_by_pairs(base, k_max, battery=SUBDIVISION_BATTERY, process_name="process"):
+    """The identity suite with every finite trace computed afresh for each
+    lattice pair: one expect_st/expect_pr call per term, and the outer-block
+    product through expect_product_of_st on the restricted tuple."""
+    records = []
+    for k in range(1, k_max + 1):
+        spec = make_tuple(base, "identical", k=k)
+        for sub in battery:
+            for p in enumerate_set_partitions(k):
+                direct = expect_pr(p, sub, spec)
+                via_st = sum((expect_st(s, sub, spec, max_blocks=k) for s in coarsenings(p)),
+                             Fraction(0))
+                records.append(_record("st_pr_inversion", p, process_name,
+                                       sub.describe(), direct - via_st))
+                back = sum((mobius(p, s, "full") * expect_pr(s, sub, spec)
+                            for s in coarsenings(p)), Fraction(0))
+                records.append(_record("mobius_inversion", p, process_name,
+                                       sub.describe(), expect_st(p, sub, spec, max_blocks=k) - back))
+            for p in enumerate_noncrossing(k):
+                split = classify_classes(p)
+                factors, indices = [], []
+                for i, _outer in enumerate(split.outer):
+                    covered = sorted(split.covered_sets[i])
+                    factors.append((restrict(p, covered), "pr"))
+                    indices.extend(covered)
+                lhs = expect_pr(p, sub, spec)
+                rhs = expect_product_of_st(factors, spec.restrict(indices), sub)
+                records.append(_record("pr_outer_product", p, process_name,
+                                       sub.describe(), lhs - rhs))
+        for p in enumerate_noncrossing(k):
+            records.append(_record("inner_peeling_l1", p, process_name, "limit",
+                                   inner_peeling_residual(p, spec, "L1")))
+            if 2 * k <= MAX_PRODUCT_ARITY:
+                records.append(_record("inner_peeling_l2", p, process_name, "limit",
+                                       inner_peeling_residual(p, spec, "L2")))
+        for sizes in _compositions(k):
+            nesting = interval_partition(sizes)
+            records.append(_record("diagonal_nesting", nesting, process_name, "limit",
+                                   diagonal_nesting_residual(spec, nesting.blocks)))
+    for t in (Fraction(1), Fraction(3, 2)):
+        records.append(_record("free_sandwich_limit", None, process_name,
+                               f"t={format_rational(t)}",
+                               free_sandwich_residual(base, (Fraction(1), Fraction(1, 2),
+                                                             Fraction(1, 3)), t)))
+    return records
 
 
 def dense_index_sum(tuples, mats):

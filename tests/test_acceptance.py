@@ -27,6 +27,7 @@ from freestoch.matrixsim import (
 )
 from freestoch.measures import (
     MeasureWord,
+    _compositions,
     diagonal_nesting_residual,
     exact_moment,
     example_formulas_check,
@@ -169,7 +170,7 @@ def test_limit_formula_and_crossing_decay():
             if is_noncrossing(p):
                 continue
             formula = st_uniform_formula(p, spec4)
-            if formula.constant_term != 0:
+            if formula.limit != 0:
                 bad.append(("crossing", name, str(p)))
             if limit_expect_st(p, spec4) != 0:
                 bad.append(("crossing-limit", name, str(p)))
@@ -217,15 +218,6 @@ def test_paper_examples():
                     bad.append((which, str(p)))
     _verdict("closed-form examples verified in L1 and L2 on NC(k<=4)", not bad,
              f"first fail {bad[0]}" if bad else "")
-
-
-def _compositions(k):
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest
 
 
 def test_inner_structure():

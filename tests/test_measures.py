@@ -31,6 +31,7 @@ from freestoch.partitions import (
     mobius,
 )
 from freestoch.processes import (
+    ProcessSpec,
     Subdivision,
     make_custom_process,
     make_free_poisson,
@@ -112,7 +113,7 @@ def test_crossing_patterns_decay():
     for base in process_fixtures().values():
         spec = make_tuple(base, "identical", k=4)
         formula = st_uniform_formula(cross, spec)
-        assert formula.constant_term == 0
+        assert formula.limit == 0
         assert limit_expect_st(cross, spec) == 0
 
 
@@ -150,6 +151,12 @@ def test_product_single_factor_reduces_to_expect_st():
     p = Partition.parse("((1,3)(2))")
     assert expect_product_of_st([(p, "st")], spec, sub) == expect_st(p, sub, spec)
     assert expect_product_of_st([(p, "pr")], spec, sub) == expect_pr(p, sub, spec)
+
+
+def test_empty_product_is_one():
+    empty = ProcessSpec(())
+    assert expect_product_of_st([], empty, Subdivision.uniform(3)) == 1
+    assert limit_product_of_st([], empty) == 1
 
 
 def test_product_of_two_diagonals_is_the_second_moment():
@@ -303,3 +310,20 @@ def test_engine_guards():
     spec9 = make_tuple(make_free_poisson(1), "identical", k=9)
     with pytest.raises(SizeGuardError):
         limit_product_of_st([(Partition.zero_hat(9), "st")], spec9)
+
+
+def test_suite_and_product_keep_the_n_guard():
+    base = make_free_poisson(1)
+    factors = [(Partition.zero_hat(1), "st"), (Partition.one_hat(1), "pr")]
+    for n, fires in ((64, False), (65, True)):
+        sub = Subdivision.uniform(n)
+        battery = (Subdivision.uniform(2), sub)
+        if fires:
+            with pytest.raises(SizeGuardError):
+                identity_suite(base, 1, battery=battery)
+            with pytest.raises(SizeGuardError):
+                expect_product_of_st(factors, POISSON2, sub)
+        else:
+            assert all(r["pass"] for r in identity_suite(base, 1, battery=battery))
+            assert expect_product_of_st(factors, POISSON2, sub) == expect_pr(
+                Partition.zero_hat(2), sub, POISSON2)

@@ -1,4 +1,5 @@
-"""Property tests: closed forms and interval walks against whole-lattice oracles.
+"""Property tests: closed forms, interval walks and the finite trace tables
+against whole-lattice, pairwise and index-tuple oracles.
 
 Sizes are bounded so that the worst drawn case (the recursion over all of
 NC(8), or a product expansion over all of P(8)) stays near a second.
@@ -10,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from freestoch.measures import (
     _product_patterns,
+    expect_pr,
     expect_product_of_st,
     expect_st,
+    identity_suite,
     limit_product_of_st,
 )
 from freestoch.partitions import (
     Partition,
+    coarsenings,
     enumerate_noncrossing,
     enumerate_set_partitions,
     is_noncrossing,
@@ -24,7 +28,15 @@ from freestoch.partitions import (
 )
 from freestoch.processes import Subdivision, make_custom_process, make_tuple
 
-from helpers import CUSTOM_SEQ, product_patterns_by_filter, recursive_mobius
+from helpers import (
+    CUSTOM_SEQ,
+    brute_expect_pr,
+    brute_expect_st,
+    identity_suite_by_pairs,
+    process_fixtures,
+    product_patterns_by_filter,
+    recursive_mobius,
+)
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True)
 CUSTOM = make_custom_process(CUSTOM_SEQ)
@@ -56,6 +68,15 @@ def factor_lists(draw, arity_max: int):
     return factors
 
 
+@st.composite
+def subdivisions(draw, n_max: int):
+    """Subdivisions into 1..n_max intervals of small positive rational lengths."""
+    n = draw(st.integers(1, n_max))
+    return Subdivision.of(draw(st.lists(st.fractions(min_value=Fraction(1, 9), max_value=3,
+                                                     max_denominator=9),
+                                        min_size=n, max_size=n)))
+
+
 @settings(PROPERTY_SETTINGS, max_examples=150)
 @given(intervals("full", 6))
 def test_closed_form_mobius_matches_recursion_full(interval):
@@ -82,6 +103,17 @@ def test_limit_product_walk_matches_lattice_filter(factors):
     assert limit_product_of_st(factors, spec, t) == oracle
 
 
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.sampled_from(enumerate_set_partitions(k)),
+    st.one_of(st.none(), st.sampled_from(enumerate_set_partitions(k))))))
+def test_noncrossing_walk_is_the_filtered_walk(drawn):
+    p, other = drawn
+    apart = None if other is None else join(p, other)
+    walked = coarsenings(p, apart, noncrossing=True)
+    assert walked == [s for s in coarsenings(p, apart) if is_noncrossing(s)]
+
+
 @settings(PROPERTY_SETTINGS, max_examples=60)
 @given(factor_lists(8))
 def test_product_pattern_walk_matches_lattice_filter(factors):
@@ -100,3 +132,20 @@ def test_finite_product_walk_matches_lattice_filter(factors):
     oracle = sum((expect_st(sigma, sub, spec, max_blocks=k)
                   for sigma in product_patterns_by_filter(factors)), Fraction(0))
     assert expect_product_of_st(factors, spec, sub) == oracle
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(st.integers(1, 4).flatmap(lambda k: st.sampled_from(enumerate_set_partitions(k))),
+       subdivisions(4), st.sampled_from(sorted(process_fixtures())))
+def test_finite_traces_match_index_tuple_sums(p, sub, name):
+    spec = make_tuple(process_fixtures()[name], "identical", k=p.k)
+    assert expect_st(p, sub, spec) == brute_expect_st(p, sub, spec)
+    assert expect_pr(p, sub, spec) == brute_expect_pr(p, sub, spec)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=6)
+@given(st.lists(subdivisions(4), min_size=1, max_size=3))
+def test_identity_suite_matches_pairwise_oracle(battery):
+    for name, base in process_fixtures().items():
+        assert (identity_suite(base, 3, battery=battery, process_name=name)
+                == identity_suite_by_pairs(base, 3, battery=battery, process_name=name))
