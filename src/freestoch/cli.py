@@ -34,12 +34,6 @@ from .measures import (
     main_theorem_residual,
     st_uniform_formula,
 )
-from .matrixsim import (
-    MatrixEnsembleConfig,
-    calibrate,
-    lem_proj_decay,
-    main_theorem_matrix_residual,
-)
 from .partitions import (
     Partition,
     classify_classes,
@@ -54,9 +48,10 @@ from .rational import format_rational, parse_rational
 
 def _parse_process(text: str):
     text = text.strip()
-    if text.startswith("{"):
-        return spec_from_descriptor(json.loads(text))
-    return spec_from_descriptor(text)
+    try:
+        return spec_from_descriptor(json.loads(text) if text.startswith("{") else text)
+    except (TypeError, AttributeError) as exc:  # a JSON value of the wrong shape
+        raise ValueError(f"malformed process descriptor: {exc}") from exc
 
 
 def _write_report(args, command: str, records: list[dict], seed=None) -> None:
@@ -265,10 +260,12 @@ def _cmd_verify_examples(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# simulate (matrix engine)
+# simulate (matrix engine; numpy loads here and for no exact command)
 
 
 def _cmd_simulate_calibrate(args) -> int:
+    from .matrixsim import MatrixEnsembleConfig, calibrate
+
     cfg = MatrixEnsembleConfig(args.dim, args.trials, args.seed, args.model)
     spec = (spec_from_descriptor("free_poisson") if args.model == "poisson_sps"
             else spec_from_descriptor("semicircular"))
@@ -283,6 +280,8 @@ def _cmd_simulate_calibrate(args) -> int:
 
 
 def _cmd_simulate_main_theorem(args) -> int:
+    from .matrixsim import MatrixEnsembleConfig, main_theorem_matrix_residual
+
     p = Partition.parse(args.partition)
     cfg = MatrixEnsembleConfig(args.dim, args.trials, args.seed, "poisson_sps")
     record = main_theorem_matrix_residual(p, cfg, Subdivision.uniform(args.n))
@@ -292,6 +291,8 @@ def _cmd_simulate_main_theorem(args) -> int:
 
 
 def _cmd_simulate_proj_decay(args) -> int:
+    from .matrixsim import MatrixEnsembleConfig, lem_proj_decay
+
     meshes = [int(x) for x in args.meshes.split(",")]
     cfg = MatrixEnsembleConfig(args.dim, args.trials, args.seed, "poisson_sps")
     records = lem_proj_decay(cfg, meshes, args.k)
@@ -349,9 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_cumulants_to_moments)
     sp = cums.add_parser("from-moments", help="cumulants from moments")
-    sp.add_argument("--moments", default=None, help="comma-separated rationals m_1..m_k")
-    sp.add_argument("--functional", default=None,
-                    help="path to a moment-functional JSON file")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--moments", default=None, help="comma-separated rationals m_1..m_k")
+    source.add_argument("--functional", default=None,
+                        help="path to a moment-functional JSON file")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_cumulants_from_moments)
 

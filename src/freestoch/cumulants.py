@@ -28,6 +28,8 @@ def nonempty_subsets(k: int) -> list[Subset]:
 
 
 def _check_values(k: int, values: dict) -> None:
+    if k < 1 or (len(values) + 1).bit_length() != k + 1:  # before building 2^k subsets
+        raise ValueError(f"functional on [{k}] needs 2^{k} - 1 values, got {len(values)}")
     need = set(nonempty_subsets(k))
     have = set(values)
     if have != need:
@@ -197,8 +199,11 @@ def functional_to_json(f) -> dict:
     }
 
 
-def _values_from_json(obj: dict) -> tuple[int, dict]:
-    k = int(obj["k"])
+def _values_from_json(obj) -> tuple[int, dict]:
+    if not (isinstance(obj, dict) and isinstance(obj.get("k"), int)
+            and isinstance(obj.get("values"), dict)):
+        raise ValueError('a functional is a JSON object {"k": <int>, "values": {...}}')
+    k = obj["k"]
     values = {
         tuple(int(x) for x in key.split(",")): parse_rational(val)
         for key, val in obj["values"].items()

@@ -114,10 +114,13 @@ def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, trial, stream])
 
 
-def hermitian_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Hermitian matrix with entry variance 1/dim (semicircular limit,
-    second moment 1 under the normalized trace)."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def hermitian_gaussian(rng: np.random.Generator, dim: int,
+                       part: slice = slice(None)) -> np.ndarray:
+    """Hermitian matrix with entry variance 1/dim (semicircular limit, second
+    moment 1 under the normalized trace); with `part`, only its block [part,
+    part], assembled from the same full draws, so the stream is unchanged."""
+    x, y = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+    a = x[part, part] + 1j * y[part, part]
     return (a + a.conj().T) / math.sqrt(4 * dim)
 
 
@@ -372,7 +375,8 @@ def lem_proj_decay(cfg: MatrixEnsembleConfig, meshes, word_len: int,
                     continue
                 block = None
                 for _ in range(word_len):
-                    z = sampler(rng, d)[lo:hi, lo:hi]
+                    z = (hermitian_gaussian(rng, d, slice(lo, hi)) if z_sampler is None
+                         else z_sampler(rng, d)[lo:hi, lo:hi])
                     block = z if block is None else block @ z
                 worst = max(worst, float(np.linalg.norm(block, 2)))
             norms.append(worst)

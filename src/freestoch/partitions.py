@@ -51,7 +51,7 @@ class Partition:
             if list(block) != sorted(block):
                 raise ValueError("block not internally sorted")
             seen.extend(block)
-        if sorted(seen) != list(range(1, self.k + 1)):
+        if len(seen) != self.k or sorted(seen) != list(range(1, self.k + 1)):
             raise ValueError(f"blocks do not partition [{self.k}]")
         mins = [b[0] for b in self.blocks]
         if mins != sorted(mins):
@@ -66,23 +66,32 @@ class Partition:
         return cls(k, tuple(blks))
 
     @classmethod
+    def _trusted(cls, k: int, blocks: tuple[Block, ...]) -> "Partition":
+        """Skip the block checks: only for blocks built in canonical form."""
+        if k < 1:
+            raise ValueError("ground set must be nonempty")
+        p = object.__new__(cls)
+        vars(p).update(k=k, blocks=blocks)
+        return p
+
+    @classmethod
     def zero_hat(cls, k: int) -> "Partition":
-        return cls(k, tuple((i,) for i in range(1, k + 1)))
+        return cls._trusted(k, tuple((i,) for i in range(1, k + 1)))
 
     @classmethod
     def one_hat(cls, k: int) -> "Partition":
-        return cls(k, (tuple(range(1, k + 1)),))
+        return cls._trusted(k, (tuple(range(1, k + 1)),))
 
     @classmethod
     def from_rgs(cls, rgs) -> "Partition":
-        """From a restricted-growth string (0-based block labels)."""
+        """From a restricted-growth string (0-based labels): canonical as built."""
         blocks: list[list[int]] = []
         for pos, label in enumerate(rgs, start=1):
             if label == len(blocks):
                 blocks.append([pos])
             else:
                 blocks[label].append(pos)
-        return cls(len(tuple(rgs)), tuple(tuple(b) for b in blocks))
+        return cls._trusted(sum(map(len, blocks)), tuple(tuple(b) for b in blocks))
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -371,7 +380,7 @@ def coarsenings(p: Partition, apart: Partition | None = None,
 
     def walk(j: int) -> None:
         if j == p.num_blocks:
-            out.append(Partition(p.k, tuple(tuple(sorted(g)) for g in groups)))
+            out.append(Partition._trusted(p.k, tuple(tuple(sorted(g)) for g in groups)))
             return
         block, tag, bit = p.blocks[j], tags[j], bits[j]
         for i, (g, used) in enumerate(zip(groups, group_tags)):

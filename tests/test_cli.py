@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import freestoch
 from freestoch.cli import _passed, run
 
 
@@ -193,15 +199,67 @@ def test_simulate_size_errors_exit_2_with_one_error_line(capsys, argv):
     assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["cumulants", "from-moments"],
+    ["cumulants", "from-moments", "--moments", "1,2", "--functional", "f.json"],
+    ["cumulants", "from-moments", "--functional", "{array}"],
+    ["cumulants", "to-moments", "--functional", "{array}"],
+    ["cumulants", "to-moments", "--functional", "{no_values}"],
+])
+def test_cumulant_sources_exit_2_with_one_error_line(tmp_path, capsys, argv):
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2, 5]")
+    no_values = tmp_path / "no_values.json"
+    no_values.write_text('{"k": 2, "values": [1, 2]}')
+    argv = [a.format(array=array, no_values=no_values) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and len(errors) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    # A fresh interpreter: the test process itself has numpy loaded already.
+    src = pathlib.Path(freestoch.__file__).resolve().parent.parent
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from freestoch.cli import run
+        exact = [
+            ["partitions", "enumerate", "--k", "4", "--noncrossing"],
+            ["partitions", "mobius", "--lower", "((1)(2))", "--upper", "((1,2))"],
+            ["cumulants", "from-moments", "--moments", "1,2,5"],
+            ["cumulants", "to-moments", "--order", "3"],
+            ["verify", "suite", "--k-max", "2"],
+            ["verify", "main-theorem", "--k-max", "2"],
+            ["verify", "examples", "--which", "brownian", "--k-max", "2"],
+            ["verify", "formula", "--partition", "((1,2))"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [run(argv) for argv in exact]
+            exact_numpy = "numpy" in sys.modules
+            codes.append(run(["simulate", "proj-decay", "--dim", "20", "--meshes", "2,4",
+                              "--trials", "2"]))
+        print(json.dumps({"codes": codes, "numpy_after_exact": exact_numpy,
+                          "numpy_after_simulate": "numpy" in sys.modules}))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == {"codes": [0] * 9, "numpy_after_exact": False,
+                                       "numpy_after_simulate": True}
+
+
 def test_failing_check_exits_1(capsys, monkeypatch):
     # force a failure by shrinking the decay trial budget and flipping pass
-    import freestoch.cli as cli
+    import freestoch.matrixsim as matrixsim
 
     def fake_decay(cfg, meshes, k, z_sampler=None):
         return [{"d": cfg.dim, "N": meshes[0], "estimate": 1.0, "stderr": 0.0,
                  "pass": False, "seed": cfg.seed, "trial_count": cfg.trials}]
 
-    monkeypatch.setattr(cli, "lem_proj_decay", fake_decay)
+    monkeypatch.setattr(matrixsim, "lem_proj_decay", fake_decay)
     code = run(["simulate", "proj-decay", "--k", "1", "--dim", "80",
                 "--meshes", "4", "--trials", "2", "--seed", "2"])
     assert code == 1

@@ -1,0 +1,160 @@
+"""Fuzz test of the CLI exit contract: 0 when every check passes, 1 when a
+check fails, 2 on a usage error, never a traceback and nothing on stderr
+but argparse's usage block and one `error:` line.
+
+Argument vectors are drawn per subcommand from pools of valid and broken
+values.  Sizes (`--dim`, `--trials`, `--n`, `--k`, `--k-max`, `--order`,
+the length of `--moments`) are always given and kept small, so every
+command finishes in milliseconds.
+"""
+
+import contextlib
+import io
+import json
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from freestoch.cli import run
+
+# Each pool is (valid values, broken values).
+PARTITIONS = (("((1,2)(3))", "((1,3)(2))", "((1)(2))", "((1,2))", "((1,4)(2,3))"),
+              ("((1,3)(2,4))", "((1,2)", "((2)(1))", "((1,1))", "((0))", "((1000000000000))",
+               "()", "x"))
+PROCESSES = (("free_poisson", "semicircular",
+              '{"type": "custom", "cumulants": {"1": "1/2", "2": "1/3", "3": "1/5", "4": "1"}}',
+              '{"type": "free_poisson", "rate": "2/3"}'),
+             ("brownian", "{", "[1]", '{"type": "nope"}', '{"type": "custom"}',
+              '{"type": "custom", "cumulants": [1, 2]}',
+              '{"type": "tuple", "mode": "identical", "k": null, "base": "semicircular"}',
+              '{"type": "tuple", "mode": "identical", "k": 2, "base": 5}',
+              '{"type": "tuple", "mode": "free_family", "components": 3}'))
+RATIONALS = (("1", "3/2", "1/3"), ("0", "-1", "1/0", "x", ""))
+K_MAX = (("1", "2", "3"), ("0", "-1", "x", ""))
+OUTPUT = {"--output": (("json", "csv"), ("xml",))}
+# Never dropped, so that no command runs at its default size.
+SIZE_FLAGS = ("--dim", "--trials", "--n", "--k-max")
+
+FUNCTIONALS = {
+    "moments.json": {"k": 2, "values": {"1": "1", "2": "1", "1,2": "2"}},
+    "cumulants.json": {"k": 1, "values": {"1": "1/2"}},
+    "array.json": [1, 2, 5],
+    "null_k.json": {"k": None, "values": {}},
+    "list_values.json": {"k": 2, "values": ["1", "2"]},
+    "huge_k.json": {"k": 4096, "values": {"1": "1"}},
+    "short.json": {"k": 3, "values": {"1": "1"}},
+}
+
+
+def _commands(files=((), ())):
+    """(command words, {flag: pool or None for a switch}, flags always given)."""
+    return [
+        (["partitions", "enumerate"], {"--k": (("1", "4", "7"), ("0", "13", "x")),
+                                       "--noncrossing": None, **OUTPUT}, ("--k",)),
+        (["partitions", "mobius"], {"--lower": PARTITIONS, "--upper": PARTITIONS,
+                                    "--lattice": (("full", "noncrossing"), ("other",)),
+                                    **OUTPUT}, ("--lower", "--upper")),
+        (["partitions", "kreweras"], {"--partition": PARTITIONS, **OUTPUT}, ("--partition",)),
+        (["partitions", "classify"], {"--partition": PARTITIONS, **OUTPUT}, ("--partition",)),
+        (["cumulants", "to-moments"], {"--process": PROCESSES,
+                                       "--order": (("1", "3", "5"), ("0", "-1", "x")),
+                                       **OUTPUT}, ("--order",)),
+        (["cumulants", "to-moments"], {"--functional": files, **OUTPUT}, ("--functional",)),
+        (["cumulants", "from-moments"], {
+            "--moments": (("1,2,5,14", "1", "0,1", "1/2,3"), ("1,,2", "", "x", "1/0")),
+            **OUTPUT}, ("--moments",)),
+        (["cumulants", "from-moments"], {"--functional": files, **OUTPUT}, ("--functional",)),
+        (["verify", "suite"], {"--process": PROCESSES, "--k-max": K_MAX, **OUTPUT},
+         ("--k-max",)),
+        (["verify", "main-theorem"], {"--process": PROCESSES, "--k-max": K_MAX,
+                                      "--order": (("L1", "L2", "both"), ("L3",)),
+                                      "--t": RATIONALS, **OUTPUT}, ("--k-max",)),
+        (["verify", "examples"], {"--which": (("free_poisson", "brownian"), ("other",)),
+                                  "--k-max": K_MAX, "--t": RATIONALS, **OUTPUT},
+         ("--which", "--k-max")),
+        (["verify", "formula"], {"--partition": PARTITIONS, "--process": PROCESSES,
+                                 "--t": RATIONALS, **OUTPUT}, ("--partition",)),
+        (["simulate", "calibrate"], {
+            "--model": (("poisson_sps", "gaussian_increments"), ("other",)),
+            "--dim": (("2", "6", "12"), ("1", "x")), "--trials": (("1", "3"), ("0", "x")),
+            "--seed": (("1", "7"), ("-1", "x")), "--n": (("1", "3"), ("0", "x")), **OUTPUT},
+         ("--dim", "--trials", "--n")),
+        (["simulate", "main-theorem"], {
+            "--partition": PARTITIONS, "--dim": (("2", "6", "12"), ("1",)),
+            "--n": (("1", "3", "5"), ("0",)), "--trials": (("1", "2"), ("0", "-1")),
+            "--seed": (("1", "7"), ("-1",)),
+            "--threshold": (("0.5", "0.9", "0"), ("nan", "x")), **OUTPUT},
+         ("--dim", "--n", "--trials")),
+        (["simulate", "proj-decay"], {
+            "--k": (("1", "2"), ("0", "x")), "--dim": (("48", "64"), ("1", "2")),
+            "--meshes": (("2,4", "4", "1,2,3"), ("0,4", "", "a", "4,-2")),
+            "--trials": (("1", "3"), ("0",)), "--seed": (("1", "7"), ("-1",)), **OUTPUT},
+         ("--dim", "--meshes", "--trials")),
+    ]
+
+
+@st.composite
+def argument_vectors(draw, words, pools, always):
+    """Half the draws keep to valid values; in the other half each flag may
+    take a broken value or, unless it sets a size, be dropped, and a stray
+    token may be inserted."""
+    broken = draw(st.booleans())
+    argv = list(words)
+    for flag, pool in pools.items():
+        if flag in always:
+            given_ = flag in SIZE_FLAGS or not (broken and draw(st.booleans()))
+        else:
+            given_ = draw(st.booleans())
+        if not given_:
+            continue
+        if pool is None:
+            argv.append(flag)
+            continue
+        valid, bad = pool
+        argv += [flag, draw(st.sampled_from(bad if broken and draw(st.booleans()) else valid))]
+    if broken and draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("--bogus", "extra", "--k", "--help", "--moments",
+                                          "--functional"))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def functional_files(tmp_path_factory):
+    """(valid paths, broken paths) of functional JSON files."""
+    root = tmp_path_factory.mktemp("functionals")
+    for name, blob in FUNCTIONALS.items():
+        (root / name).write_text(json.dumps(blob))
+    (root / "not_json.json").write_text("{")
+    paths = [str(root / name) for name in (*FUNCTIONALS, "not_json.json", "missing.json")]
+    return tuple(paths[:2]), tuple(paths[2:]) + (str(root),)
+
+
+@pytest.mark.parametrize("index", range(len(_commands())), ids=[
+    "-".join(words + [flag.strip("-") for flag in always if flag in ("--moments", "--functional")])
+    for words, _, always in _commands()])
+def test_cli_keeps_its_exit_contract(functional_files, index):
+    command = _commands(functional_files)[index]
+    # The partitions and cumulants commands take milliseconds: draw more of them.
+    cheap = command[0][0] in ("partitions", "cumulants")
+
+    @settings(deadline=None, derandomize=True, max_examples=50 if cheap else 20)
+    @given(argument_vectors(*command))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), argv
+        assert not caught, (argv, [str(w.message) for w in caught])
+        if code == 2:
+            errors = [line for line in lines if "error:" in line]
+            assert errors == lines[-1:], (argv, lines)
+            assert all(line.startswith(("usage:", " ")) for line in lines[:-1]), (argv, lines)
+        else:
+            assert lines == [], (argv, lines)
+
+    check()

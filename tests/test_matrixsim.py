@@ -229,6 +229,23 @@ def test_lem_proj_decay_rejects_uncentered_blocks():
         lem_proj_decay(cfg, [4], 1, z_sampler=lambda rng, d: np.eye(d, dtype=complex))
 
 
+@pytest.mark.parametrize("d,lo,hi", [(2, 0, 1), (7, 2, 5), (40, 0, 40), (40, 39, 40),
+                                     (33, 10, 10)])
+def test_hermitian_gaussian_block_is_the_full_draws_block(d, lo, hi):
+    full_rng, part_rng = trial_rng(3, 1, stream=d), trial_rng(3, 1, stream=d)
+    full = hermitian_gaussian(full_rng, d)
+    block = hermitian_gaussian(part_rng, d, slice(lo, hi))
+    assert block.tobytes() == full[lo:hi, lo:hi].tobytes()
+    assert part_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+def test_lem_proj_decay_blocks_equal_the_full_draw_path():
+    cfg = MatrixEnsembleConfig(dim=37, trials=3, seed=8, model="poisson_sps")
+    for k in (1, 2):
+        assert (lem_proj_decay(cfg, [3, 4, 8], k)
+                == lem_proj_decay(cfg, [3, 4, 8], k, z_sampler=hermitian_gaussian))
+
+
 def test_lem_proj_decay_rejects_empty_words_and_meshes():
     cfg = MatrixEnsembleConfig(dim=20, trials=1, seed=1, model="poisson_sps")
     with pytest.raises(ValueError, match="word length"):

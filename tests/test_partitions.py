@@ -53,6 +53,23 @@ def test_noncrossing_is_the_filtered_full_lattice():
         assert enumerate_noncrossing(k) == filtered
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Partition.from_rgs(()),
+    lambda: Partition.zero_hat(0),
+    lambda: Partition.one_hat(-1),
+    lambda: Partition(0, ()),
+    lambda: Partition(3, ((1, 2),)),
+    lambda: Partition(2, ((2,), (1,))),
+    lambda: Partition(2, ((2, 1),)),
+    lambda: Partition.parse("((1000000000000))"),
+    lambda: interval_partition([]),
+    lambda: interval_partition([2, 0]),
+])
+def test_constructors_reject_bad_blocks(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_enumeration_guards():
     with pytest.raises(SizeGuardError):
         enumerate_set_partitions(11)

@@ -1,5 +1,6 @@
 """Property tests: closed forms, interval walks and the finite trace tables
-against whole-lattice, pairwise and index-tuple oracles.
+against whole-lattice, pairwise and index-tuple oracles; partitions built
+without the constructor's checks against the validating constructor.
 
 Sizes are bounded so that the worst drawn case (the recursion over all of
 NC(8), or a product expansion over all of P(8)) stays near a second.
@@ -24,7 +25,9 @@ from freestoch.partitions import (
     enumerate_set_partitions,
     is_noncrossing,
     join,
+    meet,
     mobius,
+    refines,
 )
 from freestoch.processes import Subdivision, make_custom_process, make_tuple
 
@@ -149,3 +152,75 @@ def test_identity_suite_matches_pairwise_oracle(battery):
     for name, base in process_fixtures().items():
         assert (identity_suite(base, 3, battery=battery, process_name=name)
                 == identity_suite_by_pairs(base, 3, battery=battery, process_name=name))
+
+
+# ---------------------------------------------------------------------------
+# partitions built without checks (from_rgs, the enumerations, the walk)
+
+
+@st.composite
+def rgs_strings(draw, k_max: int, k_min: int = 1):
+    """A restricted-growth string: each label at most one above the largest before it."""
+    labels = [0]
+    for _ in range(draw(st.integers(k_min, k_max)) - 1):
+        labels.append(draw(st.integers(0, max(labels) + 1)))
+    return tuple(labels)
+
+
+def partitions(k_max: int, k_min: int = 1):
+    return rgs_strings(k_max, k_min).map(Partition.from_rgs)
+
+
+def _validated(p: Partition) -> Partition:
+    """p rebuilt by the checking constructor, which raises on a bad block list."""
+    return Partition(p.k, p.blocks)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(rgs_strings(12))
+def test_from_rgs_builds_valid_partitions(rgs):
+    p = Partition.from_rgs(rgs)
+    assert p == _validated(p) and hash(p) == hash(_validated(p))
+    assert p.rgs() == rgs and all(type(b) is tuple for b in p.blocks)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=8)
+@given(st.integers(1, 8))
+def test_enumerations_build_valid_partitions(k):
+    for p in enumerate_set_partitions(k) + enumerate_noncrossing(k):
+        assert p == _validated(p)
+    assert Partition.zero_hat(k) == _validated(Partition.zero_hat(k))
+    assert Partition.one_hat(k) == _validated(Partition.one_hat(k))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.integers(1, 7).flatmap(lambda k: st.tuples(
+    st.sampled_from(enumerate_set_partitions(k)),
+    st.one_of(st.none(), st.sampled_from(enumerate_set_partitions(k))),
+    st.booleans())))
+def test_coarsenings_build_valid_partitions(drawn):
+    p, other, noncrossing = drawn
+    apart = None if other is None else join(p, other)
+    for sigma in coarsenings(p, apart, noncrossing):
+        assert sigma == _validated(sigma) and refines(p, sigma)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(*[partitions(k, k)] * 3)))
+def test_meet_and_join_obey_the_lattice_laws(abc):
+    a, b, c = abc
+    assert meet(a, b) == meet(b, a) and join(a, b) == join(b, a)
+    assert meet(meet(a, b), c) == meet(a, meet(b, c))
+    assert join(join(a, b), c) == join(a, join(b, c))
+    assert meet(a, join(a, b)) == a == join(a, meet(a, b))
+    assert refines(meet(a, b), a) and refines(a, join(a, b))
+    assert refines(a, b) == (meet(a, b) == a) == (join(a, b) == b)
+    for q in (meet(a, b), join(a, b)):
+        assert q == _validated(q)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(partitions(12))
+def test_parse_inverts_str(p):
+    assert Partition.parse(str(p)) == p
+    assert Partition.parse(" ".join(str(p))) == p
