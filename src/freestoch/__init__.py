@@ -32,10 +32,8 @@ from .cumulants import (
     CumulantFunctional,
     MomentFunctional,
     cumulant_functional,
-    cumulants_from_moments,
     mixed_cumulant_vanishing_check,
     moment_functional,
-    moments_from_cumulants,
 )
 from .processes import (
     ProcessSpec,

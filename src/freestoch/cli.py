@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .cumulants import (
+    MAX_TRANSFORM_ORDER,
     CumulantFunctional,
     MomentFunctional,
     cumulant_functional,
@@ -27,7 +28,7 @@ from .cumulants import (
 )
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
 from .measures import (
-    MAX_PRODUCT_ARITY,
+    MAX_LIMIT_ARITY,
     exact_moment,
     example_formulas_check,
     identity_suite,
@@ -90,6 +91,20 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _transform_order(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_TRANSFORM_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"transform order {value} exceeds guard {MAX_TRANSFORM_ORDER}")
+    return value
+
+
+def _moment_list(text: str) -> list[str]:
+    values = text.split(",")
+    _transform_order(str(len(values)))
+    return values
 
 
 def _positive_rational(text: str) -> Fraction:
@@ -183,7 +198,7 @@ def _cmd_cumulants_from_moments(args) -> int:
         with open(args.functional) as fh:
             m = moment_functional_from_json(json.load(fh))
     else:
-        seq = [parse_rational(x) for x in args.moments.split(",")]
+        seq = [parse_rational(x) for x in args.moments]
         m = MomentFunctional.from_single_variable(len(seq), seq)
     r = cumulant_functional(m)
     records = [{
@@ -211,13 +226,14 @@ def _cmd_verify_suite(args) -> int:
 def _cmd_verify_main_theorem(args) -> int:
     base = _parse_process(args.process)
     orders = ["L1", "L2"] if args.order == "both" else [args.order]
+    if "L2" in orders and 2 * args.k_max > MAX_LIMIT_ARITY:
+        raise SizeGuardError(f"L2 at k={args.k_max} needs arity {2 * args.k_max} "
+                             f"> {MAX_LIMIT_ARITY}")
     records = []
     for k in range(1, args.k_max + 1):
         spec = make_tuple(base, "identical", k=k)
         for p in enumerate_noncrossing(k):
             for order in orders:
-                if order == "L2" and 2 * k > MAX_PRODUCT_ARITY:
-                    continue
                 res = main_theorem_residual(p, spec, order, args.t)
                 records.append({
                     "check": f"main_theorem_{order.lower()}",
@@ -344,14 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = cums.add_parser("to-moments", help="moments from cumulants")
     sp.add_argument("--process", default="free_poisson",
                     help="process name or JSON descriptor")
-    sp.add_argument("--order", type=_positive_int, default=4)
+    sp.add_argument("--order", type=_transform_order, default=4)
     sp.add_argument("--functional", default=None,
                     help="path to a cumulant-functional JSON file")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_cumulants_to_moments)
     sp = cums.add_parser("from-moments", help="cumulants from moments")
     source = sp.add_mutually_exclusive_group(required=True)
-    source.add_argument("--moments", default=None, help="comma-separated rationals m_1..m_k")
+    source.add_argument("--moments", type=_moment_list, default=None,
+                        help="comma-separated rationals m_1..m_k")
     source.add_argument("--functional", default=None,
                         help="path to a moment-functional JSON file")
     _add_output_flags(sp)

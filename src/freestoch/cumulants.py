@@ -3,8 +3,8 @@
 Functionals are indexed by the nonempty increasing subsets of [k]; the
 value on a partition is the product of the values on its blocks.  Moments
 determine cumulants (and back) through sums over the noncrossing lattice,
-with the noncrossing Mobius function supplying the inversion.  Everything
-is exact rational arithmetic.
+which the first-block recursion evaluates for every subset at once without
+listing the lattice.  Everything is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -13,11 +13,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionError
-from .partitions import Partition, enumerate_noncrossing, mobius, refines
+from .errors import DimensionError, SizeGuardError
+from .partitions import Partition, first_block_sum
 from .rational import format_rational, parse_rational
 
 Subset = tuple[int, ...]
+
+# Largest k the transforms take: the recursion visits about 3^k / 2
+# (subset, first block) pairs, under 3 s at k = 12.
+MAX_TRANSFORM_ORDER = 12
 
 
 def nonempty_subsets(k: int) -> list[Subset]:
@@ -37,11 +41,6 @@ def _check_values(k: int, values: dict) -> None:
         extra = sorted(have - need)
         raise ValueError(f"functional must cover all nonempty subsets of [{k}]; "
                          f"missing {missing[:3]}..., extra {extra[:3]}...")
-
-
-def _subset_word(base: Subset, inner: Subset) -> Subset:
-    """Re-index a block of [len(base)] through the subset base."""
-    return tuple(base[i - 1] for i in inner)
 
 
 @dataclass(frozen=True)
@@ -95,67 +94,45 @@ class CumulantFunctional(_SubsetFunctional):
             raise DimensionError("need one norm per component")
 
 
-def moments_from_cumulants(r: CumulantFunctional, p: Partition | None = None) -> Fraction:
-    """M_p = sum of R_sigma over noncrossing sigma refining p (p = None: full moment)."""
-    if p is None:
-        p = Partition.one_hat(r.k)
-    if p.k != r.k:
-        raise DimensionError(f"partition of [{p.k}] vs functional arity {r.k}")
-    total = Fraction(0)
-    for sigma in enumerate_noncrossing(r.k):
-        if refines(sigma, p):
-            total += r.on_partition(sigma)
-    return total
+def _mask(subset: Subset) -> int:
+    return sum(1 << (i - 1) for i in subset)
 
 
-def cumulants_from_moments(m: MomentFunctional, p: Partition | None = None) -> Fraction:
-    """R_p by Mobius inversion over the noncrossing partitions below p."""
-    if p is None:
-        p = Partition.one_hat(m.k)
-    if p.k != m.k:
-        raise DimensionError(f"partition of [{p.k}] vs functional arity {m.k}")
-    total = Fraction(0)
-    for sigma in enumerate_noncrossing(m.k):
-        if refines(sigma, p):
-            total += mobius(sigma, p, "noncrossing") * m.on_partition(sigma)
-    return total
+def _masked(f: _SubsetFunctional) -> tuple[list[int], dict[int, Fraction]]:
+    """The point bitmasks of [k] and the values of f keyed by subset bitmask,
+    smallest subsets first."""
+    if f.k > MAX_TRANSFORM_ORDER:
+        raise SizeGuardError(f"transform order {f.k} exceeds guard {MAX_TRANSFORM_ORDER}")
+    return [1 << i for i in range(f.k)], {_mask(b): f.values[b] for b in nonempty_subsets(f.k)}
 
 
-def _transform_subsetwise(k: int, convert) -> dict:
-    return {b: convert(b) for b in nonempty_subsets(k)}
+def _unmasked(k: int, table: dict[int, Fraction]) -> dict[Subset, Fraction]:
+    return {b: table[_mask(b)] for b in nonempty_subsets(k)}
 
 
 def moment_functional(r: CumulantFunctional) -> MomentFunctional:
-    """The full moment functional of r, one noncrossing sum per subset."""
-
-    def convert(b: Subset) -> Fraction:
-        total = Fraction(0)
-        for sigma in enumerate_noncrossing(len(b)):
-            term = Fraction(1)
-            for block in sigma.blocks:
-                term *= r.values[_subset_word(b, block)]
-            total += term
-        return total
-
-    return MomentFunctional(r.k, _transform_subsetwise(r.k, convert))
+    """The full moment functional of r: on each subset S, the sum of r(V)
+    times the moments of the gaps, over the first blocks V of S."""
+    bits, cumulants = _masked(r)
+    moments: dict[int, Fraction] = {}
+    for s in cumulants:
+        moments[s] = first_block_sum(s, bits, cumulants.__getitem__, moments.__getitem__)
+    return MomentFunctional(r.k, _unmasked(r.k, moments))
 
 
 def cumulant_functional(m: MomentFunctional) -> CumulantFunctional:
-    """The full cumulant functional of m; inverse of moment_functional."""
+    """The full cumulant functional of m; inverse of moment_functional.
 
-    # mu(sigma, 1-hat) depends on sigma alone: one list per subset size
-    weighted = {n: [(sigma, mobius(sigma, Partition.one_hat(n), "noncrossing"))
-                    for sigma in enumerate_noncrossing(n)] for n in range(1, m.k + 1)}
-
-    def convert(b: Subset) -> Fraction:
-        total = Fraction(0)
-        for sigma, term in weighted[len(b)]:
-            for block in sigma.blocks:
-                term *= m.values[_subset_word(b, block)]
-            total += term
-        return total
-
-    return CumulantFunctional(m.k, _transform_subsetwise(m.k, convert))
+    Solves the moment recursion for its V = S term: the cumulant of S is
+    its moment minus the first-block sum over the proper V.
+    """
+    bits, moments = _masked(m)
+    cumulants: dict[int, Fraction] = {}
+    for s in moments:
+        cumulants[s] = Fraction(0)  # drops the V = S term from the sum
+        cumulants[s] = moments[s] - first_block_sum(s, bits, cumulants.__getitem__,
+                                                    moments.__getitem__)
+    return CumulantFunctional(m.k, _unmasked(m.k, cumulants))
 
 
 def mixed_cumulant_vanishing_check(r: CumulantFunctional) -> bool:

@@ -26,6 +26,7 @@ from .partitions import (
     concat,
     enumerate_noncrossing,
     enumerate_set_partitions,
+    first_block_sum,
     interval_partition,
     is_noncrossing,
     join,
@@ -49,10 +50,13 @@ from .processes import (
 from .rational import format_rational
 
 # Guards for the direct finite-subdivision sums; the uniform closed form
-# has no N limit.  Product expansions cap the concatenated arity.
+# has no N limit.  Product expansions cap the concatenated arity: the finite
+# ones walk every admissible coarsening, the limits run the first-block
+# recursion over at most 2^arity sets of blocks.
 MAX_DIRECT_BLOCKS = 5
 MAX_DIRECT_N = 64
 MAX_PRODUCT_ARITY = 8
+MAX_LIMIT_ARITY = 12
 
 Factor = tuple[Partition, str]  # kind: "st" | "pr"
 
@@ -178,14 +182,9 @@ def limit_expect_st(p: Partition, spec: ProcessSpec, t=1) -> Fraction:
 
 
 def exact_moment(spec: ProcessSpec, t=1) -> Fraction:
-    """Trace of the full product X^(1)(t)...X^(k)(t)."""
-    t = Fraction(t)
-    total = Fraction(0)
-    for sigma in enumerate_noncrossing(spec.k):
-        r = spec.partition_cumulant(sigma)
-        if r:
-            total += t**sigma.num_blocks * r
-    return total
+    """Trace of the full product X^(1)(t)...X^(k)(t): the limit product of
+    one Pr factor on 0-hat, which admits every noncrossing pattern."""
+    return limit_product_of_st([(Partition.zero_hat(spec.k), "pr")], spec, t)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +262,11 @@ def st_report(p: Partition, spec: ProcessSpec, sub: Subdivision) -> ExpectationR
 # products of St/Pr factors
 
 
-def _product_patterns(factors, spec: ProcessSpec, noncrossing: bool = False) -> list[Partition]:
-    """Coincidence patterns sigma of the concatenated word whose restriction
-    to each factor matches it (only the noncrossing ones, if asked): the
-    coarsenings of the concatenated pattern that keep apart the blocks of
-    `apart`, whose blocks are each whole St factor, since St pins its
-    within-factor pattern exactly, and each block of a Pr factor, which only
-    bounds that pattern from below."""
+def _concatenated(factors, spec: ProcessSpec, max_arity: int) -> tuple[Partition, Partition]:
+    """The concatenated pattern of the factors and the `apart` partition
+    whose blocks no coincidence pattern may merge within: each whole St
+    factor, since St pins its within-factor pattern exactly, and each block
+    of a Pr factor, which only bounds that pattern from below."""
     if any(kind not in ("st", "pr") for _, kind in factors):
         raise ValueError("factor kind must be 'st' or 'pr'")
     pi_total = functools.reduce(concat, (p for p, _ in factors))
@@ -277,9 +274,16 @@ def _product_patterns(factors, spec: ProcessSpec, noncrossing: bool = False) -> 
                                       for p, kind in factors))
     if pi_total.k != spec.k:
         raise DimensionError(f"factors cover [{pi_total.k}] vs {spec.k} components")
-    if pi_total.k > MAX_PRODUCT_ARITY:
-        raise SizeGuardError(f"total arity {pi_total.k} exceeds guard {MAX_PRODUCT_ARITY}")
-    return coarsenings(pi_total, apart, noncrossing)
+    if pi_total.k > max_arity:
+        raise SizeGuardError(f"total arity {pi_total.k} exceeds guard {max_arity}")
+    return pi_total, apart
+
+
+def _product_patterns(factors, spec: ProcessSpec) -> list[Partition]:
+    """Coincidence patterns sigma of the concatenated word whose restriction
+    to each factor matches it: the coarsenings of the concatenated pattern
+    that keep apart the blocks of `apart`."""
+    return coarsenings(*_concatenated(factors, spec, MAX_PRODUCT_ARITY))
 
 
 def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fraction:
@@ -297,16 +301,37 @@ def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fracti
 
 
 def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
-    """Mesh limit of the product trace; only noncrossing patterns survive."""
+    """Mesh limit of the product trace: the sum of t^|sigma| R_sigma over the
+    noncrossing coincidence patterns sigma that the factors admit.
+
+    The patterns are never listed.  The first-block recursion runs over
+    sets of blocks of the concatenated pattern, as bitmasks: a block of
+    sigma is a union of them that keeps the `apart` groups apart and weighs
+    t times the unit cumulant of its word.  Both tables live for one call.
+    """
     if not factors:
         return Fraction(1)
+    pi_total, apart = _concatenated(factors, spec, MAX_LIMIT_ARITY)
     t = Fraction(t)
-    total = Fraction(0)
-    for sigma in _product_patterns(factors, spec, noncrossing=True):
-        r = spec.partition_cumulant(sigma)
-        if r:
-            total += t**sigma.num_blocks * r
-    return total
+    labels = apart.rgs()
+    bits = [sum(1 << el for el in block) for block in pi_total.blocks]
+    tags = [labels[block[0] - 1] for block in pi_total.blocks]
+    weights: dict[int, Fraction] = {}
+    sums: dict[int, Fraction] = {}
+
+    def weight(v: int) -> Fraction:
+        if v not in weights:
+            points = sum(b for i, b in enumerate(bits) if v >> i & 1)
+            word = [el for el in range(1, spec.k + 1) if points >> el & 1]
+            weights[v] = t * spec.unit_cumulant(word)
+        return weights[v]
+
+    def total(units: int) -> Fraction:
+        if units not in sums:
+            sums[units] = first_block_sum(units, bits, weight, total, tags)
+        return sums[units]
+
+    return total((1 << len(bits)) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +400,8 @@ def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=
         right = rhs.scalar * limit_expect_st(Partition.zero_hat(derived.k), derived, t)
         return left - right
     if order == "L2":
-        if 2 * p.k > MAX_PRODUCT_ARITY:
-            raise SizeGuardError(f"L2 at k={p.k} needs arity {2 * p.k} > {MAX_PRODUCT_ARITY}")
+        if 2 * p.k > MAX_LIMIT_ARITY:
+            raise SizeGuardError(f"L2 at k={p.k} needs arity {2 * p.k} > {MAX_LIMIT_ARITY}")
         return l2_residual(lhs, rhs, t)
     raise ValueError(f"unknown order {order!r}")
 
@@ -399,8 +424,8 @@ def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t
         return limit_expect_st(p, spec, t) - scalar * limit_expect_st(
             outer_part, spec.restrict(support), t)
     if order == "L2":
-        if 2 * p.k > MAX_PRODUCT_ARITY:
-            raise SizeGuardError(f"L2 at k={p.k} needs arity {2 * p.k} > {MAX_PRODUCT_ARITY}")
+        if 2 * p.k > MAX_LIMIT_ARITY:
+            raise SizeGuardError(f"L2 at k={p.k} needs arity {2 * p.k} > {MAX_LIMIT_ARITY}")
         return l2_residual(_st_word(p, spec), rhs, t)
     raise ValueError(f"unknown order {order!r}")
 
@@ -513,9 +538,9 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
                    process_name: str = "process") -> list[dict]:
     """Run the exact identity battery for identical copies of one process.
 
-    Covers finite St/Pr inversion over the full lattice, the outer-block
-    product rule for Pr, inner-class peeling in L1 and L2, diagonal
-    nesting, and the free-sandwich limit; every residual must be 0.
+    Covers finite St/Pr inversion over the full lattice, inner-class
+    peeling in L1 and L2, diagonal nesting, and the free-sandwich limit;
+    every residual must be 0.
     """
     if base.k != 1:
         raise DimensionError("identity_suite takes a single-component process")
@@ -526,11 +551,6 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
         spec = make_tuple(base, "identical", k=k)
         above = [(p, [(s, mobius(p, s, "full")) for s in coarsenings(p)])
                  for p in enumerate_set_partitions(k)]
-        # The covered sets of the outer blocks tile [k] in order, so the
-        # product of their Pr factors runs over the components of spec.
-        outer = [(p, _product_patterns([(restrict(p, sorted(c)), "pr")
-                                        for c in classify_classes(p).covered_sets], spec))
-                 for p in enumerate_noncrossing(k)]
         for sub in battery:
             _check_n(sub)
             traces, where = FiniteTraces(spec, sub), sub.describe()
@@ -541,14 +561,10 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
                 back = sum((mu * traces.pr(s) for s, mu in coarser), Fraction(0))
                 records.append(_record("mobius_inversion", p, process_name, where,
                                        traces.st(p) - back))
-            for p, patterns in outer:
-                rhs = sum((traces.st(s) for s in patterns), Fraction(0))
-                records.append(_record("pr_outer_product", p, process_name, where,
-                                       traces.pr(p) - rhs))
         for p in enumerate_noncrossing(k):
             records.append(_record("inner_peeling_l1", p, process_name, "limit",
                                    inner_peeling_residual(p, spec, "L1")))
-            if 2 * k <= MAX_PRODUCT_ARITY:
+            if 2 * k <= MAX_LIMIT_ARITY:
                 records.append(_record("inner_peeling_l2", p, process_name, "limit",
                                        inner_peeling_residual(p, spec, "L2")))
         for sizes in _compositions(k):

@@ -345,18 +345,14 @@ def _span(mask: int) -> int:
     return (1 << (mask.bit_length() - 1)) - (mask & -mask)
 
 
-def coarsenings(p: Partition, apart: Partition | None = None,
-                noncrossing: bool = False) -> list[Partition]:
+def coarsenings(p: Partition, apart: Partition | None = None) -> list[Partition]:
     """All sigma >= p; with `apart` (p <= apart), only those whose meet with
     `apart` is p, i.e. no block of sigma joins two blocks of p that lie in
-    one block of `apart`; with `noncrossing`, only the noncrossing sigma.
+    one block of `apart`.
 
     A backtracking walk assigns the blocks of p, in order, to an earlier
     group or a new one and never makes a forbidden merge, so it visits only
     the sigmas it returns, in the restricted-growth order of the grouping.
-    Two disjoint groups cross iff each has a point inside the other's span;
-    a crossing stays as blocks are added, so the noncrossing walk drops
-    such a branch at once.
     """
     if apart is None:
         tags = list(range(p.num_blocks))
@@ -365,44 +361,73 @@ def coarsenings(p: Partition, apart: Partition | None = None,
             raise ValueError(f"{p} does not refine {apart}")
         labels = apart.rgs()
         tags = [labels[block[0] - 1] for block in p.blocks]
-    bits = [sum(1 << el for el in block) for block in p.blocks]
     out: list[Partition] = []
     groups: list[list[int]] = []
     group_tags: list[set[int]] = []
-    masks: list[int] = []
-
-    def crosses(mask: int, skip: int) -> bool:
-        if not noncrossing:
-            return False
-        span = _span(mask)
-        return any(other & span and mask & _span(other) and i != skip
-                   for i, other in enumerate(masks))
 
     def walk(j: int) -> None:
         if j == p.num_blocks:
             out.append(Partition._trusted(p.k, tuple(tuple(sorted(g)) for g in groups)))
             return
-        block, tag, bit = p.blocks[j], tags[j], bits[j]
-        for i, (g, used) in enumerate(zip(groups, group_tags)):
-            if tag not in used and not crosses(masks[i] | bit, i):
+        block, tag = p.blocks[j], tags[j]
+        for g, used in zip(groups, group_tags):
+            if tag not in used:
                 g.extend(block)
                 used.add(tag)
-                masks[i] |= bit
                 walk(j + 1)
                 del g[len(g) - len(block):]
                 used.discard(tag)
-                masks[i] ^= bit
-        if not crosses(bit, -1):
-            groups.append(list(block))
-            group_tags.append({tag})
-            masks.append(bit)
-            walk(j + 1)
-            groups.pop()
-            group_tags.pop()
-            masks.pop()
+        groups.append(list(block))
+        group_tags.append({tag})
+        walk(j + 1)
+        groups.pop()
+        group_tags.pop()
 
     walk(0)
     return out
+
+
+def first_block_sum(units: int, bits, weight, value, tags=None) -> Fraction:
+    """F(units) = sum over first blocks V of weight(V) * prod of value(gap).
+
+    F sums the product of block weights over the noncrossing groupings of
+    the units (the set bits of `units`; unit i covers the points bits[i]
+    and lies in group tags[i], its own if tags is None) whose blocks take
+    at most one unit per group.  V holds the lowest unit; the gaps are the
+    units between consecutive points of V or after its last one, and none
+    may straddle a point of V (Nica-Speicher, Lectures on the
+    Combinatorics of Free Probability, Lecture 11).  value(gap) is F(gap),
+    supplied by the caller.  A V of weight 0 is skipped unsplit.
+    """
+    order = [i for i in range(units.bit_length()) if units >> i & 1]
+    first, rest = order[0], order[1:]
+    tags = range(len(bits)) if tags is None else tags
+    blocks = [(1 << first, bits[first], 1 << tags[first])]
+    for i in rest:
+        unit, points, tag = 1 << i, bits[i], 1 << tags[i]
+        blocks += [(v | unit, pts | points, used | tag)
+                   for v, pts, used in blocks if not used & tag]
+    total = Fraction(0)
+    for v, points, _ in blocks:
+        term = weight(v)
+        if not term:
+            continue
+        gaps: dict[int, int] = {}  # keyed by the points of V below the gap
+        for i in rest:
+            if v >> i & 1:
+                continue
+            b = bits[i]
+            if points & _span(b):
+                break
+            below = points & ((b & -b) - 1)
+            gaps[below] = gaps.get(below, 0) | 1 << i
+        else:
+            for gap in gaps.values():
+                term *= value(gap)
+                if not term:
+                    break
+            total += term
+    return total
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
-from .partitions import (
-    Partition,
-    enumerate_noncrossing,
-    interval_partition,
-    is_noncrossing,
-    refines,
-)
+from .partitions import Partition, is_noncrossing
 from .rational import format_rational, parse_rational
 
 _ATOM_UIDS = itertools.count(1)
@@ -184,7 +178,7 @@ def derived_diagonal_tuple(spec: ProcessSpec, groups) -> ProcessSpec:
     Component j stands for the diagonal measure of the sub-tuple over
     G_j, and its cumulants are those of the concatenated underlying word.
     That substitution rule is validated against an independent expansion
-    by diagonal_substitution_residual; see the tests.
+    by the substitution oracle of the tests.
     """
     groups = [tuple(g) for g in groups]
     if any(not g for g in groups):
@@ -272,9 +266,9 @@ def tuple_increment_cumulants(spec: ProcessSpec, sub: Subdivision, indices):
     """Cumulant functional of (X^(1)(I_v1), ..., X^(k)(I_vk)).
 
     The value on a subset is the shared interval length (zero unless the
-    subset's indices coincide) times the unit-time cumulant.  Feeding this
-    to moments_from_cumulants gives the mixed moment of one Riemann-sum
-    term, independently of the expectation engine.
+    subset's indices coincide) times the unit-time cumulant.  Its full
+    moment is the mixed moment of one Riemann-sum term, independently of
+    the expectation engine.
     """
     from .cumulants import CumulantFunctional, nonempty_subsets
 
@@ -288,47 +282,6 @@ def tuple_increment_cumulants(spec: ProcessSpec, sub: Subdivision, indices):
         else:
             values[b] = Fraction(0)
     return CumulantFunctional(spec.k, values)
-
-
-# ---------------------------------------------------------------------------
-# the substitution-rule oracle
-
-
-def diagonal_substitution_residual(spec: ProcessSpec, groups) -> dict[int, Fraction]:
-    """Difference of two expansions of the t-polynomial moment of a
-    product of diagonal measures, keyed by power of t.
-
-    Route (a) expands over noncrossing coarsenings of the interval
-    pattern on the flattened word; route (b) applies the forward
-    moment-cumulant sum to the derived tuple.  The derived tuple's
-    substitution rule is trustworthy only because this comes back empty.
-    """
-    groups = [tuple(sorted(g)) for g in groups]
-    flat = [i for g in groups for i in g]
-    ell = len(flat)
-    flattened = spec.restrict(flat)
-    sigma = interval_partition([len(g) for g in groups])
-
-    poly_a: dict[int, Fraction] = {}
-    for tau in enumerate_noncrossing(ell):
-        if refines(sigma, tau):
-            val = flattened.partition_cumulant(tau)
-            if val:
-                poly_a[tau.num_blocks] = poly_a.get(tau.num_blocks, Fraction(0)) + val
-
-    derived = derived_diagonal_tuple(spec, groups)
-    poly_b: dict[int, Fraction] = {}
-    for rho in enumerate_noncrossing(len(groups)):
-        val = derived.partition_cumulant(rho)
-        if val:
-            poly_b[rho.num_blocks] = poly_b.get(rho.num_blocks, Fraction(0)) + val
-
-    diff = {}
-    for deg in set(poly_a) | set(poly_b):
-        d = poly_a.get(deg, Fraction(0)) - poly_b.get(deg, Fraction(0))
-        if d:
-            diff[deg] = d
-    return diff
 
 
 # ---------------------------------------------------------------------------

@@ -5,27 +5,32 @@ come from recurrences, partitions from a different generator, expectations
 from direct index-tuple sums.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
-from freestoch.cumulants import moments_from_cumulants
+from freestoch.cumulants import (
+    CumulantFunctional,
+    MomentFunctional,
+    nonempty_subsets,
+)
+from freestoch.errors import DimensionError
 from freestoch.measures import (
-    MAX_PRODUCT_ARITY,
+    MAX_LIMIT_ARITY,
     SUBDIVISION_BATTERY,
     _compositions,
     _record,
     diagonal_nesting_residual,
     expect_pr,
-    expect_product_of_st,
     expect_st,
     free_sandwich_residual,
     inner_peeling_residual,
 )
 from freestoch.partitions import (
     Partition,
-    classify_classes,
     coarsenings,
+    concat,
     enumerate_noncrossing,
     enumerate_set_partitions,
     interval_partition,
@@ -37,6 +42,7 @@ from freestoch.partitions import (
     restrict,
 )
 from freestoch.processes import (
+    derived_diagonal_tuple,
     make_custom_process,
     make_free_poisson,
     make_semicircular,
@@ -94,6 +100,103 @@ def set_partitions_by_insertion(elements):
         yield smaller + [[last]]
 
 
+def moments_from_cumulants(r, p=None):
+    """M_p = sum of R_sigma over noncrossing sigma refining p (p = None: full moment)."""
+    if p is None:
+        p = Partition.one_hat(r.k)
+    if p.k != r.k:
+        raise DimensionError(f"partition of [{p.k}] vs functional arity {r.k}")
+    total = Fraction(0)
+    for sigma in enumerate_noncrossing(r.k):
+        if refines(sigma, p):
+            total += r.on_partition(sigma)
+    return total
+
+
+def cumulants_from_moments(m, p=None):
+    """R_p by Mobius inversion over the noncrossing partitions below p."""
+    if p is None:
+        p = Partition.one_hat(m.k)
+    if p.k != m.k:
+        raise DimensionError(f"partition of [{p.k}] vs functional arity {m.k}")
+    total = Fraction(0)
+    for sigma in enumerate_noncrossing(m.k):
+        if refines(sigma, p):
+            total += mobius(sigma, p, "noncrossing") * m.on_partition(sigma)
+    return total
+
+
+def _subset_word(base, inner):
+    """Re-index a block of [len(base)] through the subset base."""
+    return tuple(base[i - 1] for i in inner)
+
+
+def moment_functional_by_subsets(r):
+    """The full moment functional, one sum over NC(|S|) per subset S."""
+    values = {}
+    for b in nonempty_subsets(r.k):
+        total = Fraction(0)
+        for sigma in enumerate_noncrossing(len(b)):
+            term = Fraction(1)
+            for block in sigma.blocks:
+                term *= r.values[_subset_word(b, block)]
+            total += term
+        values[b] = total
+    return MomentFunctional(r.k, values)
+
+
+def cumulant_functional_by_subsets(m):
+    """The full cumulant functional, one Mobius-weighted sum over NC(|S|)
+    per subset S."""
+    weighted = {n: [(sigma, mobius(sigma, Partition.one_hat(n), "noncrossing"))
+                    for sigma in enumerate_noncrossing(n)] for n in range(1, m.k + 1)}
+    values = {}
+    for b in nonempty_subsets(m.k):
+        total = Fraction(0)
+        for sigma, term in weighted[len(b)]:
+            for block in sigma.blocks:
+                term *= m.values[_subset_word(b, block)]
+            total += term
+        values[b] = total
+    return CumulantFunctional(m.k, values)
+
+
+def diagonal_substitution_residual(spec, groups):
+    """Difference of two expansions of the t-polynomial moment of a
+    product of diagonal measures, keyed by power of t.
+
+    Route (a) expands over noncrossing coarsenings of the interval
+    pattern on the flattened word; route (b) applies the forward
+    moment-cumulant sum to the derived tuple.  The derived tuple's
+    substitution rule is trustworthy only because this comes back empty.
+    """
+    groups = [tuple(sorted(g)) for g in groups]
+    flat = [i for g in groups for i in g]
+    flattened = spec.restrict(flat)
+    sigma = interval_partition([len(g) for g in groups])
+
+    poly_a = {}
+    for tau in enumerate_noncrossing(len(flat)):
+        if refines(sigma, tau):
+            val = flattened.partition_cumulant(tau)
+            if val:
+                poly_a[tau.num_blocks] = poly_a.get(tau.num_blocks, Fraction(0)) + val
+
+    derived = derived_diagonal_tuple(spec, groups)
+    poly_b = {}
+    for rho in enumerate_noncrossing(len(groups)):
+        val = derived.partition_cumulant(rho)
+        if val:
+            poly_b[rho.num_blocks] = poly_b.get(rho.num_blocks, Fraction(0)) + val
+
+    diff = {}
+    for deg in set(poly_a) | set(poly_b):
+        d = poly_a.get(deg, Fraction(0)) - poly_b.get(deg, Fraction(0))
+        if d:
+            diff[deg] = d
+    return diff
+
+
 def brute_expect_st(p, sub, spec):
     """Direct sum over exact-pattern index tuples of per-tuple mixed moments."""
     total = Fraction(0)
@@ -111,8 +214,7 @@ def brute_expect_pr(p, sub, spec):
 
 def identity_suite_by_pairs(base, k_max, battery=SUBDIVISION_BATTERY, process_name="process"):
     """The identity suite with every finite trace computed afresh for each
-    lattice pair: one expect_st/expect_pr call per term, and the outer-block
-    product through expect_product_of_st on the restricted tuple."""
+    lattice pair: one expect_st/expect_pr call per term."""
     records = []
     for k in range(1, k_max + 1):
         spec = make_tuple(base, "identical", k=k)
@@ -127,21 +229,10 @@ def identity_suite_by_pairs(base, k_max, battery=SUBDIVISION_BATTERY, process_na
                             for s in coarsenings(p)), Fraction(0))
                 records.append(_record("mobius_inversion", p, process_name,
                                        sub.describe(), expect_st(p, sub, spec, max_blocks=k) - back))
-            for p in enumerate_noncrossing(k):
-                split = classify_classes(p)
-                factors, indices = [], []
-                for i, _outer in enumerate(split.outer):
-                    covered = sorted(split.covered_sets[i])
-                    factors.append((restrict(p, covered), "pr"))
-                    indices.extend(covered)
-                lhs = expect_pr(p, sub, spec)
-                rhs = expect_product_of_st(factors, spec.restrict(indices), sub)
-                records.append(_record("pr_outer_product", p, process_name,
-                                       sub.describe(), lhs - rhs))
         for p in enumerate_noncrossing(k):
             records.append(_record("inner_peeling_l1", p, process_name, "limit",
                                    inner_peeling_residual(p, spec, "L1")))
-            if 2 * k <= MAX_PRODUCT_ARITY:
+            if 2 * k <= MAX_LIMIT_ARITY:
                 records.append(_record("inner_peeling_l2", p, process_name, "limit",
                                        inner_peeling_residual(p, spec, "L2")))
         for sizes in _compositions(k):
@@ -239,3 +330,69 @@ def product_patterns_by_filter(factors, noncrossing=False):
     tau = interval_partition([p.k for p in parts])
     lattice = enumerate_noncrossing(k) if noncrossing else enumerate_set_partitions(k)
     return [sigma for sigma in lattice if factor_match(sigma, tau, parts, kinds)]
+
+
+def _span(mask):
+    """The bits from the lowest set bit of mask up to, not including, its highest."""
+    return (1 << (mask.bit_length() - 1)) - (mask & -mask)
+
+
+def noncrossing_coarsenings(p, apart=None):
+    """The noncrossing sigma >= p that join no two blocks of p lying in one
+    block of `apart`, by a backtracking walk over the blocks of p.  Two
+    disjoint groups cross iff each has a point inside the other's span, and
+    a crossing stays as blocks are added, so a crossing branch is dropped
+    at once."""
+    labels = (apart or p).rgs()
+    tags = [labels[block[0] - 1] for block in p.blocks]
+    bits = [sum(1 << el for el in block) for block in p.blocks]
+    out, groups, group_tags, masks = [], [], [], []
+
+    def crosses(mask, skip):
+        span = _span(mask)
+        return any(other & span and mask & _span(other) and i != skip
+                   for i, other in enumerate(masks))
+
+    def walk(j):
+        if j == p.num_blocks:
+            out.append(Partition.of(groups, p.k))
+            return
+        block, tag, bit = p.blocks[j], tags[j], bits[j]
+        for i, (g, used) in enumerate(zip(groups, group_tags)):
+            if tag not in used and not crosses(masks[i] | bit, i):
+                g.extend(block)
+                used.add(tag)
+                masks[i] |= bit
+                walk(j + 1)
+                del g[len(g) - len(block):]
+                used.discard(tag)
+                masks[i] ^= bit
+        if not crosses(bit, -1):
+            groups.append(list(block))
+            group_tags.append({tag})
+            masks.append(bit)
+            walk(j + 1)
+            groups.pop()
+            group_tags.pop()
+            masks.pop()
+
+    walk(0)
+    return out
+
+
+def limit_product_by_patterns(factors, spec, t=1):
+    """Mesh limit of a product trace as one term t^|sigma| R_sigma per
+    noncrossing pattern sigma: the coarsenings of the concatenated pattern
+    that keep apart each St factor and each block of a Pr factor."""
+    if not factors:
+        return Fraction(1)
+    t = Fraction(t)
+    pi_total = functools.reduce(concat, (p for p, _ in factors))
+    apart = functools.reduce(concat, (Partition.one_hat(p.k) if kind == "st" else p
+                                      for p, kind in factors))
+    total = Fraction(0)
+    for sigma in noncrossing_coarsenings(pi_total, apart):
+        r = spec.partition_cumulant(sigma)
+        if r:
+            total += t**sigma.num_blocks * r
+    return total

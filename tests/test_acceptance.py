@@ -50,7 +50,6 @@ from freestoch.partitions import (
 )
 from freestoch.processes import (
     Subdivision,
-    diagonal_substitution_residual,
     make_free_poisson,
     make_semicircular,
     make_tuple,
@@ -61,6 +60,7 @@ from helpers import (
     brute_expect_pr,
     brute_expect_st,
     catalan,
+    diagonal_substitution_residual,
     process_fixtures,
 )
 

@@ -219,6 +219,36 @@ def test_cumulant_sources_exit_2_with_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_l2_runs_to_k6_and_refuses_k7(capsys):
+    argv = ["verify", "main-theorem", "--process", "semicircular", "--order", "L2"]
+    code, rep = _run_json(capsys, argv + ["--k-max", "6"])
+    assert code == 0 and all(r["pass"] for r in rep["records"])
+    assert len(rep["records"]) == 1 + 2 + 5 + 14 + 42 + 132  # all of NC(k), k <= 6
+    assert run(argv + ["--k-max", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: L2 at k=7 needs arity 14 > 12"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cumulants", "to-moments", "--order", "13"],
+    ["cumulants", "from-moments", "--moments", ",".join(["1"] * 13)],
+    ["cumulants", "to-moments", "--functional", "{k13}"],
+    ["cumulants", "from-moments", "--functional", "{k13}"],
+])
+def test_transforms_above_the_order_guard_exit_2(tmp_path, capsys, argv):
+    from freestoch.cumulants import nonempty_subsets
+
+    k13 = tmp_path / "k13.json"
+    k13.write_text(json.dumps({"k": 13, "values": {",".join(map(str, b)): "1"
+                                                   for b in nonempty_subsets(13)}}))
+    assert run([a.format(k13=k13) for a in argv]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and len(errors) == 1
+    assert "exceeds guard 12" in errors[0]
+
+
 def test_exact_commands_leave_numpy_unloaded():
     # A fresh interpreter: the test process itself has numpy loaded already.
     src = pathlib.Path(freestoch.__file__).resolve().parent.parent

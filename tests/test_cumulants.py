@@ -9,17 +9,17 @@ from freestoch.cumulants import (
     MomentFunctional,
     cumulant_functional,
     cumulant_functional_from_json,
-    cumulants_from_moments,
     functional_to_json,
     mixed_cumulant_vanishing_check,
     moment_functional,
     moment_functional_from_json,
-    moments_from_cumulants,
     nonempty_subsets,
     norm_bound_ok,
 )
 from freestoch.errors import DimensionError
 from freestoch.partitions import Partition, enumerate_noncrossing
+
+from helpers import cumulants_from_moments, moments_from_cumulants
 
 
 def _first(n):

@@ -41,8 +41,10 @@ from freestoch.processes import (
 
 from helpers import (
     CENTERED_SEQ,
+    CUSTOM_SEQ,
     brute_expect_pr,
     brute_expect_st,
+    catalan,
     process_fixtures,
 )
 
@@ -170,9 +172,10 @@ def test_product_of_two_diagonals_is_the_second_moment():
 def test_psi2_squared_matches_brute_force():
     # double off-diagonal sum: every pair of exact-pattern tuples, moments
     # computed through the cumulant transform rather than the engine
-    from freestoch.cumulants import moments_from_cumulants
     from freestoch.partitions import iter_exact_index_tuples
     from freestoch.processes import tuple_increment_cumulants
+
+    from helpers import moments_from_cumulants
 
     sub = Subdivision.uniform(4)
     zero2 = Partition.zero_hat(2)
@@ -207,6 +210,30 @@ def test_main_theorem_residuals_vanish():
                 assert main_theorem_residual(p, spec, "L2", t) == 0, (name, p)
 
 
+def test_l2_residuals_vanish_on_all_of_nc6():
+    # arity 12: the custom process needs cumulants up to order 12
+    custom = make_custom_process(CUSTOM_SEQ + tuple(Fraction(1, q) for q in (23, 29, 31, 37)))
+    for name, base in (("free_poisson", make_free_poisson(1)),
+                       ("semicircular", make_semicircular()), ("custom", custom)):
+        spec = make_tuple(base, "identical", k=6)
+        for p in enumerate_noncrossing(6):
+            assert main_theorem_residual(p, spec, "L2") == 0, (name, p)
+
+
+def test_limit_guard_holds_at_12_and_trips_at_13():
+    base = make_free_poisson(1)
+    spec12 = make_tuple(base, "identical", k=12)
+    assert limit_product_of_st([(Partition.zero_hat(12), "pr")], spec12) == catalan(12)
+    assert exact_moment(spec12) == catalan(12)
+    spec13 = make_tuple(base, "identical", k=13)
+    for factors in ([(Partition.zero_hat(13), "pr")],
+                    [(Partition.zero_hat(6), "st"), (Partition.one_hat(7), "pr")]):
+        with pytest.raises(SizeGuardError):
+            limit_product_of_st(factors, spec13)
+    with pytest.raises(SizeGuardError):
+        exact_moment(spec13)
+
+
 def test_main_theorem_sides_for_a_known_case():
     spec = make_tuple(make_free_poisson(1), "identical", k=3)
     p = Partition.parse("((1,3)(2))")
@@ -215,9 +242,9 @@ def test_main_theorem_sides_for_a_known_case():
 
 
 def test_main_theorem_guards():
-    spec5 = make_tuple(make_free_poisson(1), "identical", k=5)
+    spec7 = make_tuple(make_free_poisson(1), "identical", k=7)
     with pytest.raises(SizeGuardError):
-        main_theorem_residual(Partition.one_hat(5), spec5, "L2")
+        main_theorem_residual(Partition.one_hat(7), spec7, "L2")
     with pytest.raises(CrossingPartitionError):
         spec4 = make_tuple(make_free_poisson(1), "identical", k=4)
         main_theorem_residual(Partition.parse("((1,3)(2,4))"), spec4, "L1")
@@ -293,7 +320,7 @@ def test_identity_suite_all_fixtures():
         records = identity_suite(base, 3, process_name=name)
         assert records and all(r["pass"] for r in records)
         checks = {r["check"] for r in records}
-        assert {"st_pr_inversion", "mobius_inversion", "pr_outer_product",
+        assert {"st_pr_inversion", "mobius_inversion",
                 "inner_peeling_l1", "inner_peeling_l2", "diagonal_nesting",
                 "free_sandwich_limit"} <= checks
 
@@ -307,9 +334,9 @@ def test_engine_guards():
         expect_st(Partition.zero_hat(6), Subdivision.uniform(4), spec6)
     with pytest.raises(DimensionError):
         expect_st(Partition.zero_hat(3), Subdivision.uniform(4), spec)
-    spec9 = make_tuple(make_free_poisson(1), "identical", k=9)
+    spec13 = make_tuple(make_free_poisson(1), "identical", k=13)
     with pytest.raises(SizeGuardError):
-        limit_product_of_st([(Partition.zero_hat(9), "st")], spec9)
+        limit_product_of_st([(Partition.zero_hat(13), "st")], spec13)
 
 
 def test_suite_and_product_keep_the_n_guard():

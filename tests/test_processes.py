@@ -9,7 +9,6 @@ from freestoch.partitions import Partition
 from freestoch.processes import (
     Subdivision,
     derived_diagonal_tuple,
-    diagonal_substitution_residual,
     free_family,
     increment_cumulant,
     make_custom_process,
@@ -22,7 +21,7 @@ from freestoch.processes import (
 )
 from freestoch.measures import exact_moment
 
-from helpers import CUSTOM_SEQ, process_fixtures
+from helpers import CUSTOM_SEQ, diagonal_substitution_residual, process_fixtures
 
 
 def test_free_poisson_cumulants():

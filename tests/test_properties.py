@@ -1,6 +1,7 @@
-"""Property tests: closed forms, interval walks and the finite trace tables
-against whole-lattice, pairwise and index-tuple oracles; partitions built
-without the constructor's checks against the validating constructor.
+"""Property tests: closed forms, interval walks, the finite trace tables and
+the first-block recursion against whole-lattice, pattern-walk, per-subset,
+pairwise and index-tuple oracles; partitions built without the
+constructor's checks against the validating constructor.
 
 Sizes are bounded so that the worst drawn case (the recursion over all of
 NC(8), or a product expansion over all of P(8)) stays near a second.
@@ -8,10 +9,18 @@ NC(8), or a product expansion over all of P(8)) stays near a second.
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from freestoch.cumulants import (
+    CumulantFunctional,
+    MomentFunctional,
+    cumulant_functional,
+    moment_functional,
+    nonempty_subsets,
+)
 from freestoch.measures import (
     _product_patterns,
+    exact_moment,
     expect_pr,
     expect_product_of_st,
     expect_st,
@@ -29,13 +38,25 @@ from freestoch.partitions import (
     mobius,
     refines,
 )
-from freestoch.processes import Subdivision, make_custom_process, make_tuple
+from freestoch.processes import (
+    ProcessSpec,
+    Subdivision,
+    free_family,
+    make_custom_process,
+    make_free_poisson,
+    make_semicircular,
+    make_tuple,
+)
 
 from helpers import (
     CUSTOM_SEQ,
     brute_expect_pr,
     brute_expect_st,
+    cumulant_functional_by_subsets,
     identity_suite_by_pairs,
+    limit_product_by_patterns,
+    moment_functional_by_subsets,
+    noncrossing_coarsenings,
     process_fixtures,
     product_patterns_by_filter,
     recursive_mobius,
@@ -113,7 +134,7 @@ def test_limit_product_walk_matches_lattice_filter(factors):
 def test_noncrossing_walk_is_the_filtered_walk(drawn):
     p, other = drawn
     apart = None if other is None else join(p, other)
-    walked = coarsenings(p, apart, noncrossing=True)
+    walked = noncrossing_coarsenings(p, apart)
     assert walked == [s for s in coarsenings(p, apart) if is_noncrossing(s)]
 
 
@@ -159,11 +180,13 @@ def test_identity_suite_matches_pairwise_oracle(battery):
 
 
 @st.composite
-def rgs_strings(draw, k_max: int, k_min: int = 1):
-    """A restricted-growth string: each label at most one above the largest before it."""
+def rgs_strings(draw, k_max: int, k_min: int = 1, blocks_max: int | None = None):
+    """A restricted-growth string: each label at most one above the largest
+    before it, and below blocks_max if given."""
+    top = (blocks_max or k_max) - 1
     labels = [0]
     for _ in range(draw(st.integers(k_min, k_max)) - 1):
-        labels.append(draw(st.integers(0, max(labels) + 1)))
+        labels.append(draw(st.integers(0, min(max(labels) + 1, top))))
     return tuple(labels)
 
 
@@ -196,12 +219,11 @@ def test_enumerations_build_valid_partitions(k):
 @settings(PROPERTY_SETTINGS, max_examples=100)
 @given(st.integers(1, 7).flatmap(lambda k: st.tuples(
     st.sampled_from(enumerate_set_partitions(k)),
-    st.one_of(st.none(), st.sampled_from(enumerate_set_partitions(k))),
-    st.booleans())))
+    st.one_of(st.none(), st.sampled_from(enumerate_set_partitions(k))))))
 def test_coarsenings_build_valid_partitions(drawn):
-    p, other, noncrossing = drawn
+    p, other = drawn
     apart = None if other is None else join(p, other)
-    for sigma in coarsenings(p, apart, noncrossing):
+    for sigma in coarsenings(p, apart):
         assert sigma == _validated(sigma) and refines(p, sigma)
 
 
@@ -224,3 +246,81 @@ def test_meet_and_join_obey_the_lattice_laws(abc):
 def test_parse_inverts_str(p):
     assert Partition.parse(str(p)) == p
     assert Partition.parse(" ".join(str(p))) == p
+
+
+# ---------------------------------------------------------------------------
+# the first-block recursion: limit products, exact moments, the transforms
+
+# Three free atoms: a custom one whose cumulants of order 3, 6, ... vanish,
+# a free Poisson and a semicircular.  A word (a, a) stands for a diagonal
+# component, and a word (a, c) zeroes every cumulant it enters.
+FAMILY = free_family([make_custom_process([Fraction(n % 3, n) for n in range(1, 25)]),
+                      make_free_poisson(Fraction(2, 3)), make_semicircular()])
+(ATOM_A,), (ATOM_B,), (ATOM_C,) = FAMILY.words
+WORD_POOLS = (((ATOM_A,),), ((ATOM_B,),), ((ATOM_C,),), ((ATOM_A,), (ATOM_A, ATOM_A)),
+              ((ATOM_A,), (ATOM_B,), (ATOM_C,), (ATOM_A, ATOM_A), (ATOM_A, ATOM_C)))
+
+
+@st.composite
+def specs(draw, k: int):
+    """k components, each a word from one drawn pool."""
+    pool = draw(st.sampled_from(WORD_POOLS))
+    return ProcessSpec(tuple(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))))
+
+
+@st.composite
+def limit_products(draw, arity_max: int):
+    """St/Pr factors of total arity at most arity_max, and a tuple for them.
+
+    Pr factors have at most 3 blocks, so many of them cross; an St factor
+    may be 0-hat, as in the L2 expansions.  At most 8 groups are kept apart
+    (each St factor, each Pr block), which bounds the pattern oracle's work.
+    """
+    left = draw(st.integers(1, arity_max))
+    factors = []
+    while left:
+        k = draw(st.integers(1, left))
+        left -= k
+        kind = draw(st.sampled_from(("st", "pr")))
+        if kind == "st" and draw(st.booleans()):
+            p = Partition.zero_hat(k)
+        else:
+            p = Partition.from_rgs(draw(rgs_strings(k, k, 3 if kind == "pr" else k)))
+        factors.append((p, kind))
+    assume(sum(1 if kind == "st" else p.num_blocks for p, kind in factors) <= 8)
+    return factors, draw(specs(sum(p.k for p, _ in factors)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(limit_products(12), st.sampled_from((Fraction(1), Fraction(3, 2))))
+def test_limit_product_recursion_matches_pattern_walk(case, t):
+    factors, spec = case
+    assert limit_product_of_st(factors, spec, t) == limit_product_by_patterns(factors, spec, t)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(st.integers(1, 9).flatmap(specs), st.sampled_from((Fraction(1), Fraction(2, 5))))
+def test_exact_moment_is_the_noncrossing_sum(spec, t):
+    oracle = sum((t**sigma.num_blocks * spec.partition_cumulant(sigma)
+                  for sigma in enumerate_noncrossing(spec.k)), Fraction(0))
+    assert exact_moment(spec, t) == oracle
+
+
+@st.composite
+def functionals(draw, k_max: int):
+    """k and one small rational, a third of them 0, per nonempty subset of
+    [k]; the values come from a drawn generator, which is much faster to
+    draw than 2^k - 1 separate values."""
+    k = draw(st.integers(1, k_max))
+    rng = draw(st.randoms(use_true_random=False))
+    return k, {b: Fraction(rng.randint(-3, 3), rng.randint(1, 5)) if rng.randrange(3) else
+               Fraction(0) for b in nonempty_subsets(k)}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(functionals(8))
+def test_transforms_match_the_per_subset_sums(drawn):
+    k, values = drawn
+    r, m = CumulantFunctional(k, values), MomentFunctional(k, values)
+    assert moment_functional(r).values == moment_functional_by_subsets(r).values
+    assert cumulant_functional(m).values == cumulant_functional_by_subsets(m).values
