@@ -39,14 +39,12 @@ from .processes import (
     ProcessSpec,
     Subdivision,
     derived_diagonal_tuple,
-    increment_cumulant,
     make_custom_process,
     make_free_poisson,
     make_semicircular,
     make_tuple,
 )
 from .measures import (
-    ExpectationReport,
     UniformFormula,
     example_formulas_check,
     expect_pr,
@@ -55,6 +53,5 @@ from .measures import (
     identity_suite,
     limit_expect_st,
     main_theorem_residual,
-    st_report,
     st_uniform_formula,
 )

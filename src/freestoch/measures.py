@@ -14,7 +14,7 @@ patterns contribute at any finite subdivision and only die in the limit.
 from __future__ import annotations
 
 import functools
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,9 +29,7 @@ from .partitions import (
     first_block_sum,
     interval_partition,
     is_noncrossing,
-    join,
     mobius,
-    mobius_zero_hat_full,
     noncrossing_refinements,
     opposite,
     restrict,
@@ -50,61 +48,75 @@ from .processes import (
 from .rational import format_rational
 
 # Guards for the direct finite-subdivision sums; the uniform closed form
-# has no N limit.  Product expansions cap the concatenated arity: the finite
-# ones walk every admissible coarsening, the limits run the first-block
-# recursion over at most 2^arity sets of blocks.
+# has no N limit.  An St trace of arity k sums over the noncrossing
+# refinements of its pattern, all of NC(k) for 1-hat.  Product expansions
+# cap the concatenated arity: the finite ones walk every admissible
+# coarsening, the limits run the first-block recursion over at most
+# 2^arity sets of blocks.  The identity suite covers all of P(k) per k.
 MAX_DIRECT_BLOCKS = 5
 MAX_DIRECT_N = 64
+MAX_ST_ARITY = 10
 MAX_PRODUCT_ARITY = 8
 MAX_LIMIT_ARITY = 12
+MAX_SUITE_K = 6
 
 Factor = tuple[Partition, str]  # kind: "st" | "pr"
 
 
-class FiniteTraces:
-    """The St/Pr traces of one tuple at one subdivision, each computed once.
+Poly = dict[tuple[int, ...], Fraction]  # monomial (sorted c's of prod P[c]) -> coefficient
 
-    Holds the power sums P[c] = sum of lengths^c (c = 0..k), the unit-time
-    R_rho, the injective weights (keyed by sorted exponents, since a weight
-    is symmetric in them) and every St_p and Pr_p asked for.  A table lives
-    for the one call that builds it; the callers check the guards.
+
+class TraceTable:
+    """The St/Pr traces of one tuple as polynomials in the power sums.
+
+    At a subdivision with lengths l_i, P[c] = sum_i l_i^c, and each trace is
+    the sum over its monomials of coefficient * prod P[c].  The coefficients
+    do not depend on the subdivision, so one table serves them all.  It holds
+    the unit-time R_rho, the injective weights (keyed by sorted exponents,
+    since a weight is symmetric in them) and every St_p and Pr_p asked for,
+    and lives for the one call that builds it; the callers check the guards.
     """
 
-    def __init__(self, spec: ProcessSpec, sub: Subdivision):
+    def __init__(self, spec: ProcessSpec):
         self.spec = spec
-        self.power_sums = [sum((l**c for l in sub.lengths), Fraction(0))
-                           for c in range(spec.k + 1)]
         self._cumulants: dict[Partition, Fraction] = {}
-        self._weights: dict[tuple[int, ...], Fraction] = {}
-        self._st: dict[Partition, Fraction] = {}
-        self._pr: dict[Partition, Fraction] = {}
+        self._weights: dict[tuple[int, ...], Poly] = {}
+        self._st: dict[Partition, Poly] = {}
+        self._pr: dict[Partition, Poly] = {}
 
     def _cumulant(self, rho: Partition) -> Fraction:
         if rho not in self._cumulants:
             self._cumulants[rho] = self.spec.partition_cumulant(rho)
         return self._cumulants[rho]
 
-    def _injective_weight(self, exponents) -> Fraction:
+    def _injective_weight(self, exponents) -> Poly:
         """Sum over injective maps w of prod_i lengths[w(i)]^e_i.
 
-        Coincidence inclusion-exclusion: sum over set partitions gamma of
-        the index set of mu(0, gamma) times the power-sum product with
-        exponents merged along gamma.  The closed-form Mobius values keep
-        this fast; the recursive definition cross-checks them in the tests.
+        Coincidence inclusion-exclusion one index at a time: the last index
+        ranges freely, giving P[e] times the weight of the rest, less each
+        coincidence with an index of the rest, where the two exponents
+        merge.  Unrolled, this is the sum over set partitions gamma of the
+        indices of mu(0, gamma) times the merged power sums, without listing
+        the P(|exponents|) gammas.
         """
         key = tuple(sorted(exponents))
+        if not key:
+            return {(): 1}
         if key not in self._weights:
-            total = Fraction(0)
-            for gamma in enumerate_set_partitions(len(key)):
-                term = mobius_zero_hat_full(gamma)
-                for grp in gamma.blocks:
-                    term *= self.power_sums[sum(key[i - 1] for i in grp)]
-                total += term
-            self._weights[key] = total
+            rest, last = key[:-1], key[-1]
+            poly = {tuple(sorted(m + (last,))): c
+                    for m, c in self._injective_weight(rest).items()}
+            for e in sorted(set(rest)):
+                i = rest.index(e)
+                merged = rest[:i] + rest[i + 1:] + (e + last,)
+                for m, c in self._injective_weight(merged).items():
+                    poly[m] = poly.get(m, 0) - rest.count(e) * c
+            self._weights[key] = {m: c for m, c in poly.items() if c}
         return self._weights[key]
 
-    def st(self, p: Partition) -> Fraction:
-        """Trace of St_p: indices distinct across blocks, constant on them.
+    def st(self, p: Partition) -> Poly:
+        """Trace polynomial of St_p: indices distinct across blocks, constant
+        on them.
 
         Only noncrossing refinements of p contribute (a cumulant block
         across two p-blocks meets two disjoint intervals), each weighted by
@@ -112,7 +124,7 @@ class FiniteTraces:
         """
         if p not in self._st:
             labels = p.rgs()
-            total = Fraction(0)
+            poly: Poly = {}
             for rho in noncrossing_refinements(p):
                 r = self._cumulant(rho)
                 if r == 0:
@@ -120,28 +132,56 @@ class FiniteTraces:
                 exps = [0] * p.num_blocks
                 for block in rho.blocks:
                     exps[labels[block[0] - 1]] += 1
-                total += r * self._injective_weight(exps)
-            self._st[p] = total
+                for mono, c in self._injective_weight(exps).items():
+                    poly[mono] = poly.get(mono, 0) + r * c
+            self._st[p] = {m: c for m, c in poly.items() if c}
         return self._st[p]
 
-    def pr(self, p: Partition) -> Fraction:
-        """Trace of Pr_p: indices merely constant on the blocks of p.
+    def pr(self, p: Partition) -> Poly:
+        """Trace polynomial of Pr_p: indices merely constant on the blocks of p.
 
-        Free maps factor over the groups into which join(rho, p) collapses
-        the blocks of p, giving plain power sums instead of injective ones.
+        Free maps factor over the groups into which the blocks of rho
+        collapse the blocks of p (a union-find over the p-labels each block
+        of rho touches), each group giving the plain power sum of its
+        number of rho blocks.
         """
         if p not in self._pr:
-            total = Fraction(0)
+            labels = p.rgs()
+            poly: Poly = {}
             for rho in enumerate_noncrossing(p.k):
                 r = self._cumulant(rho)
                 if r == 0:
                     continue
-                jlabels = join(rho, p).rgs()
-                for c in Counter(jlabels[block[0] - 1] for block in rho.blocks).values():
-                    r *= self.power_sums[c]
-                total += r
-            self._pr[p] = total
+                group = list(range(p.num_blocks))
+                for block in rho.blocks:
+                    roots = {group[labels[el - 1]] for el in block}
+                    if len(roots) > 1:
+                        root = min(roots)
+                        group = [root if g in roots else g for g in group]
+                counts = [0] * p.num_blocks
+                for block in rho.blocks:
+                    counts[group[labels[block[0] - 1]]] += 1
+                mono = tuple(sorted(c for c in counts if c))
+                poly[mono] = poly.get(mono, 0) + r
+            self._pr[p] = {m: c for m, c in poly.items() if c}
         return self._pr[p]
+
+    def at(self, sub: Subdivision):
+        """The evaluation of a trace polynomial at one subdivision, with each
+        power sum and each monomial computed once."""
+        power_sums = [sum((l**c for l in sub.lengths), Fraction(0))
+                      for c in range(self.spec.k + 1)]
+        monomials: dict[tuple[int, ...], Fraction] = {}
+
+        def value(poly: Poly) -> Fraction:
+            total = Fraction(0)
+            for mono, coeff in poly.items():
+                if mono not in monomials:
+                    monomials[mono] = math.prod((power_sums[c] for c in mono), start=Fraction(1))
+                total += coeff * monomials[mono]
+            return total
+
+        return value
 
 
 def _check_n(sub: Subdivision, max_n: int | None = None) -> None:
@@ -150,25 +190,33 @@ def _check_n(sub: Subdivision, max_n: int | None = None) -> None:
         raise SizeGuardError(f"N = {sub.n} exceeds direct-sum guard {max_n}")
 
 
-def expect_st(p: Partition, sub: Subdivision, spec: ProcessSpec,
-              max_blocks: int | None = None, max_n: int | None = None) -> Fraction:
-    """Trace of St_p(X, S), indices distinct across blocks (FiniteTraces.st)."""
+def _check_st(p: Partition, spec: ProcessSpec) -> None:
     if p.k != spec.k:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
+    if p.k > MAX_ST_ARITY:
+        raise SizeGuardError(f"St arity {p.k} exceeds guard {MAX_ST_ARITY}")
+
+
+def expect_st(p: Partition, sub: Subdivision, spec: ProcessSpec,
+              max_blocks: int | None = None, max_n: int | None = None) -> Fraction:
+    """Trace of St_p(X, S), indices distinct across blocks (TraceTable.st)."""
+    _check_st(p, spec)
     max_blocks = MAX_DIRECT_BLOCKS if max_blocks is None else max_blocks
     if p.num_blocks > max_blocks:
         raise SizeGuardError(f"|p| = {p.num_blocks} exceeds direct-sum guard {max_blocks}")
     _check_n(sub, max_n)
-    return FiniteTraces(spec, sub).st(p)
+    table = TraceTable(spec)
+    return table.at(sub)(table.st(p))
 
 
 def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
-    """Trace of Pr_p(X, S), indices constant on blocks (FiniteTraces.pr)."""
+    """Trace of Pr_p(X, S), indices constant on blocks (TraceTable.pr)."""
     if p.k != spec.k:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
     if p.k > MAX_PRODUCT_ARITY:
         raise SizeGuardError(f"arity {p.k} exceeds guard {MAX_PRODUCT_ARITY}")
-    return FiniteTraces(spec, sub).pr(p)
+    table = TraceTable(spec)
+    return table.at(sub)(table.pr(p))
 
 
 def limit_expect_st(p: Partition, spec: ProcessSpec, t=1) -> Fraction:
@@ -211,51 +259,20 @@ class UniformFormula:
         return [(j, self.coeffs[j]) for j in sorted(self.coeffs)]
 
 
-def _falling_factorial_coeffs(m: int) -> list[Fraction]:
-    """Coefficients of N(N-1)...(N-m+1) in powers of N."""
-    poly = [Fraction(1)]
-    for j in range(m):
-        poly = [a - j * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
-    return poly
-
-
 def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
     """St_p trace at the uniform N-subdivision of [0, t), exactly in 1/N.
 
-    Each noncrossing refinement rho contributes R_rho t^|rho| times the
-    falling factorial N^(|p|) over N^|rho|.
+    The St_p polynomial read at P[c] = t^c N^(1 - c): a monomial of degree
+    d in m power sums contributes t^d N^(m - d).
     """
-    if p.k != spec.k:
-        raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
+    _check_st(p, spec)
     t = Fraction(t)
-    m = p.num_blocks
-    stirling = _falling_factorial_coeffs(m)
     coeffs: dict[int, Fraction] = {}
-    for rho in noncrossing_refinements(p):
-        r = spec.partition_cumulant(rho)
-        if r == 0:
-            continue
-        base = r * t**rho.num_blocks
-        for power, s in enumerate(stirling):
-            if s:
-                j = rho.num_blocks - power
-                coeffs[j] = coeffs.get(j, Fraction(0)) + base * s
+    for mono, c in TraceTable(spec).st(p).items():
+        degree = sum(mono)
+        j = degree - len(mono)
+        coeffs[j] = coeffs.get(j, Fraction(0)) + c * t**degree
     return UniformFormula({j: c for j, c in coeffs.items() if c})
-
-
-@dataclass(frozen=True)
-class ExpectationReport:
-    finite_value: Fraction
-    uniform_formula: UniformFormula
-    limit_value: Fraction
-
-
-def st_report(p: Partition, spec: ProcessSpec, sub: Subdivision) -> ExpectationReport:
-    return ExpectationReport(
-        finite_value=expect_st(p, sub, spec),
-        uniform_formula=st_uniform_formula(p, spec, sub.t),
-        limit_value=limit_expect_st(p, spec, sub.t),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +313,9 @@ def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fracti
         return Fraction(1)
     patterns = _product_patterns(factors, spec)
     _check_n(sub)
-    traces = FiniteTraces(spec, sub)
-    return sum((traces.st(sigma) for sigma in patterns), Fraction(0))
+    table = TraceTable(spec)
+    value = table.at(sub)
+    return sum((value(table.st(sigma)) for sigma in patterns), Fraction(0))
 
 
 def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
@@ -544,23 +562,26 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
     """
     if base.k != 1:
         raise DimensionError("identity_suite takes a single-component process")
-    if k_max > 5:
-        raise SizeGuardError("identity suite capped at k_max = 5")
+    if k_max > MAX_SUITE_K:
+        raise SizeGuardError(f"identity suite capped at k_max = {MAX_SUITE_K}")
     records = []
     for k in range(1, k_max + 1):
         spec = make_tuple(base, "identical", k=k)
-        above = [(p, [(s, mobius(p, s, "full")) for s in coarsenings(p)])
-                 for p in enumerate_set_partitions(k)]
+        lattice = enumerate_set_partitions(k)
+        above = [(p, [(s, mobius(p, s, "full")) for s in coarsenings(p)]) for p in lattice]
+        table = TraceTable(spec)
         for sub in battery:
             _check_n(sub)
-            traces, where = FiniteTraces(spec, sub), sub.describe()
+            value, where = table.at(sub), sub.describe()
+            st = {p: value(table.st(p)) for p in lattice}
+            pr = {p: value(table.pr(p)) for p in lattice}
             for p, coarser in above:
-                via_st = sum((traces.st(s) for s, _ in coarser), Fraction(0))
+                via_st = sum((st[s] for s, _ in coarser), Fraction(0))
                 records.append(_record("st_pr_inversion", p, process_name, where,
-                                       traces.pr(p) - via_st))
-                back = sum((mu * traces.pr(s) for s, mu in coarser), Fraction(0))
+                                       pr[p] - via_st))
+                back = sum((mu * pr[s] for s, mu in coarser), Fraction(0))
                 records.append(_record("mobius_inversion", p, process_name, where,
-                                       traces.st(p) - back))
+                                       st[p] - back))
         for p in enumerate_noncrossing(k):
             records.append(_record("inner_peeling_l1", p, process_name, "limit",
                                    inner_peeling_residual(p, spec, "L1")))

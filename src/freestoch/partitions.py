@@ -312,12 +312,6 @@ def concat(p: Partition, s: Partition) -> Partition:
     return Partition.of(list(p.blocks) + shifted, p.k + s.k)
 
 
-def rotate(p: Partition, shift: int = 1) -> Partition:
-    """Cyclically shift all elements by `shift` (mod k)."""
-    k = p.k
-    return Partition.of([[(i - 1 + shift) % k + 1 for i in b] for b in p.blocks], k)
-
-
 def restrict(p: Partition, elements) -> Partition:
     """Partition induced on a subset, re-indexed to 1..len(elements)."""
     elems = sorted(elements)
@@ -521,12 +515,6 @@ def mobius(s: Partition, p: Partition, lattice: str = "full") -> Fraction:
         for n in Counter(plabels[block[0] - 1] for block in s.blocks).values():
             out *= _mu_full(n)
     return Fraction(out)
-
-
-def mobius_zero_hat_full(p: Partition) -> Fraction:
-    """Closed form for mu(0-hat, p) in the full lattice: the product over
-    blocks of (-1)^(n-1) (n-1)!."""
-    return Fraction(math.prod(_mu_full(len(block)) for block in p.blocks))
 
 
 # ---------------------------------------------------------------------------

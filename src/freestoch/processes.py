@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CrossingPartitionError, DimensionError, SizeGuardError
-from .partitions import Partition, is_noncrossing
+from .errors import DimensionError, SizeGuardError
+from .partitions import Partition
 from .rational import format_rational, parse_rational
 
 _ATOM_UIDS = itertools.count(1)
@@ -191,7 +191,7 @@ def derived_diagonal_tuple(spec: ProcessSpec, groups) -> ProcessSpec:
 
 
 # ---------------------------------------------------------------------------
-# subdivisions and interval scaling
+# subdivisions
 
 
 @dataclass(frozen=True)
@@ -233,55 +233,6 @@ class Subdivision:
         if len(set(self.lengths)) == 1:
             return f"uniform(N={self.n},t={format_rational(self.t)})"
         return "lengths(" + ",".join(format_rational(l) for l in self.lengths) + ")"
-
-
-def _intersection_length(intervals) -> Fraction:
-    lo = max(a for a, _ in intervals)
-    hi = min(b for _, b in intervals)
-    return max(hi - lo, Fraction(0))
-
-
-def increment_cumulant(spec: ProcessSpec, p: Partition, intervals) -> Fraction:
-    """R_p of the components evaluated on the given intervals.
-
-    Equals the product over blocks of the intersection length inside the
-    block, times the unit-time R_p.
-    """
-    if not is_noncrossing(p):
-        raise CrossingPartitionError(f"{p} is crossing")
-    ivs = [(Fraction(a), Fraction(b)) for a, b in intervals]
-    if p.k != len(ivs) or p.k != spec.k:
-        raise DimensionError("partition, intervals, and components must agree")
-    if any(b <= a for a, b in ivs):
-        raise ValueError("intervals must be nonempty half-open [a, b)")
-    out = Fraction(1)
-    for block in p.blocks:
-        out *= _intersection_length([ivs[i - 1] for i in block])
-        if out == 0:
-            return out
-    return out * spec.partition_cumulant(p)
-
-
-def tuple_increment_cumulants(spec: ProcessSpec, sub: Subdivision, indices):
-    """Cumulant functional of (X^(1)(I_v1), ..., X^(k)(I_vk)).
-
-    The value on a subset is the shared interval length (zero unless the
-    subset's indices coincide) times the unit-time cumulant.  Its full
-    moment is the mixed moment of one Riemann-sum term, independently of
-    the expectation engine.
-    """
-    from .cumulants import CumulantFunctional, nonempty_subsets
-
-    if len(indices) != spec.k:
-        raise DimensionError("one interval index per component")
-    values = {}
-    for b in nonempty_subsets(spec.k):
-        chosen = {indices[i - 1] for i in b}
-        if len(chosen) == 1:
-            values[b] = sub.lengths[next(iter(chosen)) - 1] * spec.unit_cumulant(b)
-        else:
-            values[b] = Fraction(0)
-    return CumulantFunctional(spec.k, values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ from direct index-tuple sums.
 """
 
 import functools
+import math
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +18,11 @@ from freestoch.cumulants import (
     MomentFunctional,
     nonempty_subsets,
 )
-from freestoch.errors import DimensionError
+from freestoch.errors import CrossingPartitionError, DimensionError
 from freestoch.measures import (
     MAX_LIMIT_ARITY,
     SUBDIVISION_BATTERY,
+    UniformFormula,
     _compositions,
     _record,
     diagonal_nesting_residual,
@@ -26,6 +30,8 @@ from freestoch.measures import (
     expect_st,
     free_sandwich_residual,
     inner_peeling_residual,
+    limit_expect_st,
+    st_uniform_formula,
 )
 from freestoch.partitions import (
     Partition,
@@ -37,7 +43,9 @@ from freestoch.partitions import (
     is_noncrossing,
     iter_exact_index_tuples,
     iter_geq_index_tuples,
+    join,
     mobius,
+    noncrossing_refinements,
     refines,
     restrict,
 )
@@ -47,7 +55,6 @@ from freestoch.processes import (
     make_free_poisson,
     make_semicircular,
     make_tuple,
-    tuple_increment_cumulants,
 )
 from freestoch.rational import format_rational
 
@@ -195,6 +202,127 @@ def diagonal_substitution_residual(spec, groups):
         if d:
             diff[deg] = d
     return diff
+
+
+def mobius_zero_hat_full(p):
+    """mu(0-hat, p) in P(k): the product over blocks of (-1)^(n-1) (n-1)!."""
+    return Fraction(math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1)
+                              for b in p.blocks))
+
+
+def rotate(p, shift=1):
+    """Cyclically shift all elements by `shift` (mod k)."""
+    k = p.k
+    return Partition.of([[(i - 1 + shift) % k + 1 for i in b] for b in p.blocks], k)
+
+
+class FiniteTraces:
+    """The St/Pr traces of one tuple at one subdivision, as numbers.
+
+    Every trace is summed afresh at the subdivision's power sums: St_p over
+    the noncrossing refinements of p with injective weights, Pr_p over all
+    of NC(k) with the groups read off join(rho, p).  The engine's trace
+    tables build the same sums once as polynomials in the power sums.
+    """
+
+    def __init__(self, spec, sub):
+        self.spec = spec
+        self.power_sums = [sum((l**c for l in sub.lengths), Fraction(0))
+                           for c in range(spec.k + 1)]
+
+    def _injective_weight(self, exponents):
+        """Sum over injective maps w of prod_i lengths[w(i)]^e_i, by
+        inclusion-exclusion over the coincidence partitions gamma."""
+        total = Fraction(0)
+        for gamma in enumerate_set_partitions(len(exponents)):
+            term = mobius_zero_hat_full(gamma)
+            for grp in gamma.blocks:
+                term *= self.power_sums[sum(exponents[i - 1] for i in grp)]
+            total += term
+        return total
+
+    def st(self, p):
+        labels = p.rgs()
+        total = Fraction(0)
+        for rho in noncrossing_refinements(p):
+            exps = [0] * p.num_blocks
+            for block in rho.blocks:
+                exps[labels[block[0] - 1]] += 1
+            total += self.spec.partition_cumulant(rho) * self._injective_weight(exps)
+        return total
+
+    def pr(self, p):
+        total = Fraction(0)
+        for rho in enumerate_noncrossing(p.k):
+            term = self.spec.partition_cumulant(rho)
+            jlabels = join(rho, p).rgs()
+            for c in Counter(jlabels[block[0] - 1] for block in rho.blocks).values():
+                term *= self.power_sums[c]
+            total += term
+        return total
+
+
+@dataclass(frozen=True)
+class ExpectationReport:
+    finite_value: Fraction
+    uniform_formula: UniformFormula
+    limit_value: Fraction
+
+
+def st_report(p, spec, sub):
+    """The finite St_p trace, its uniform closed form and its mesh limit."""
+    return ExpectationReport(
+        finite_value=expect_st(p, sub, spec),
+        uniform_formula=st_uniform_formula(p, spec, sub.t),
+        limit_value=limit_expect_st(p, spec, sub.t),
+    )
+
+
+def _intersection_length(intervals):
+    lo = max(a for a, _ in intervals)
+    hi = min(b for _, b in intervals)
+    return max(hi - lo, Fraction(0))
+
+
+def increment_cumulant(spec, p, intervals):
+    """R_p of the components evaluated on the given intervals.
+
+    Equals the product over blocks of the intersection length inside the
+    block, times the unit-time R_p.
+    """
+    if not is_noncrossing(p):
+        raise CrossingPartitionError(f"{p} is crossing")
+    ivs = [(Fraction(a), Fraction(b)) for a, b in intervals]
+    if p.k != len(ivs) or p.k != spec.k:
+        raise DimensionError("partition, intervals, and components must agree")
+    if any(b <= a for a, b in ivs):
+        raise ValueError("intervals must be nonempty half-open [a, b)")
+    out = Fraction(1)
+    for block in p.blocks:
+        out *= _intersection_length([ivs[i - 1] for i in block])
+        if out == 0:
+            return out
+    return out * spec.partition_cumulant(p)
+
+
+def tuple_increment_cumulants(spec, sub, indices):
+    """Cumulant functional of (X^(1)(I_v1), ..., X^(k)(I_vk)).
+
+    The value on a subset is the shared interval length (zero unless the
+    subset's indices coincide) times the unit-time cumulant.  Its full
+    moment is the mixed moment of one Riemann-sum term, independently of
+    the expectation engine.
+    """
+    if len(indices) != spec.k:
+        raise DimensionError("one interval index per component")
+    values = {}
+    for b in nonempty_subsets(spec.k):
+        chosen = {indices[i - 1] for i in b}
+        if len(chosen) == 1:
+            values[b] = sub.lengths[next(iter(chosen)) - 1] * spec.unit_cumulant(b)
+        else:
+            values[b] = Fraction(0)
+    return CumulantFunctional(spec.k, values)
 
 
 def brute_expect_st(p, sub, spec):

@@ -11,6 +11,7 @@ import pytest
 
 import freestoch
 from freestoch.cli import _passed, run
+from freestoch.measures import MAX_ST_ARITY, MAX_SUITE_K
 
 
 def _run_json(capsys, argv):
@@ -228,6 +229,39 @@ def test_l2_runs_to_k6_and_refuses_k7(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [
         "error: L2 at k=7 needs arity 14 > 12"]
+
+
+def test_suite_runs_to_k6_and_refuses_k7(capsys):
+    assert MAX_SUITE_K == 6
+    for process in ("free_poisson", "semicircular"):
+        code, rep = _run_json(capsys, ["verify", "suite", "--process", process, "--k-max", "6"])
+        assert code == 0 and all(r["pass"] for r in rep["records"]), process
+        assert any(r["check"] == "st_pr_inversion" and r["partition"] == "((1)(2)(3)(4)(5)(6))"
+                   for r in rep["records"])
+    assert run(["verify", "suite", "--k-max", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: identity suite capped at k_max = 6"]
+
+
+def _one_block(k):
+    return "((" + ",".join(map(str, range(1, k + 1))) + "))"
+
+
+def test_formula_runs_at_the_arity_guard_and_refuses_above(capsys):
+    # free Poisson, one block: the 1/N^j coefficient counts NC(k) by
+    # |rho| = j + 1, the Narayana number C(k, j+1) C(k, j) / k
+    from math import comb
+
+    k = MAX_ST_ARITY
+    code, rep = _run_json(capsys, ["verify", "formula", "--partition", _one_block(k)])
+    assert code == 0
+    assert {r["inv_n_power"]: r["coefficient"] for r in rep["records"]} == {
+        j: f"{comb(k, j + 1) * comb(k, j) // k}/1" for j in range(k)}
+    assert run(["verify", "formula", "--partition", _one_block(k + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"error: St arity {k + 1} exceeds guard {k}"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,8 +30,14 @@ PROCESSES = (("free_poisson", "semicircular",
               '{"type": "tuple", "mode": "identical", "k": null, "base": "semicircular"}',
               '{"type": "tuple", "mode": "identical", "k": 2, "base": 5}',
               '{"type": "tuple", "mode": "free_family", "components": 3}'))
+# verify formula takes crossing patterns; its broken half also holds a
+# well-formed partition one point above the St arity guard, put first like
+# the suite's k_max above its cap so that the derandomized draws reach it.
+FORMULA_PARTITIONS = (PARTITIONS[0] + ("((1,3)(2,4))", "((1,2,3,4,5,6))"),
+                      ("((" + ",".join(map(str, range(1, 12))) + "))",) + PARTITIONS[1][1:])
 RATIONALS = (("1", "3/2", "1/3"), ("0", "-1", "1/0", "x", ""))
 K_MAX = (("1", "2", "3"), ("0", "-1", "x", ""))
+SUITE_K_MAX = (K_MAX[0], ("7",) + K_MAX[1])  # above the suite cap
 OUTPUT = {"--output": (("json", "csv"), ("xml",))}
 # Never dropped, so that no command runs at its default size.
 SIZE_FLAGS = ("--dim", "--trials", "--n", "--k-max")
@@ -65,7 +71,7 @@ def _commands(files=((), ())):
             "--moments": (("1,2,5,14", "1", "0,1", "1/2,3"), ("1,,2", "", "x", "1/0")),
             **OUTPUT}, ("--moments",)),
         (["cumulants", "from-moments"], {"--functional": files, **OUTPUT}, ("--functional",)),
-        (["verify", "suite"], {"--process": PROCESSES, "--k-max": K_MAX, **OUTPUT},
+        (["verify", "suite"], {"--process": PROCESSES, "--k-max": SUITE_K_MAX, **OUTPUT},
          ("--k-max",)),
         (["verify", "main-theorem"], {"--process": PROCESSES, "--k-max": K_MAX,
                                       "--order": (("L1", "L2", "both"), ("L3",)),
@@ -73,7 +79,7 @@ def _commands(files=((), ())):
         (["verify", "examples"], {"--which": (("free_poisson", "brownian"), ("other",)),
                                   "--k-max": K_MAX, "--t": RATIONALS, **OUTPUT},
          ("--which", "--k-max")),
-        (["verify", "formula"], {"--partition": PARTITIONS, "--process": PROCESSES,
+        (["verify", "formula"], {"--partition": FORMULA_PARTITIONS, "--process": PROCESSES,
                                  "--t": RATIONALS, **OUTPUT}, ("--partition",)),
         (["simulate", "calibrate"], {
             "--model": (("poisson_sps", "gaussian_increments"), ("other",)),

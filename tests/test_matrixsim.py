@@ -167,9 +167,7 @@ def test_st_matrix_trace_matches_exact_engine():
 def test_word_traces_match_exact_engine_at_scale():
     # mean traces of words of specific increments, against the per-tuple
     # mixed moments from the cumulant transform
-    from freestoch.processes import tuple_increment_cumulants
-
-    from helpers import moments_from_cumulants
+    from helpers import moments_from_cumulants, tuple_increment_cumulants
 
     sub = Subdivision.of(["1/3", "2/3"])
     cfg = MatrixEnsembleConfig(dim=300, trials=200, seed=77, model="poisson_sps")

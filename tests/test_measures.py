@@ -19,7 +19,6 @@ from freestoch.measures import (
     limit_expect_st,
     limit_product_of_st,
     main_theorem_residual,
-    st_report,
     st_uniform_formula,
 )
 from freestoch.partitions import (
@@ -46,6 +45,7 @@ from helpers import (
     brute_expect_st,
     catalan,
     process_fixtures,
+    st_report,
 )
 
 POISSON2 = make_tuple(make_free_poisson(1), "identical", k=2)
@@ -173,9 +173,7 @@ def test_psi2_squared_matches_brute_force():
     # double off-diagonal sum: every pair of exact-pattern tuples, moments
     # computed through the cumulant transform rather than the engine
     from freestoch.partitions import iter_exact_index_tuples
-    from freestoch.processes import tuple_increment_cumulants
-
-    from helpers import moments_from_cumulants
+    from helpers import moments_from_cumulants, tuple_increment_cumulants
 
     sub = Subdivision.uniform(4)
     zero2 = Partition.zero_hat(2)
@@ -337,6 +335,18 @@ def test_engine_guards():
     spec13 = make_tuple(make_free_poisson(1), "identical", k=13)
     with pytest.raises(SizeGuardError):
         limit_product_of_st([(Partition.zero_hat(13), "st")], spec13)
+
+
+def test_st_arity_guard_holds_at_10_and_trips_at_11():
+    # one interval: St of 1-hat is the full moment, Catalan(k) for free Poisson
+    base = make_free_poisson(1)
+    spec10 = make_tuple(base, "identical", k=10)
+    assert expect_st(Partition.one_hat(10), Subdivision.uniform(1), spec10) == catalan(10)
+    spec11 = make_tuple(base, "identical", k=11)
+    for call in (lambda: expect_st(Partition.one_hat(11), Subdivision.uniform(1), spec11),
+                 lambda: st_uniform_formula(Partition.one_hat(11), spec11)):
+        with pytest.raises(SizeGuardError, match="St arity 11 exceeds guard 10"):
+            call()
 
 
 def test_suite_and_product_keep_the_n_guard():

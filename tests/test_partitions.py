@@ -18,14 +18,18 @@ from freestoch.partitions import (
     kreweras,
     meet,
     mobius,
-    mobius_zero_hat_full,
     opposite,
     refines,
     restrict,
-    rotate,
 )
 
-from helpers import bell_numbers, catalan, set_partitions_by_insertion
+from helpers import (
+    bell_numbers,
+    catalan,
+    mobius_zero_hat_full,
+    rotate,
+    set_partitions_by_insertion,
+)
 
 PAPER_EXAMPLE = "((1,6,7)(2,5)(3)(4)(8)(9,10))"
 

@@ -10,7 +10,6 @@ from freestoch.processes import (
     Subdivision,
     derived_diagonal_tuple,
     free_family,
-    increment_cumulant,
     make_custom_process,
     make_free_poisson,
     make_semicircular,
@@ -21,7 +20,12 @@ from freestoch.processes import (
 )
 from freestoch.measures import exact_moment
 
-from helpers import CUSTOM_SEQ, diagonal_substitution_residual, process_fixtures
+from helpers import (
+    CUSTOM_SEQ,
+    diagonal_substitution_residual,
+    increment_cumulant,
+    process_fixtures,
+)
 
 
 def test_free_poisson_cumulants():

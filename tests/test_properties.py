@@ -1,7 +1,7 @@
 """Property tests: closed forms, interval walks, the finite trace tables and
 the first-block recursion against whole-lattice, pattern-walk, per-subset,
-pairwise and index-tuple oracles; partitions built without the
-constructor's checks against the validating constructor.
+pairwise, per-subdivision and index-tuple oracles; partitions built without
+the constructor's checks against the validating constructor.
 
 Sizes are bounded so that the worst drawn case (the recursion over all of
 NC(8), or a product expansion over all of P(8)) stays near a second.
@@ -19,13 +19,15 @@ from freestoch.cumulants import (
     nonempty_subsets,
 )
 from freestoch.measures import (
+    TraceTable,
     _product_patterns,
     exact_moment,
-    expect_pr,
     expect_product_of_st,
     expect_st,
     identity_suite,
+    limit_expect_st,
     limit_product_of_st,
+    st_uniform_formula,
 )
 from freestoch.partitions import (
     Partition,
@@ -34,6 +36,7 @@ from freestoch.partitions import (
     enumerate_set_partitions,
     is_noncrossing,
     join,
+    kreweras,
     meet,
     mobius,
     refines,
@@ -50,6 +53,7 @@ from freestoch.processes import (
 
 from helpers import (
     CUSTOM_SEQ,
+    FiniteTraces,
     brute_expect_pr,
     brute_expect_st,
     cumulant_functional_by_subsets,
@@ -60,6 +64,7 @@ from helpers import (
     process_fixtures,
     product_patterns_by_filter,
     recursive_mobius,
+    rotate,
 )
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True)
@@ -158,13 +163,37 @@ def test_finite_product_walk_matches_lattice_filter(factors):
     assert expect_product_of_st(factors, spec, sub) == oracle
 
 
-@settings(PROPERTY_SETTINGS, max_examples=40)
-@given(st.integers(1, 4).flatmap(lambda k: st.sampled_from(enumerate_set_partitions(k))),
-       subdivisions(4), st.sampled_from(sorted(process_fixtures())))
-def test_finite_traces_match_index_tuple_sums(p, sub, name):
+@settings(PROPERTY_SETTINGS, max_examples=12)
+@given(subdivisions(4), st.sampled_from(sorted(process_fixtures())))
+def test_finite_traces_match_index_tuple_sums(sub, name):
+    # one table per k serves every p, as in the identity suite
+    for k in range(1, 5):
+        spec = make_tuple(process_fixtures()[name], "identical", k=k)
+        table, oracle = TraceTable(spec), FiniteTraces(spec, sub)
+        value = table.at(sub)
+        for p in enumerate_set_partitions(k):
+            assert value(table.st(p)) == oracle.st(p) == brute_expect_st(p, sub, spec), p
+            assert value(table.pr(p)) == oracle.pr(p) == brute_expect_pr(p, sub, spec), p
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda k: st.sampled_from(enumerate_set_partitions(k))),
+       st.integers(1, 64), st.sampled_from(sorted(process_fixtures())),
+       st.sampled_from((Fraction(1), Fraction(3, 2))))
+def test_uniform_formula_matches_the_oracle_at_uniform_subdivisions(p, n, name, t):
     spec = make_tuple(process_fixtures()[name], "identical", k=p.k)
-    assert expect_st(p, sub, spec) == brute_expect_st(p, sub, spec)
-    assert expect_pr(p, sub, spec) == brute_expect_pr(p, sub, spec)
+    oracle = FiniteTraces(spec, Subdivision.uniform(n, t)).st(p)
+    assert st_uniform_formula(p, spec, t).evaluate(n) == oracle
+
+
+def test_uniform_formula_constant_term_is_the_mesh_limit():
+    for name, base in process_fixtures().items():
+        for k in range(1, 6):
+            spec = make_tuple(base, "identical", k=k)
+            for p in enumerate_set_partitions(k):
+                for t in (Fraction(1), Fraction(2, 3)):
+                    assert (st_uniform_formula(p, spec, t).coeffs.get(0, 0)
+                            == limit_expect_st(p, spec, t)), (name, p, t)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=6)
@@ -239,6 +268,37 @@ def test_meet_and_join_obey_the_lattice_laws(abc):
     assert refines(a, b) == (meet(a, b) == a) == (join(a, b) == b)
     for q in (meet(a, b), join(a, b)):
         assert q == _validated(q)
+
+
+@st.composite
+def noncrossing_partitions(draw, k_min: int, k_max: int):
+    """A noncrossing partition of [k], built by the first-block split: the
+    block of a segment's first point leaves gaps that are filled apart."""
+    k = draw(st.integers(k_min, k_max))
+    blocks = []
+
+    def fill(segment):
+        if not segment:
+            return
+        first, rest = segment[0], segment[1:]
+        block = [first] + [x for x in rest if draw(st.booleans())]
+        blocks.append(block)
+        bounds = block + [segment[-1] + 1]
+        for lo, hi in zip(bounds, bounds[1:]):
+            fill([x for x in rest if lo < x < hi])
+
+    fill(list(range(1, k + 1)))
+    return Partition.of(blocks, k)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(noncrossing_partitions(9, 12))
+def test_kreweras_double_complement_is_a_rotation(p):
+    # the exhaustive test in test_partitions stops at k = 8
+    assert is_noncrossing(p)
+    kkp = kreweras(kreweras(p))
+    assert kkp == rotate(p, -1)
+    assert p.num_blocks + kreweras(p).num_blocks == p.k + 1
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
