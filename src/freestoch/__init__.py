@@ -20,10 +20,7 @@ from .partitions import (
     enumerate_noncrossing,
     enumerate_set_partitions,
     is_noncrossing,
-    join,
-    kernel_index_counts,
     kreweras,
-    meet,
     mobius,
     opposite,
     refines,
@@ -32,7 +29,6 @@ from .cumulants import (
     CumulantFunctional,
     MomentFunctional,
     cumulant_functional,
-    mixed_cumulant_vanishing_check,
     moment_functional,
 )
 from .processes import (

@@ -36,6 +36,7 @@ from .measures import (
     st_uniform_formula,
 )
 from .partitions import (
+    MAX_NONCROSSING_ENUMERATION,
     Partition,
     classify_classes,
     enumerate_noncrossing,
@@ -223,12 +224,20 @@ def _cmd_verify_suite(args) -> int:
     return 0 if _passed(records) else 1
 
 
+def _check_l2_k_max(k_max: int) -> None:
+    """L2 checks at k take limit products of arity 2k: refuse before any work."""
+    if k_max > MAX_LIMIT_ARITY // 2:
+        raise SizeGuardError(f"L2 at k={k_max} needs arity {2 * k_max} > {MAX_LIMIT_ARITY}")
+
+
 def _cmd_verify_main_theorem(args) -> int:
     base = _parse_process(args.process)
     orders = ["L1", "L2"] if args.order == "both" else [args.order]
-    if "L2" in orders and 2 * args.k_max > MAX_LIMIT_ARITY:
-        raise SizeGuardError(f"L2 at k={args.k_max} needs arity {2 * args.k_max} "
-                             f"> {MAX_LIMIT_ARITY}")
+    if "L2" in orders:
+        _check_l2_k_max(args.k_max)
+    elif args.k_max > MAX_NONCROSSING_ENUMERATION:
+        raise SizeGuardError(f"k={args.k_max} outside enumeration guard "
+                             f"[1, {MAX_NONCROSSING_ENUMERATION}]")
     records = []
     for k in range(1, args.k_max + 1):
         spec = make_tuple(base, "identical", k=k)
@@ -260,6 +269,7 @@ def _cmd_verify_formula(args) -> int:
 
 
 def _cmd_verify_examples(args) -> int:
+    _check_l2_k_max(args.k_max)
     records = []
     for k in range(1, args.k_max + 1):
         for p in enumerate_noncrossing(k):
@@ -442,7 +452,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, DimensionError, SizeGuardError, CrossingPartitionError,
-            OSError, KeyError, json.JSONDecodeError) as exc:
+            OSError, KeyError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

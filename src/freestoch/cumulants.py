@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionError, SizeGuardError
-from .partitions import Partition, first_block_sum
+from .errors import SizeGuardError
+from .partitions import first_block_sum
 from .rational import format_rational, parse_rational
 
 Subset = tuple[int, ...]
@@ -62,12 +62,6 @@ class _SubsetFunctional:
             raise ValueError(f"need {k} orders, got {len(seq)}")
         return cls(k, {b: seq[len(b) - 1] for b in nonempty_subsets(k)})
 
-    def on_partition(self, p: Partition) -> Fraction:
-        out = Fraction(1)
-        for block in p.blocks:
-            out *= self.values[block]
-        return out
-
 
 @dataclass(frozen=True)
 class MomentFunctional(_SubsetFunctional):
@@ -76,22 +70,7 @@ class MomentFunctional(_SubsetFunctional):
 
 @dataclass(frozen=True)
 class CumulantFunctional(_SubsetFunctional):
-    """Joint free cumulants R(B; A), with optional freeness and norm data.
-
-    `freeness` partitions the component indices into freely independent
-    families; `norms` are per-component norm bounds used only by the
-    16^k bound check.
-    """
-
-    freeness: Partition | None = None
-    norms: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.freeness is not None and self.freeness.k != self.k:
-            raise DimensionError("freeness partition arity mismatch")
-        if self.norms is not None and len(self.norms) != self.k:
-            raise DimensionError("need one norm per component")
+    """Joint free cumulants R(B; A) of a k-tuple."""
 
 
 def _mask(subset: Subset) -> int:
@@ -133,34 +112,6 @@ def cumulant_functional(m: MomentFunctional) -> CumulantFunctional:
         cumulants[s] = moments[s] - first_block_sum(s, bits, cumulants.__getitem__,
                                                     moments.__getitem__)
     return CumulantFunctional(m.k, _unmasked(m.k, cumulants))
-
-
-def mixed_cumulant_vanishing_check(r: CumulantFunctional) -> bool:
-    """True iff R vanishes on every subset meeting two free families.
-
-    Vacuously true when no freeness structure is declared.
-    """
-    if r.freeness is None:
-        return True
-    labels = r.freeness.rgs()
-    for b, value in r.values.items():
-        families = {labels[i - 1] for i in b}
-        if len(families) > 1 and value != 0:
-            return False
-    return True
-
-
-def norm_bound_ok(r: CumulantFunctional) -> bool:
-    """Check |R(B)| <= 16^|B| * prod of declared component norms."""
-    if r.norms is None:
-        return True
-    for b, value in r.values.items():
-        bound = Fraction(16) ** len(b)
-        for i in b:
-            bound *= abs(r.norms[i - 1])
-        if abs(value) > bound:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

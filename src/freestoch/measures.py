@@ -47,14 +47,12 @@ from .processes import (
 )
 from .rational import format_rational
 
-# Guards for the direct finite-subdivision sums; the uniform closed form
-# has no N limit.  An St trace of arity k sums over the noncrossing
-# refinements of its pattern, all of NC(k) for 1-hat.  Product expansions
-# cap the concatenated arity: the finite ones walk every admissible
-# coarsening, the limits run the first-block recursion over at most
-# 2^arity sets of blocks.  The identity suite covers all of P(k) per k.
-MAX_DIRECT_BLOCKS = 5
-MAX_DIRECT_N = 64
+# Arity guards; no trace depends on N beyond its k + 1 power sums.  An St
+# trace of arity k sums over the noncrossing refinements of its pattern,
+# all of NC(k) for 1-hat.  Product expansions cap the concatenated arity:
+# the finite ones walk every admissible coarsening, the limits run the
+# first-block recursion over at most 2^arity sets of blocks.  The identity
+# suite covers all of P(k) per k.
 MAX_ST_ARITY = 10
 MAX_PRODUCT_ARITY = 8
 MAX_LIMIT_ARITY = 12
@@ -184,12 +182,6 @@ class TraceTable:
         return value
 
 
-def _check_n(sub: Subdivision, max_n: int | None = None) -> None:
-    max_n = MAX_DIRECT_N if max_n is None else max_n
-    if sub.n > max_n:
-        raise SizeGuardError(f"N = {sub.n} exceeds direct-sum guard {max_n}")
-
-
 def _check_st(p: Partition, spec: ProcessSpec) -> None:
     if p.k != spec.k:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
@@ -197,14 +189,9 @@ def _check_st(p: Partition, spec: ProcessSpec) -> None:
         raise SizeGuardError(f"St arity {p.k} exceeds guard {MAX_ST_ARITY}")
 
 
-def expect_st(p: Partition, sub: Subdivision, spec: ProcessSpec,
-              max_blocks: int | None = None, max_n: int | None = None) -> Fraction:
+def expect_st(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
     """Trace of St_p(X, S), indices distinct across blocks (TraceTable.st)."""
     _check_st(p, spec)
-    max_blocks = MAX_DIRECT_BLOCKS if max_blocks is None else max_blocks
-    if p.num_blocks > max_blocks:
-        raise SizeGuardError(f"|p| = {p.num_blocks} exceeds direct-sum guard {max_blocks}")
-    _check_n(sub, max_n)
     table = TraceTable(spec)
     return table.at(sub)(table.st(p))
 
@@ -312,7 +299,6 @@ def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fracti
     if not factors:
         return Fraction(1)
     patterns = _product_patterns(factors, spec)
-    _check_n(sub)
     table = TraceTable(spec)
     value = table.at(sub)
     return sum((value(table.st(sigma)) for sigma in patterns), Fraction(0))
@@ -418,8 +404,6 @@ def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=
         right = rhs.scalar * limit_expect_st(Partition.zero_hat(derived.k), derived, t)
         return left - right
     if order == "L2":
-        if 2 * p.k > MAX_LIMIT_ARITY:
-            raise SizeGuardError(f"L2 at k={p.k} needs arity {2 * p.k} > {MAX_LIMIT_ARITY}")
         return l2_residual(lhs, rhs, t)
     raise ValueError(f"unknown order {order!r}")
 
@@ -442,8 +426,6 @@ def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t
         return limit_expect_st(p, spec, t) - scalar * limit_expect_st(
             outer_part, spec.restrict(support), t)
     if order == "L2":
-        if 2 * p.k > MAX_LIMIT_ARITY:
-            raise SizeGuardError(f"L2 at k={p.k} needs arity {2 * p.k} > {MAX_LIMIT_ARITY}")
         return l2_residual(_st_word(p, spec), rhs, t)
     raise ValueError(f"unknown order {order!r}")
 
@@ -571,7 +553,6 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
         above = [(p, [(s, mobius(p, s, "full")) for s in coarsenings(p)]) for p in lattice]
         table = TraceTable(spec)
         for sub in battery:
-            _check_n(sub)
             value, where = table.at(sub), sub.describe()
             st = {p: value(table.st(p)) for p in lattice}
             pr = {p: value(table.pr(p)) for p in lattice}
@@ -585,9 +566,8 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
         for p in enumerate_noncrossing(k):
             records.append(_record("inner_peeling_l1", p, process_name, "limit",
                                    inner_peeling_residual(p, spec, "L1")))
-            if 2 * k <= MAX_LIMIT_ARITY:
-                records.append(_record("inner_peeling_l2", p, process_name, "limit",
-                                       inner_peeling_residual(p, spec, "L2")))
+            records.append(_record("inner_peeling_l2", p, process_name, "limit",
+                                   inner_peeling_residual(p, spec, "L2")))
         for sizes in _compositions(k):
             nesting = interval_partition(sizes)
             records.append(_record("diagonal_nesting", nesting, process_name, "limit",

@@ -1,9 +1,8 @@
 """Set partitions of [k] and their lattice structure.
 
 Covers enumeration of the full and noncrossing lattices, the refinement
-order with meet/join, Kreweras complements, inner/outer classification,
-the Mobius function of both lattices, and counting/iteration of index
-tuples whose coincidence pattern matches a partition.
+order, Kreweras complements, inner/outer classification, noncrossing
+refinements and coarsenings, and the Mobius function of both lattices.
 
 Partitions are kept in canonical block form (each block sorted, blocks
 ordered by their minima), so values are hashable, comparable, and the
@@ -22,10 +21,9 @@ from functools import lru_cache
 
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
 
-# Enumeration guards.  Callers may pass an explicit max_k to raise them.
+# Enumeration guards.
 MAX_FULL_ENUMERATION = 10
 MAX_NONCROSSING_ENUMERATION = 12
-MAX_INDEX_TUPLES = 2_000_000
 
 # Bound of every per-partition lru_cache below, far above the few thousand
 # entries a long exact session keeps live.
@@ -152,46 +150,57 @@ def _all_set_partitions(k: int) -> tuple[Partition, ...]:
     return tuple(Partition.from_rgs(r) for r in _rgs_strings(k))
 
 
-def _nc_block_lists(segment: tuple[int, ...]):
-    """Noncrossing partitions of a sorted segment, as lists of blocks.
+def _nc_block_lists(segment: tuple[int, ...], labels=None):
+    """Noncrossing partitions of a sorted segment, as lists of blocks in
+    canonical order; with labels, only those whose blocks keep to one label.
 
-    The block of the smallest point splits the rest into independent gaps;
-    no block may straddle a gap boundary without crossing it.
+    The block of the smallest point takes later points of its label only
+    and splits the rest into independent gaps; no block may straddle a gap
+    boundary without crossing it.
     """
     if not segment:
         yield []
         return
     first, rest = segment[0], segment[1:]
-    for r in range(len(rest) + 1):
-        for tail in itertools.combinations(rest, r):
+    mates = rest if labels is None else [x for x in rest if labels[x - 1] == labels[first - 1]]
+    for r in range(len(mates) + 1):
+        for tail in itertools.combinations(mates, r):
             block = (first,) + tail
             bounds = list(block) + [segment[-1] + 1]
             gaps = [
                 tuple(x for x in rest if lo < x < hi)
                 for lo, hi in zip(bounds, bounds[1:])
             ]
-            for combo in itertools.product(*map(_nc_block_lists, gaps)):
+            for combo in itertools.product(*(_nc_block_lists(g, labels) for g in gaps)):
                 yield [block] + [b for sub in combo for b in sub]
 
 
-@lru_cache(maxsize=None)
-def _all_noncrossing(k: int) -> tuple[Partition, ...]:
-    parts = [Partition.of(bs, k) for bs in _nc_block_lists(tuple(range(1, k + 1)))]
+def _noncrossing_below(k: int, labels=None) -> tuple[Partition, ...]:
+    """NC(k), or its members below the partition with these labels, in
+    restricted-growth-string order."""
+    parts = [Partition._trusted(k, tuple(bs))
+             for bs in _nc_block_lists(tuple(range(1, k + 1)), labels)]
     parts.sort(key=Partition.rgs)
     return tuple(parts)
 
 
-def enumerate_set_partitions(k: int, max_k: int = MAX_FULL_ENUMERATION) -> list[Partition]:
+@lru_cache(maxsize=None)
+def _all_noncrossing(k: int) -> tuple[Partition, ...]:
+    return _noncrossing_below(k)
+
+
+def enumerate_set_partitions(k: int) -> list[Partition]:
     """All of P(k), ordered lexicographically by restricted-growth string."""
-    if not 1 <= k <= max_k:
-        raise SizeGuardError(f"k={k} outside enumeration guard [1, {max_k}]")
+    if not 1 <= k <= MAX_FULL_ENUMERATION:
+        raise SizeGuardError(f"k={k} outside enumeration guard [1, {MAX_FULL_ENUMERATION}]")
     return list(_all_set_partitions(k))
 
 
-def enumerate_noncrossing(k: int, max_k: int = MAX_NONCROSSING_ENUMERATION) -> list[Partition]:
+def enumerate_noncrossing(k: int) -> list[Partition]:
     """All of NC(k), in the same restricted-growth-string order."""
-    if not 1 <= k <= max_k:
-        raise SizeGuardError(f"k={k} outside enumeration guard [1, {max_k}]")
+    if not 1 <= k <= MAX_NONCROSSING_ENUMERATION:
+        raise SizeGuardError(
+            f"k={k} outside enumeration guard [1, {MAX_NONCROSSING_ENUMERATION}]")
     return list(_all_noncrossing(k))
 
 
@@ -232,43 +241,6 @@ def refines(s: Partition, p: Partition) -> bool:
         if any(plabels[el - 1] != lab for el in block[1:]):
             return False
     return True
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def meet(s: Partition, p: Partition) -> Partition:
-    """Common refinement: blockwise intersections, empty ones dropped."""
-    _check_same_k(s, p)
-    groups: dict[tuple[int, int], list[int]] = {}
-    sl, pl = s.rgs(), p.rgs()
-    for el in range(1, s.k + 1):
-        groups.setdefault((sl[el - 1], pl[el - 1]), []).append(el)
-    return Partition.of(groups.values(), s.k)
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def join(s: Partition, p: Partition) -> Partition:
-    """Finest common coarsening: transitive closure of the union relation."""
-    _check_same_k(s, p)
-    parent = list(range(s.k + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for block in s.blocks + p.blocks:
-        for a, b in zip(block, block[1:]):
-            union(a, b)
-    groups: dict[int, list[int]] = {}
-    for el in range(1, s.k + 1):
-        groups.setdefault(find(el), []).append(el)
-    return Partition.of(groups.values(), s.k)
 
 
 def kreweras(p: Partition) -> Partition:
@@ -426,8 +398,9 @@ def first_block_sum(units: int, bits, weight, value, tags=None) -> Fraction:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def noncrossing_refinements(p: Partition) -> tuple[Partition, ...]:
-    """All rho in NC(k) with rho <= p."""
-    return tuple(r for r in _all_noncrossing(p.k) if refines(r, p))
+    """All rho in NC(k) with rho <= p, in restricted-growth-string order: the
+    noncrossing walk with each block kept inside one block of p."""
+    return _noncrossing_below(p.k, p.rgs())
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +409,10 @@ def noncrossing_refinements(p: Partition) -> tuple[Partition, ...]:
 
 @dataclass(frozen=True)
 class ClassSplit:
-    """Outer/inner decomposition of a noncrossing partition.
-
-    `covered_sets[i]` is the full integer interval spanned by `outer[i]`;
-    inner blocks each sit inside exactly one covered set.
-    """
+    """Outer/inner decomposition of a noncrossing partition."""
 
     outer: tuple[Block, ...]
     inner: tuple[Block, ...]
-    covered_sets: tuple[frozenset, ...]
 
     @property
     def outer_count(self) -> int:
@@ -457,7 +425,7 @@ class ClassSplit:
 
 def classify_classes(p: Partition) -> ClassSplit:
     """Split blocks into inner (strictly enclosed by another block's span)
-    and outer, with the covered interval of each outer block."""
+    and outer."""
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
     spans = [(b[0], b[-1]) for b in p.blocks]
@@ -468,8 +436,7 @@ def classify_classes(p: Partition) -> ClassSplit:
             for other, (olo, ohi) in zip(p.blocks, spans)
         )
         (inner if covered else outer).append(b)
-    covered_sets = tuple(frozenset(range(b[0], b[-1] + 1)) for b in outer)
-    return ClassSplit(tuple(outer), tuple(inner), covered_sets)
+    return ClassSplit(tuple(outer), tuple(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -515,35 +482,3 @@ def mobius(s: Partition, p: Partition, lattice: str = "full") -> Fraction:
         for n in Counter(plabels[block[0] - 1] for block in s.blocks).values():
             out *= _mu_full(n)
     return Fraction(out)
-
-
-# ---------------------------------------------------------------------------
-# index tuples
-
-
-def kernel_index_counts(p: Partition, n: int) -> tuple[int, int]:
-    """(|[N]^k with pattern exactly p|, |[N]^k with pattern >= p|)."""
-    if n < 1:
-        raise ValueError("N must be positive")
-    m = p.num_blocks
-    return math.perm(n, m), n**m
-
-
-def iter_exact_index_tuples(p: Partition, n: int, max_tuples: int = MAX_INDEX_TUPLES):
-    """Tuples v in [N]^k whose coincidence pattern is exactly p."""
-    m = p.num_blocks
-    if n**m > max_tuples:
-        raise SizeGuardError(f"N^|p| = {n ** m} exceeds iteration guard")
-    labels = p.rgs()
-    for assignment in itertools.permutations(range(1, n + 1), m):
-        yield tuple(assignment[labels[i]] for i in range(p.k))
-
-
-def iter_geq_index_tuples(p: Partition, n: int, max_tuples: int = MAX_INDEX_TUPLES):
-    """Tuples v in [N]^k constant on the blocks of p (pattern >= p)."""
-    m = p.num_blocks
-    if n**m > max_tuples:
-        raise SizeGuardError(f"N^|p| = {n ** m} exceeds iteration guard")
-    labels = p.rgs()
-    for assignment in itertools.product(range(1, n + 1), repeat=m):
-        yield tuple(assignment[labels[i]] for i in range(p.k))

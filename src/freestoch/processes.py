@@ -73,11 +73,6 @@ class ProcessSpec:
     """A consistent tuple of free stochastic measures, one word per component."""
 
     words: tuple[tuple[Atom, ...], ...]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.labels and len(self.labels) != len(self.words):
-            raise DimensionError("one label per component")
 
     @property
     def k(self) -> int:
@@ -106,10 +101,6 @@ class ProcessSpec:
         """Sub-tuple of the chosen components, in the given order."""
         return ProcessSpec(tuple(self.words[i - 1] for i in indices))
 
-    def reverse(self) -> "ProcessSpec":
-        """The tuple read backwards (adjoint order), each word reversed."""
-        return ProcessSpec(tuple(w[::-1] for w in reversed(self.words)))
-
     def atoms(self) -> tuple[Atom, ...]:
         seen: dict[Atom, None] = {}
         for w in self.words:
@@ -127,12 +118,12 @@ def make_free_poisson(rate) -> ProcessSpec:
     rate = Fraction(rate)
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    return ProcessSpec(((_new_atom("poisson", (rate,)),),), ("poisson",))
+    return ProcessSpec(((_new_atom("poisson", (rate,)),),))
 
 
 def make_semicircular() -> ProcessSpec:
     """One centered component with unit variance and no higher cumulants."""
-    return ProcessSpec(((_new_atom("semicircular", ()),),), ("semicircular",))
+    return ProcessSpec(((_new_atom("semicircular", ()),),))
 
 
 def make_custom_process(seq) -> ProcessSpec:
@@ -140,7 +131,7 @@ def make_custom_process(seq) -> ProcessSpec:
     data = tuple(Fraction(x) for x in seq)
     if not data:
         raise ValueError("need at least r_1")
-    return ProcessSpec(((_new_atom("custom", data),),), ("custom",))
+    return ProcessSpec(((_new_atom("custom", data),),))
 
 
 def make_tuple(base: ProcessSpec, mode: str, k: int | None = None) -> ProcessSpec:
@@ -153,7 +144,7 @@ def make_tuple(base: ProcessSpec, mode: str, k: int | None = None) -> ProcessSpe
         raise DimensionError("identical copies need a single-component base")
     if k is None or k < 1:
         raise ValueError("identical copies need k >= 1")
-    return ProcessSpec((base.words[0],) * k, tuple(f"copy{i + 1}" for i in range(k)))
+    return ProcessSpec((base.words[0],) * k)
 
 
 def free_family(specs: list[ProcessSpec]) -> ProcessSpec:
@@ -161,15 +152,12 @@ def free_family(specs: list[ProcessSpec]) -> ProcessSpec:
     structure but gets fresh atoms, so cumulants across inputs vanish (this
     holds even if the same spec object is passed twice)."""
     words: list[tuple[Atom, ...]] = []
-    labels: list[str] = []
-    for s_idx, spec in enumerate(specs):
+    for spec in specs:
         fresh = {a: _new_atom(a.kind, a.data) for a in spec.atoms()}
-        for c_idx, w in enumerate(spec.words):
-            words.append(tuple(fresh[a] for a in w))
-            labels.append(f"f{s_idx + 1}c{c_idx + 1}")
+        words.extend(tuple(fresh[a] for a in w) for w in spec.words)
     if not words:
         raise ValueError("free_family needs at least one component")
-    return ProcessSpec(tuple(words), tuple(labels))
+    return ProcessSpec(tuple(words))
 
 
 def derived_diagonal_tuple(spec: ProcessSpec, groups) -> ProcessSpec:
@@ -186,8 +174,7 @@ def derived_diagonal_tuple(spec: ProcessSpec, groups) -> ProcessSpec:
     for g in groups:
         if any(not 1 <= i <= spec.k for i in g):
             raise DimensionError(f"group {g} outside [1, {spec.k}]")
-    words = tuple(spec.subset_word(sorted(g)) for g in groups)
-    return ProcessSpec(words, tuple(f"diag{j + 1}" for j in range(len(groups))))
+    return ProcessSpec(tuple(spec.subset_word(sorted(g)) for g in groups))
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +212,6 @@ class Subdivision:
     def n(self) -> int:
         return len(self.lengths)
 
-    @property
-    def mesh(self) -> Fraction:
-        return max(self.lengths)
-
     def describe(self) -> str:
         if len(set(self.lengths)) == 1:
             return f"uniform(N={self.n},t={format_rational(self.t)})"
@@ -237,34 +220,6 @@ class Subdivision:
 
 # ---------------------------------------------------------------------------
 # JSON descriptors
-
-
-def spec_to_descriptor(spec: ProcessSpec) -> dict:
-    atoms = spec.atoms()
-    if len(atoms) == 1 and all(len(w) == 1 for w in spec.words):
-        atom = atoms[0]
-        base = _atom_descriptor(atom)
-        if spec.k == 1:
-            return base
-        return {"type": "tuple", "mode": "identical", "k": spec.k, "base": base}
-    if all(len(w) == 1 for w in spec.words) and len(atoms) == spec.k:
-        return {
-            "type": "tuple",
-            "mode": "free_family",
-            "components": [_atom_descriptor(w[0]) for w in spec.words],
-        }
-    raise ValueError("no descriptor for derived or mixed tuples")
-
-
-def _atom_descriptor(atom: Atom) -> dict:
-    if atom.kind == "poisson":
-        return {"type": "free_poisson", "rate": format_rational(atom.data[0])}
-    if atom.kind == "semicircular":
-        return {"type": "semicircular"}
-    return {
-        "type": "custom",
-        "cumulants": {str(i + 1): format_rational(v) for i, v in enumerate(atom.data)},
-    }
 
 
 def spec_from_descriptor(obj) -> ProcessSpec:

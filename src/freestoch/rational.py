@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a plain integer string) into an exact rational."""

@@ -231,6 +231,32 @@ def test_l2_runs_to_k6_and_refuses_k7(capsys):
         "error: L2 at k=7 needs arity 14 > 12"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "main-theorem", "--order", "L1", "--k-max", "13"],
+     "error: k=13 outside enumeration guard [1, 12]"),
+    (["verify", "main-theorem", "--order", "both", "--k-max", "7"],
+     "error: L2 at k=7 needs arity 14 > 12"),
+    (["verify", "examples", "--which", "free_poisson", "--k-max", "7"],
+     "error: L2 at k=7 needs arity 14 > 12"),
+])
+def test_k_max_caps_exit_2_before_any_work(capsys, monkeypatch, argv, error):
+    def no_work(k):
+        raise AssertionError(f"enumerated NC({k}) before checking the cap")
+
+    monkeypatch.setattr("freestoch.cli.enumerate_noncrossing", no_work)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [error]
+
+
+def test_unallocatable_dim_exits_2(capsys):
+    # numpy refuses the 10^7 x 10^7 draw before touching any memory
+    assert run(["simulate", "calibrate", "--dim", "10000000", "--trials", "1", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_suite_runs_to_k6_and_refuses_k7(capsys):
     assert MAX_SUITE_K == 6
     for process in ("free_poisson", "semicircular"):

@@ -37,7 +37,11 @@ FORMULA_PARTITIONS = (PARTITIONS[0] + ("((1,3)(2,4))", "((1,2,3,4,5,6))"),
                       ("((" + ",".join(map(str, range(1, 12))) + "))",) + PARTITIONS[1][1:])
 RATIONALS = (("1", "3/2", "1/3"), ("0", "-1", "1/0", "x", ""))
 K_MAX = (("1", "2", "3"), ("0", "-1", "x", ""))
-SUITE_K_MAX = (K_MAX[0], ("7",) + K_MAX[1])  # above the suite cap
+# One above each command's cap, checked before any work: the suite's, NC
+# enumeration's (main-theorem) and the L2 arity's (examples).
+SUITE_K_MAX = (K_MAX[0], ("7",) + K_MAX[1])
+MAIN_THEOREM_K_MAX = (K_MAX[0], ("13",) + K_MAX[1])
+EXAMPLES_K_MAX = (K_MAX[0], ("7",) + K_MAX[1])
 OUTPUT = {"--output": (("json", "csv"), ("xml",))}
 # Never dropped, so that no command runs at its default size.
 SIZE_FLAGS = ("--dim", "--trials", "--n", "--k-max")
@@ -73,11 +77,11 @@ def _commands(files=((), ())):
         (["cumulants", "from-moments"], {"--functional": files, **OUTPUT}, ("--functional",)),
         (["verify", "suite"], {"--process": PROCESSES, "--k-max": SUITE_K_MAX, **OUTPUT},
          ("--k-max",)),
-        (["verify", "main-theorem"], {"--process": PROCESSES, "--k-max": K_MAX,
+        (["verify", "main-theorem"], {"--process": PROCESSES, "--k-max": MAIN_THEOREM_K_MAX,
                                       "--order": (("L1", "L2", "both"), ("L3",)),
                                       "--t": RATIONALS, **OUTPUT}, ("--k-max",)),
         (["verify", "examples"], {"--which": (("free_poisson", "brownian"), ("other",)),
-                                  "--k-max": K_MAX, "--t": RATIONALS, **OUTPUT},
+                                  "--k-max": EXAMPLES_K_MAX, "--t": RATIONALS, **OUTPUT},
          ("--which", "--k-max")),
         (["verify", "formula"], {"--partition": FORMULA_PARTITIONS, "--process": PROCESSES,
                                  "--t": RATIONALS, **OUTPUT}, ("--partition",)),

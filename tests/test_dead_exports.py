@@ -1,0 +1,47 @@
+"""Every public top-level function and class of a `freestoch` module is used
+elsewhere in `src/` or exported from `freestoch/__init__.py`.  A name that
+only the tests use belongs in `tests/helpers.py`."""
+
+import ast
+import pathlib
+
+import freestoch
+
+SRC = pathlib.Path(freestoch.__file__).resolve().parent
+
+
+def _names_used(node) -> set[str]:
+    """Names read anywhere under node, bare (f) or as attributes (m.f)."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def dead_definitions(src: pathlib.Path) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    exported = {alias.name for node in trees.pop("__init__").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    # (module, top-level statement, the names it reads)
+    statements = [(module, node, _names_used(node))
+                  for module, tree in trees.items() for node in tree.body]
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in exported):
+                continue
+            if not any(node.name in used for _, other, used in statements if other is not node):
+                dead.append(f"{module}.{node.name}")
+    return dead
+
+
+def test_every_public_definition_is_used_or_exported():
+    assert dead_definitions(SRC) == []
+
+
+def test_an_unused_definition_is_reported(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text("def exported():\n    return helper()\n\n\n"
+                                   "def helper():\n    return 1\n\n\n"
+                                   "def recursive(n):\n    return recursive(n - 1)\n")
+    (tmp_path / "b.py").write_text("from . import a\n\n\nclass Unused:\n    x = a.helper\n")
+    assert dead_definitions(tmp_path) == ["a.recursive", "b.Unused"]

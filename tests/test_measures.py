@@ -4,6 +4,8 @@ import pytest
 
 from freestoch.errors import CrossingPartitionError, DimensionError, SizeGuardError
 from freestoch.measures import (
+    MAX_LIMIT_ARITY,
+    MAX_SUITE_K,
     MeasureWord,
     SUBDIVISION_BATTERY,
     free_sandwich_residual,
@@ -41,6 +43,7 @@ from freestoch.processes import (
 from helpers import (
     CENTERED_SEQ,
     CUSTOM_SEQ,
+    FiniteTraces,
     brute_expect_pr,
     brute_expect_st,
     catalan,
@@ -92,13 +95,13 @@ def test_finite_inversion_and_mobius_consistency():
             spec = make_tuple(base, "identical", k=k)
             for p in enumerate_set_partitions(k):
                 via_st = sum(
-                    (expect_st(s, sub, spec, max_blocks=k) for s in coarsenings(p)),
+                    (expect_st(s, sub, spec) for s in coarsenings(p)),
                     Fraction(0))
                 assert expect_pr(p, sub, spec) == via_st, (name, p)
                 back = sum(
                     (mobius(p, s, "full") * expect_pr(s, sub, spec) for s in coarsenings(p)),
                     Fraction(0))
-                assert expect_st(p, sub, spec, max_blocks=k) == back, (name, p)
+                assert expect_st(p, sub, spec) == back, (name, p)
 
 
 def test_uniform_formula_reproduces_finite_values():
@@ -172,8 +175,7 @@ def test_product_of_two_diagonals_is_the_second_moment():
 def test_psi2_squared_matches_brute_force():
     # double off-diagonal sum: every pair of exact-pattern tuples, moments
     # computed through the cumulant transform rather than the engine
-    from freestoch.partitions import iter_exact_index_tuples
-    from helpers import moments_from_cumulants, tuple_increment_cumulants
+    from helpers import iter_exact_index_tuples, moments_from_cumulants, tuple_increment_cumulants
 
     sub = Subdivision.uniform(4)
     zero2 = Partition.zero_hat(2)
@@ -314,6 +316,9 @@ def test_example_formulas():
 
 
 def test_identity_suite_all_fixtures():
+    # inner_peeling_l2 at k takes limit products of arity 2k: every k the
+    # suite admits fits the limit guard
+    assert 2 * MAX_SUITE_K <= MAX_LIMIT_ARITY
     for name, base in process_fixtures().items():
         records = identity_suite(base, 3, process_name=name)
         assert records and all(r["pass"] for r in records)
@@ -324,12 +329,19 @@ def test_identity_suite_all_fixtures():
 
 
 def test_engine_guards():
+    # no N or block-count guard: N = 65 and the six blocks of 0-hat_6 give
+    # the oracle's value and the uniform closed form
     spec = make_tuple(make_free_poisson(1), "identical", k=2)
-    with pytest.raises(SizeGuardError):
-        expect_st(Partition.zero_hat(2), Subdivision.uniform(65), spec)
+    zero2, sub65 = Partition.zero_hat(2), Subdivision.uniform(65)
+    assert expect_st(zero2, sub65, spec) == FiniteTraces(spec, sub65).st(zero2) \
+        == 1 - Fraction(1, 65)
     spec6 = make_tuple(make_free_poisson(1), "identical", k=6)
-    with pytest.raises(SizeGuardError):
-        expect_st(Partition.zero_hat(6), Subdivision.uniform(4), spec6)
+    zero6 = Partition.zero_hat(6)
+    for n in (4, 1000):
+        assert expect_st(zero6, Subdivision.uniform(n), spec6) == \
+            st_uniform_formula(zero6, spec6).evaluate(n)
+    sub = Subdivision.of(["1/2", "1/3", "1/6"])
+    assert expect_st(zero6, sub, spec6) == FiniteTraces(spec6, sub).st(zero6) == 0
     with pytest.raises(DimensionError):
         expect_st(Partition.zero_hat(3), Subdivision.uniform(4), spec)
     spec13 = make_tuple(make_free_poisson(1), "identical", k=13)
@@ -349,18 +361,13 @@ def test_st_arity_guard_holds_at_10_and_trips_at_11():
             call()
 
 
-def test_suite_and_product_keep_the_n_guard():
+def test_suite_and_product_run_past_n_64():
     base = make_free_poisson(1)
     factors = [(Partition.zero_hat(1), "st"), (Partition.one_hat(1), "pr")]
-    for n, fires in ((64, False), (65, True)):
+    zero2 = Partition.zero_hat(2)
+    for n in (64, 65, 200):
         sub = Subdivision.uniform(n)
         battery = (Subdivision.uniform(2), sub)
-        if fires:
-            with pytest.raises(SizeGuardError):
-                identity_suite(base, 1, battery=battery)
-            with pytest.raises(SizeGuardError):
-                expect_product_of_st(factors, POISSON2, sub)
-        else:
-            assert all(r["pass"] for r in identity_suite(base, 1, battery=battery))
-            assert expect_product_of_st(factors, POISSON2, sub) == expect_pr(
-                Partition.zero_hat(2), sub, POISSON2)
+        assert all(r["pass"] for r in identity_suite(base, 2, battery=battery))
+        value = expect_product_of_st(factors, POISSON2, sub)
+        assert value == expect_pr(zero2, sub, POISSON2) == FiniteTraces(POISSON2, sub).pr(zero2)

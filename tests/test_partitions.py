@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import freestoch.partitions as partitions_module
@@ -11,12 +13,7 @@ from freestoch.partitions import (
     enumerate_set_partitions,
     interval_partition,
     is_noncrossing,
-    iter_exact_index_tuples,
-    iter_geq_index_tuples,
-    join,
-    kernel_index_counts,
     kreweras,
-    meet,
     mobius,
     opposite,
     refines,
@@ -26,6 +23,10 @@ from freestoch.partitions import (
 from helpers import (
     bell_numbers,
     catalan,
+    iter_exact_index_tuples,
+    iter_geq_index_tuples,
+    join,
+    meet,
     mobius_zero_hat_full,
     rotate,
     set_partitions_by_insertion,
@@ -219,14 +220,15 @@ def test_classify_invariants():
         for p in enumerate_noncrossing(k):
             split = classify_classes(p)
             assert set(split.outer) | set(split.inner) == set(p.blocks)
-            # covered sets are disjoint intervals covering [k]
+            # the outer spans are disjoint intervals covering [k]
+            spans = [set(range(b[0], b[-1] + 1)) for b in split.outer]
             union = set()
-            for cov in split.covered_sets:
-                assert not (union & cov)
-                union |= cov
+            for span in spans:
+                assert not (union & span)
+                union |= span
             assert union == set(range(1, k + 1))
             for b in split.inner:
-                homes = [cov for cov in split.covered_sets if set(b) <= cov]
+                homes = [span for span in spans if set(b) <= span]
                 assert len(homes) == 1
 
 
@@ -280,16 +282,14 @@ def test_mobius_duality():
 
 
 def test_kernel_index_counts():
-    for n in (3, 5):
-        p = Partition.one_hat(3)
-        assert kernel_index_counts(p, n) == (n, n)
-    assert kernel_index_counts(Partition.zero_hat(2), 3) == (6, 9)
-    assert kernel_index_counts(Partition.zero_hat(4), 3)[0] == 0  # pigeonhole
+    # N!/(N-|p|)! tuples have pattern exactly p, N^|p| are constant on its blocks
+    assert len(list(iter_exact_index_tuples(Partition.zero_hat(2), 3))) == 6
+    assert len(list(iter_exact_index_tuples(Partition.zero_hat(4), 3))) == 0  # pigeonhole
     for k in range(1, 5):
         for p in enumerate_set_partitions(k):
-            exact, geq = kernel_index_counts(p, 4)
-            assert exact == len(list(iter_exact_index_tuples(p, 4)))
-            assert geq == len(list(iter_geq_index_tuples(p, 4)))
+            m = p.num_blocks
+            assert len(list(iter_exact_index_tuples(p, 4))) == math.perm(4, m)
+            assert len(list(iter_geq_index_tuples(p, 4))) == 4**m
 
 
 def test_index_tuples_have_the_right_pattern():

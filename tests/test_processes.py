@@ -15,7 +15,6 @@ from freestoch.processes import (
     make_semicircular,
     make_tuple,
     spec_from_descriptor,
-    spec_to_descriptor,
     word_cumulant,
 )
 from freestoch.measures import exact_moment
@@ -147,7 +146,7 @@ def test_derived_of_derived_matches_flat():
 
 def test_subdivision_validation():
     sub = Subdivision.of(["1/2", "1/3", "1/6"])
-    assert sub.t == 1 and sub.n == 3 and sub.mesh == Fraction(1, 2)
+    assert sub.t == 1 and sub.n == 3
     uni = Subdivision.uniform(4, t=2)
     assert uni.lengths == (Fraction(1, 2),) * 4
     assert "uniform" in uni.describe()
@@ -164,29 +163,33 @@ def test_restrict_and_reverse():
     sub = fam.restrict([2, 1, 2])
     assert sub.k == 3
     assert sub.unit_cumulant((1, 3)) == 1  # both are the semicircular copy
-    rev = fam.reverse()
+    rev = fam.restrict([2, 1])  # the components read backwards
     assert rev.unit_cumulant((1,)) == fam.unit_cumulant((2,))
+    assert rev.unit_cumulant((2,)) == fam.unit_cumulant((1,)) == 1
 
 
 def test_descriptor_roundtrip():
-    for desc in (
-        {"type": "free_poisson", "rate": "1/1"},
-        {"type": "semicircular"},
-        {"type": "custom", "cumulants": {"1": "1/2", "2": "1/3"}},
-        {"type": "tuple", "mode": "identical", "k": 3, "base": {"type": "semicircular"}},
-        {"type": "tuple", "mode": "free_family",
-         "components": [{"type": "free_poisson", "rate": "2/1"}, {"type": "semicircular"}]},
+    # each descriptor, sent through JSON, gives the unit cumulants it declares
+    # on the subsets of its first two components
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for desc, k, expected in (
+        ({"type": "free_poisson", "rate": "3/2"}, 1, {(1,): Fraction(3, 2)}),
+        ({"type": "semicircular"}, 1, {(1,): 0}),
+        ({"type": "custom", "cumulants": {"1": "1/2", "2": "1/3"}}, 1, {(1,): half}),
+        ({"type": "tuple", "mode": "identical", "k": 3, "base": {"type": "semicircular"}},
+         3, {(1,): 0, (2,): 0, (1, 2): 1}),
+        ({"type": "tuple", "mode": "identical", "k": 2,
+          "base": {"type": "custom", "cumulants": {"1": "1/2", "2": "1/3"}}},
+         2, {(1,): half, (2,): half, (1, 2): third}),
+        ({"type": "tuple", "mode": "free_family",
+          "components": [{"type": "free_poisson", "rate": "2/1"}, {"type": "semicircular"}]},
+         2, {(1,): 2, (2,): 0, (1, 2): 0}),
     ):
-        spec = spec_from_descriptor(desc)
-        again = spec_from_descriptor(spec_to_descriptor(spec))
-        assert again.k == spec.k
-        from freestoch.cumulants import nonempty_subsets
-
-        for b in nonempty_subsets(min(spec.k, 2)):
-            assert again.unit_cumulant(b) == spec.unit_cumulant(b)
+        spec = spec_from_descriptor(json.loads(json.dumps(desc)))
+        assert spec.k == k
+        assert {b: spec.unit_cumulant(b) for b in expected} == expected, desc
     assert spec_from_descriptor("free_poisson").unit_cumulant((1,)) == 1
-    assert json.loads(json.dumps(spec_to_descriptor(make_semicircular()))) == {
-        "type": "semicircular"}
+    assert spec_from_descriptor("semicircular").unit_cumulant((1, 1)) == 1
     with pytest.raises(ValueError):
         spec_from_descriptor({"type": "nope"})
 

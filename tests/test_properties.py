@@ -1,7 +1,8 @@
-"""Property tests: closed forms, interval walks, the finite trace tables and
-the first-block recursion against whole-lattice, pattern-walk, per-subset,
-pairwise, per-subdivision and index-tuple oracles; partitions built without
-the constructor's checks against the validating constructor.
+"""Property tests: closed forms, interval and refinement walks, the finite
+trace tables and the first-block recursion against whole-lattice,
+pattern-walk, per-subset, pairwise, per-subdivision and index-tuple
+oracles; partitions built without the constructor's checks against the
+validating constructor.
 
 Sizes are bounded so that the worst drawn case (the recursion over all of
 NC(8), or a product expansion over all of P(8)) stays near a second.
@@ -35,10 +36,9 @@ from freestoch.partitions import (
     enumerate_noncrossing,
     enumerate_set_partitions,
     is_noncrossing,
-    join,
     kreweras,
-    meet,
     mobius,
+    noncrossing_refinements,
     refines,
 )
 from freestoch.processes import (
@@ -58,9 +58,12 @@ from helpers import (
     brute_expect_st,
     cumulant_functional_by_subsets,
     identity_suite_by_pairs,
+    join,
     limit_product_by_patterns,
+    meet,
     moment_functional_by_subsets,
     noncrossing_coarsenings,
+    noncrossing_refinements_by_filter,
     process_fixtures,
     product_patterns_by_filter,
     recursive_mobius,
@@ -158,7 +161,7 @@ def test_finite_product_walk_matches_lattice_filter(factors):
     k = sum(p.k for p, _ in factors)
     spec = make_tuple(CUSTOM, "identical", k=k)
     sub = Subdivision.of((Fraction(1, 3), Fraction(2, 3)))
-    oracle = sum((expect_st(sigma, sub, spec, max_blocks=k)
+    oracle = sum((expect_st(sigma, sub, spec)
                   for sigma in product_patterns_by_filter(factors)), Fraction(0))
     assert expect_product_of_st(factors, spec, sub) == oracle
 
@@ -254,6 +257,15 @@ def test_coarsenings_build_valid_partitions(drawn):
     apart = None if other is None else join(p, other)
     for sigma in coarsenings(p, apart):
         assert sigma == _validated(sigma) and refines(p, sigma)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(partitions(9))
+def test_refinement_walk_is_the_filtered_lattice(p):
+    # crossing p included; the walk must keep the restricted-growth order
+    walked = noncrossing_refinements(p)
+    assert list(walked) == noncrossing_refinements_by_filter(p)
+    assert all(r == _validated(r) for r in walked)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
