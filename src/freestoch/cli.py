@@ -29,6 +29,7 @@ from .cumulants import (
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
 from .measures import (
     MAX_LIMIT_ARITY,
+    MAX_ST_ARITY,
     exact_moment,
     example_formulas_check,
     identity_suite,
@@ -36,7 +37,6 @@ from .measures import (
     st_uniform_formula,
 )
 from .partitions import (
-    MAX_NONCROSSING_ENUMERATION,
     Partition,
     classify_classes,
     enumerate_noncrossing,
@@ -235,9 +235,8 @@ def _cmd_verify_main_theorem(args) -> int:
     orders = ["L1", "L2"] if args.order == "both" else [args.order]
     if "L2" in orders:
         _check_l2_k_max(args.k_max)
-    elif args.k_max > MAX_NONCROSSING_ENUMERATION:
-        raise SizeGuardError(f"k={args.k_max} outside enumeration guard "
-                             f"[1, {MAX_NONCROSSING_ENUMERATION}]")
+    elif args.k_max > MAX_ST_ARITY:  # L1 alone: St limits of arity k
+        raise SizeGuardError(f"L1 at k={args.k_max} exceeds St arity guard {MAX_ST_ARITY}")
     records = []
     for k in range(1, args.k_max + 1):
         spec = make_tuple(base, "identical", k=k)

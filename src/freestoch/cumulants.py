@@ -95,7 +95,8 @@ def moment_functional(r: CumulantFunctional) -> MomentFunctional:
     bits, cumulants = _masked(r)
     moments: dict[int, Fraction] = {}
     for s in cumulants:
-        moments[s] = first_block_sum(s, bits, cumulants.__getitem__, moments.__getitem__)
+        moments[s] = Fraction(first_block_sum(s, bits, cumulants.__getitem__,
+                                              moments.__getitem__))
     return MomentFunctional(r.k, _unmasked(r.k, moments))
 
 
@@ -109,8 +110,8 @@ def cumulant_functional(m: MomentFunctional) -> CumulantFunctional:
     cumulants: dict[int, Fraction] = {}
     for s in moments:
         cumulants[s] = Fraction(0)  # drops the V = S term from the sum
-        cumulants[s] = moments[s] - first_block_sum(s, bits, cumulants.__getitem__,
-                                                    moments.__getitem__)
+        cumulants[s] = Fraction(moments[s] - first_block_sum(s, bits, cumulants.__getitem__,
+                                                             moments.__getitem__))
     return CumulantFunctional(m.k, _unmasked(m.k, cumulants))
 
 

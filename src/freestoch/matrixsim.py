@@ -118,10 +118,17 @@ def hermitian_gaussian(rng: np.random.Generator, dim: int,
                        part: slice = slice(None)) -> np.ndarray:
     """Hermitian matrix with entry variance 1/dim (semicircular limit, second
     moment 1 under the normalized trace); with `part`, only its block [part,
-    part], assembled from the same full draws, so the stream is unchanged."""
+    part], assembled from the same full draws, so the stream is unchanged.
+
+    With a = x + iy, a + a* is (x + x^T) + i(y - y^T): both parts are
+    written in place in real arithmetic, never forming the complex a."""
     x, y = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
-    a = x[part, part] + 1j * y[part, part]
-    return (a + a.conj().T) / math.sqrt(4 * dim)
+    x, y = x[part, part], y[part, part]
+    out = np.empty(x.shape, dtype=complex)
+    np.add(x, x.T, out=out.real)
+    np.subtract(y, y.T, out=out.imag)
+    out *= 1.0 / math.sqrt(4 * dim)
+    return out
 
 
 def normalized_trace(mat: np.ndarray) -> float:

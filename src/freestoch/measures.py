@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from .partitions import (
 from .processes import (
     Atom,
     ProcessSpec,
+    ScaledCumulants,
     Subdivision,
     derived_diagonal_tuple,
     make_custom_process,
@@ -61,7 +63,7 @@ MAX_SUITE_K = 6
 Factor = tuple[Partition, str]  # kind: "st" | "pr"
 
 
-Poly = dict[tuple[int, ...], Fraction]  # monomial (sorted c's of prod P[c]) -> coefficient
+Poly = dict[tuple[int, ...], int]  # monomial (sorted c's of prod P[c]) -> B^k * coefficient
 
 
 class TraceTable:
@@ -70,21 +72,33 @@ class TraceTable:
     At a subdivision with lengths l_i, P[c] = sum_i l_i^c, and each trace is
     the sum over its monomials of coefficient * prod P[c].  The coefficients
     do not depend on the subdivision, so one table serves them all.  It holds
-    the unit-time R_rho, the injective weights (keyed by sorted exponents,
+    B^k R_rho for the unit-time R_rho (B the tuple's cumulant scale, so
+    these are integers), the injective weights (keyed by sorted exponents,
     since a weight is symmetric in them) and every St_p and Pr_p asked for,
-    and lives for the one call that builds it; the callers check the guards.
+    with integer coefficients over B^k, and lives for the one call that
+    builds it; the callers check the guards.
     """
 
     def __init__(self, spec: ProcessSpec):
         self.spec = spec
-        self._cumulants: dict[Partition, Fraction] = {}
+        self._scaled = ScaledCumulants(spec)
+        self.scale = self._scaled.scale  # B: every coefficient is over B^k
+        self._cumulants: dict[Partition, int] = {}
         self._weights: dict[tuple[int, ...], Poly] = {}
         self._st: dict[Partition, Poly] = {}
         self._pr: dict[Partition, Poly] = {}
 
-    def _cumulant(self, rho: Partition) -> Fraction:
+    def _cumulant(self, rho: Partition) -> int:
+        """B^k R_rho: each of the |rho| block cumulants times B, and B for
+        each of the k - |rho| missing factors."""
         if rho not in self._cumulants:
-            self._cumulants[rho] = self.spec.partition_cumulant(rho)
+            scaled = self._scaled
+            out = scaled.scale ** (rho.k - rho.num_blocks)
+            for block in rho.blocks:
+                out *= scaled.value(scaled.merge(scaled.parts[i - 1] for i in block))
+                if not out:
+                    break
+            self._cumulants[rho] = out
         return self._cumulants[rho]
 
     def _injective_weight(self, exponents) -> Poly:
@@ -164,22 +178,27 @@ class TraceTable:
             self._pr[p] = {m: c for m, c in poly.items() if c}
         return self._pr[p]
 
-    def at(self, sub: Subdivision):
-        """The evaluation of a trace polynomial at one subdivision, with each
-        power sum and each monomial computed once."""
-        power_sums = [sum((l**c for l in sub.lengths), Fraction(0))
-                      for c in range(self.spec.k + 1)]
-        monomials: dict[tuple[int, ...], Fraction] = {}
+    def at(self, sub: Subdivision) -> tuple[Callable[[Poly], int], int]:
+        """Evaluation at one subdivision in integers: (value, D^k), where
+        value(poly) is the trace times D^k, D = qB and q the lcm of the
+        length denominators.  With a_i = q l_i and a monomial of degree d,
+        q^k prod P[c] is the integer q^(k - d) prod sum_i a_i^c.  Each power
+        sum and each monomial is computed once."""
+        k = self.spec.k
+        q = math.lcm(*(l.denominator for l in sub.lengths))
+        scaled = [l.numerator * (q // l.denominator) for l in sub.lengths]
+        power_sums = [sum(a**c for a in scaled) for c in range(k + 1)]
+        monomials: dict[tuple[int, ...], int] = {}
 
-        def value(poly: Poly) -> Fraction:
-            total = Fraction(0)
+        def value(poly: Poly) -> int:
+            total = 0
             for mono, coeff in poly.items():
                 if mono not in monomials:
-                    monomials[mono] = math.prod((power_sums[c] for c in mono), start=Fraction(1))
+                    monomials[mono] = q ** (k - sum(mono)) * math.prod(power_sums[c] for c in mono)
                 total += coeff * monomials[mono]
             return total
 
-        return value
+        return value, (q * self.scale) ** k
 
 
 def _check_st(p: Partition, spec: ProcessSpec) -> None:
@@ -193,7 +212,8 @@ def expect_st(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
     """Trace of St_p(X, S), indices distinct across blocks (TraceTable.st)."""
     _check_st(p, spec)
     table = TraceTable(spec)
-    return table.at(sub)(table.st(p))
+    value, scale = table.at(sub)
+    return Fraction(value(table.st(p)), scale)
 
 
 def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
@@ -203,7 +223,8 @@ def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
     if p.k > MAX_PRODUCT_ARITY:
         raise SizeGuardError(f"arity {p.k} exceeds guard {MAX_PRODUCT_ARITY}")
     table = TraceTable(spec)
-    return table.at(sub)(table.pr(p))
+    value, scale = table.at(sub)
+    return Fraction(value(table.pr(p)), scale)
 
 
 def limit_expect_st(p: Partition, spec: ProcessSpec, t=1) -> Fraction:
@@ -250,16 +271,20 @@ def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
     """St_p trace at the uniform N-subdivision of [0, t), exactly in 1/N.
 
     The St_p polynomial read at P[c] = t^c N^(1 - c): a monomial of degree
-    d in m power sums contributes t^d N^(m - d).
+    d in m power sums contributes t^d N^(m - d).  Each coefficient is summed
+    in integers over (B t.denominator)^k.
     """
     _check_st(p, spec)
     t = Fraction(t)
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in TraceTable(spec).st(p).items():
+    table = TraceTable(spec)
+    numerators: dict[int, int] = {}
+    for mono, c in table.st(p).items():
         degree = sum(mono)
         j = degree - len(mono)
-        coeffs[j] = coeffs.get(j, Fraction(0)) + c * t**degree
-    return UniformFormula({j: c for j, c in coeffs.items() if c})
+        term = c * t.numerator**degree * t.denominator ** (spec.k - degree)
+        numerators[j] = numerators.get(j, 0) + term
+    scale = (table.scale * t.denominator) ** spec.k
+    return UniformFormula({j: Fraction(n, scale) for j, n in numerators.items() if n})
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +325,8 @@ def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fracti
         return Fraction(1)
     patterns = _product_patterns(factors, spec)
     table = TraceTable(spec)
-    value = table.at(sub)
-    return sum((value(table.st(sigma)) for sigma in patterns), Fraction(0))
+    value, scale = table.at(sub)
+    return Fraction(sum(value(table.st(sigma)) for sigma in patterns), scale)
 
 
 def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
@@ -309,33 +334,43 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
     noncrossing coincidence patterns sigma that the factors admit.
 
     The patterns are never listed.  The first-block recursion runs over
-    sets of blocks of the concatenated pattern, as bitmasks: a block of
-    sigma is a union of them that keeps the `apart` groups apart and weighs
-    t times the unit cumulant of its word.  Both tables live for one call.
+    sets of blocks of the concatenated pattern (units), as bitmasks: a block
+    of sigma is a union of them that keeps the `apart` groups apart and
+    weighs t times the unit cumulant of its word.
+
+    The sums run in integers.  With D = B t.denominator (B the tuple's
+    cumulant scale), a block of n units weighs the integer t R D^n, so the
+    sum over m units is D^m times its value, and one Fraction is formed at
+    the end.  The weight and sum tables live for one call.
     """
     if not factors:
         return Fraction(1)
     pi_total, apart = _concatenated(factors, spec, MAX_LIMIT_ARITY)
     t = Fraction(t)
+    cumulants = ScaledCumulants(spec)
+    scale = cumulants.scale * t.denominator
     labels = apart.rgs()
     bits = [sum(1 << el for el in block) for block in pi_total.blocks]
     tags = [labels[block[0] - 1] for block in pi_total.blocks]
-    weights: dict[int, Fraction] = {}
-    sums: dict[int, Fraction] = {}
+    parts = [cumulants.merge(cumulants.parts[el - 1] for el in block)
+             for block in pi_total.blocks]
+    powers = [t.numerator * scale**n for n in range(len(bits))]  # t R D^n = (B R) powers[n - 1]
+    weights: dict[int, int] = {}
+    sums: dict[int, int] = {}
 
-    def weight(v: int) -> Fraction:
+    def weight(v: int) -> int:
         if v not in weights:
-            points = sum(b for i, b in enumerate(bits) if v >> i & 1)
-            word = [el for el in range(1, spec.k + 1) if points >> el & 1]
-            weights[v] = t * spec.unit_cumulant(word)
+            members = [i for i in range(len(bits)) if v >> i & 1]
+            r = cumulants.value(cumulants.merge(parts[i] for i in members))
+            weights[v] = r * powers[len(members) - 1]
         return weights[v]
 
-    def total(units: int) -> Fraction:
+    def total(units: int) -> int:
         if units not in sums:
             sums[units] = first_block_sum(units, bits, weight, total, tags)
         return sums[units]
 
-    return total((1 << len(bits)) - 1)
+    return Fraction(total((1 << len(bits)) - 1), scale ** len(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -550,19 +585,20 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
     for k in range(1, k_max + 1):
         spec = make_tuple(base, "identical", k=k)
         lattice = enumerate_set_partitions(k)
-        above = [(p, [(s, mobius(p, s, "full")) for s in coarsenings(p)]) for p in lattice]
+        above = [(p, [(s, int(mobius(p, s, "full"))) for s in coarsenings(p)])
+                 for p in lattice]
         table = TraceTable(spec)
         for sub in battery:
-            value, where = table.at(sub), sub.describe()
+            (value, scale), where = table.at(sub), sub.describe()
             st = {p: value(table.st(p)) for p in lattice}
             pr = {p: value(table.pr(p)) for p in lattice}
             for p, coarser in above:
-                via_st = sum((st[s] for s, _ in coarser), Fraction(0))
+                via_st = sum(st[s] for s, _ in coarser)
                 records.append(_record("st_pr_inversion", p, process_name, where,
-                                       pr[p] - via_st))
-                back = sum((mu * pr[s] for s, mu in coarser), Fraction(0))
+                                       Fraction(pr[p] - via_st, scale)))
+                back = sum(mu * pr[s] for s, mu in coarser)
                 records.append(_record("mobius_inversion", p, process_name, where,
-                                       st[p] - back))
+                                       Fraction(st[p] - back, scale)))
         for p in enumerate_noncrossing(k):
             records.append(_record("inner_peeling_l1", p, process_name, "limit",
                                    inner_peeling_residual(p, spec, "L1")))

@@ -353,7 +353,7 @@ def coarsenings(p: Partition, apart: Partition | None = None) -> list[Partition]
     return out
 
 
-def first_block_sum(units: int, bits, weight, value, tags=None) -> Fraction:
+def first_block_sum(units: int, bits, weight, value, tags=None):
     """F(units) = sum over first blocks V of weight(V) * prod of value(gap).
 
     F sums the product of block weights over the noncrossing groupings of
@@ -363,7 +363,8 @@ def first_block_sum(units: int, bits, weight, value, tags=None) -> Fraction:
     units between consecutive points of V or after its last one, and none
     may straddle a point of V (Nica-Speicher, Lectures on the
     Combinatorics of Free Probability, Lecture 11).  value(gap) is F(gap),
-    supplied by the caller.  A V of weight 0 is skipped unsplit.
+    supplied by the caller.  A V of weight 0 is skipped unsplit.  The sum
+    starts from the integer 0, so it keeps the type of the weights.
     """
     order = [i for i in range(units.bit_length()) if units >> i & 1]
     first, rest = order[0], order[1:]
@@ -373,7 +374,7 @@ def first_block_sum(units: int, bits, weight, value, tags=None) -> Fraction:
         unit, points, tag = 1 << i, bits[i], 1 << tags[i]
         blocks += [(v | unit, pts | points, used | tag)
                    for v, pts, used in blocks if not used & tag]
-    total = Fraction(0)
+    total = 0
     for v, points, _ in blocks:
         term = weight(v)
         if not term:

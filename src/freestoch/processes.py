@@ -17,6 +17,7 @@ blocks of the intersection lengths times the unit-time cumulant.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,6 +108,53 @@ class ProcessSpec:
             for a in w:
                 seen.setdefault(a)
         return tuple(seen)
+
+
+Part = tuple[int | None, int]  # (atom index, or None across atoms; word length)
+
+
+class ScaledCumulants:
+    """Unit-time cumulants of sets of a tuple's components, as integers.
+
+    `scale` is B, the lcm of the denominators of every cumulant the atoms
+    declare, so B R(S) is an integer for every set S of components.  R(S)
+    depends only on the atom of S's word and its length, so each component
+    is reduced to that part (`parts`) and the scaled values are cached per
+    part.  Atoms are told apart by identity or equality, never hashed.
+    """
+
+    def __init__(self, spec: ProcessSpec):
+        self._atoms: list[Atom] = []
+        self.parts: list[Part] = [self.merge((self._index(a), 1) for a in w) for w in spec.words]
+        self.scale = math.lcm(*(x.denominator for a in self._atoms for x in a.data))
+        self._values: dict[Part, int] = {}
+
+    def _index(self, atom: Atom) -> int:
+        for i, a in enumerate(self._atoms):
+            if a is atom or a == atom:
+                return i
+        self._atoms.append(atom)
+        return len(self._atoms) - 1
+
+    @staticmethod
+    def merge(parts) -> Part:
+        """The part of the concatenated word."""
+        rest = iter(parts)
+        atom, length = next(rest)
+        for a, n in rest:
+            if a != atom:
+                atom = None
+            length += n
+        return atom, length
+
+    def value(self, part: Part) -> int:
+        """B times the unit cumulant of a word with this part."""
+        if part[0] is None:
+            return 0
+        if part not in self._values:
+            r = self._atoms[part[0]].cumulant(part[1])
+            self._values[part] = r.numerator * (self.scale // r.denominator)
+        return self._values[part]
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,14 @@ def identity_suite_by_pairs(base, k_max, battery=SUBDIVISION_BATTERY, process_na
     return records
 
 
+def hermitian_gaussian_complex(rng, dim, part=slice(None)):
+    """The Hermitian Gaussian assembled in complex arithmetic, (a + a*) / s
+    with a = x + iy: the byte-equality oracle of matrixsim's real assembly."""
+    x, y = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+    a = x[part, part] + 1j * y[part, part]
+    return (a + a.conj().T) / math.sqrt(4 * dim)
+
+
 def dense_index_sum(tuples, mats):
     """Sum of the words mats[0][v_1 - 1] mats[1][v_2 - 1] ... over index tuples v."""
     total = np.zeros_like(mats[0][0], dtype=complex)

@@ -232,8 +232,8 @@ def test_l2_runs_to_k6_and_refuses_k7(capsys):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["verify", "main-theorem", "--order", "L1", "--k-max", "13"],
-     "error: k=13 outside enumeration guard [1, 12]"),
+    (["verify", "main-theorem", "--order", "L1", "--k-max", "11"],
+     "error: L1 at k=11 exceeds St arity guard 10"),
     (["verify", "main-theorem", "--order", "both", "--k-max", "7"],
      "error: L2 at k=7 needs arity 14 > 12"),
     (["verify", "examples", "--which", "free_poisson", "--k-max", "7"],

@@ -37,10 +37,11 @@ FORMULA_PARTITIONS = (PARTITIONS[0] + ("((1,3)(2,4))", "((1,2,3,4,5,6))"),
                       ("((" + ",".join(map(str, range(1, 12))) + "))",) + PARTITIONS[1][1:])
 RATIONALS = (("1", "3/2", "1/3"), ("0", "-1", "1/0", "x", ""))
 K_MAX = (("1", "2", "3"), ("0", "-1", "x", ""))
-# One above each command's cap, checked before any work: the suite's, NC
-# enumeration's (main-theorem) and the L2 arity's (examples).
+# One above each command's cap, checked before any work: the suite's, the
+# St arity's (main-theorem L1; L2 and both refuse it too) and the L2
+# arity's (examples).
 SUITE_K_MAX = (K_MAX[0], ("7",) + K_MAX[1])
-MAIN_THEOREM_K_MAX = (K_MAX[0], ("13",) + K_MAX[1])
+MAIN_THEOREM_K_MAX = (K_MAX[0], ("11",) + K_MAX[1])
 EXAMPLES_K_MAX = (K_MAX[0], ("7",) + K_MAX[1])
 OUTPUT = {"--output": (("json", "csv"), ("xml",))}
 # Never dropped, so that no command runs at its default size.

@@ -37,7 +37,7 @@ from freestoch.processes import (
     make_tuple,
 )
 
-from helpers import dense_pr_sum, dense_st_sum
+from helpers import dense_pr_sum, dense_st_sum, hermitian_gaussian_complex
 
 POISSON = make_free_poisson(1)
 SEMI = make_semicircular()
@@ -236,6 +236,17 @@ def test_hermitian_gaussian_block_is_the_full_draws_block(d, lo, hi):
     block = hermitian_gaussian(part_rng, d, slice(lo, hi))
     assert block.tobytes() == full[lo:hi, lo:hi].tobytes()
     assert part_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 31, 160, 320])
+def test_hermitian_gaussian_is_bytewise_the_complex_assembly(d):
+    for lo, hi in ((0, d), (0, (d + 1) // 2), (d // 3, d), (d - 1, d)):
+        rng, oracle_rng = trial_rng(5, d), trial_rng(5, d)
+        z = hermitian_gaussian(rng, d, slice(lo, hi))
+        expected = hermitian_gaussian_complex(oracle_rng, d, slice(lo, hi))
+        assert (z.dtype, z.shape, z.strides) == (expected.dtype, expected.shape, expected.strides)
+        assert z.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_lem_proj_decay_blocks_equal_the_full_draw_path():

@@ -173,10 +173,11 @@ def test_finite_traces_match_index_tuple_sums(sub, name):
     for k in range(1, 5):
         spec = make_tuple(process_fixtures()[name], "identical", k=k)
         table, oracle = TraceTable(spec), FiniteTraces(spec, sub)
-        value = table.at(sub)
+        value, scale = table.at(sub)
         for p in enumerate_set_partitions(k):
-            assert value(table.st(p)) == oracle.st(p) == brute_expect_st(p, sub, spec), p
-            assert value(table.pr(p)) == oracle.pr(p) == brute_expect_pr(p, sub, spec), p
+            st_p, pr_p = Fraction(value(table.st(p)), scale), Fraction(value(table.pr(p)), scale)
+            assert st_p == oracle.st(p) == brute_expect_st(p, sub, spec), p
+            assert pr_p == oracle.pr(p) == brute_expect_pr(p, sub, spec), p
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)
