@@ -10,11 +10,10 @@ listing the lattice.  Everything is exact rational arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeGuardError
-from .partitions import first_block_sum
+from .partitions import Frozen, first_block_sum
 from .rational import format_rational, parse_rational
 
 Subset = tuple[int, ...]
@@ -43,16 +42,16 @@ def _check_values(k: int, values: dict) -> None:
                          f"missing {missing[:3]}..., extra {extra[:3]}...")
 
 
-@dataclass(frozen=True)
-class _SubsetFunctional:
+class _SubsetFunctional(Frozen):
     """One value per nonempty subset of [k]; a partition gets the product
     of the values on its blocks."""
 
-    k: int
-    values: dict[Subset, Fraction]
+    __slots__ = ("k", "values")
 
-    def __post_init__(self):
-        _check_values(self.k, self.values)
+    def __init__(self, k: int, values: dict[Subset, Fraction]):
+        _check_values(k, values)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_single_variable(cls, k: int, seq):
@@ -63,14 +62,16 @@ class _SubsetFunctional:
         return cls(k, {b: seq[len(b) - 1] for b in nonempty_subsets(k)})
 
 
-@dataclass(frozen=True)
 class MomentFunctional(_SubsetFunctional):
     """Joint moments M(B; A) of a k-tuple."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class CumulantFunctional(_SubsetFunctional):
     """Joint free cumulants R(B; A) of a k-tuple."""
+
+    __slots__ = ()
 
 
 def _mask(subset: Subset) -> int:

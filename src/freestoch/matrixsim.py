@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
+from .measures import MAX_PRODUCT_ARITY
 from .partitions import (
     Partition,
     classify_classes,
@@ -405,7 +406,9 @@ def main_theorem_matrix_residual(p: Partition, cfg: MatrixEnsembleConfig,
     off-diagonal form, averaged over trials.
 
     Only the rate-1 constant-cumulant model has the exact matrix form, so
-    the inner-class scalars are all |[0,t)| = t.
+    the inner-class scalars are all |[0,t)| = t.  Both St sums walk every
+    coarsening of their pattern, so p's arity and the brute-force work of
+    the crossing ones are bounded before the first draw.
     """
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
@@ -413,7 +416,15 @@ def main_theorem_matrix_residual(p: Partition, cfg: MatrixEnsembleConfig,
         raise ValueError("the matrix main-theorem check runs on poisson_sps")
     from .processes import make_free_poisson, make_tuple
 
+    if p.k > MAX_PRODUCT_ARITY:
+        raise SizeGuardError(f"matrix St arity {p.k} exceeds guard {MAX_PRODUCT_ARITY}")
     split = classify_classes(p)
+    sides = (p, Partition.zero_hat(split.outer_count))
+    matmuls = sum(sub.n**sigma.num_blocks * q.k for q in sides
+                  for sigma in coarsenings(q) if not is_noncrossing(sigma))
+    if matmuls > MAX_MATMULS:
+        raise SizeGuardError(f"brute-force Pr sums need {matmuls} matmuls per trial "
+                             f"> {MAX_MATMULS}")
     scalar = float(sub.t) ** split.inner_count
     spec = make_tuple(make_free_poisson(1), "identical", k=p.k)
     rels, traces = [], []

@@ -16,11 +16,11 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
 from .partitions import (
+    Frozen,
     Partition,
     classify_classes,
     coarsenings,
@@ -247,14 +247,16 @@ def exact_moment(spec: ProcessSpec, t=1) -> Fraction:
 # uniform closed form
 
 
-@dataclass(frozen=True)
-class UniformFormula:
+class UniformFormula(Frozen):
     """Exact value of a trace at uniform subdivisions, as a polynomial in 1/N.
 
     coeffs[j] multiplies N^(-j); the constant term is the mesh limit.
     """
 
-    coeffs: dict[int, Fraction]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict[int, Fraction]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, n: int) -> Fraction:
         return sum((c * Fraction(1, n**j) for j, c in self.coeffs.items()), Fraction(0))
@@ -377,13 +379,16 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
 # operator words and second-order (L2) residuals
 
 
-@dataclass(frozen=True)
-class MeasureWord:
+class MeasureWord(Frozen):
     """A scalar multiple of a product of St/Pr factors on given words."""
 
-    scalar: Fraction
-    factors: tuple[Factor, ...]
-    words: tuple[tuple[Atom, ...], ...]
+    __slots__ = ("scalar", "factors", "words")
+
+    def __init__(self, scalar: Fraction, factors: tuple[Factor, ...],
+                 words: tuple[tuple[Atom, ...], ...]):
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "words", words)
 
     def adjoint(self) -> "MeasureWord":
         factors = tuple((opposite(p), kind) for p, kind in reversed(self.factors))

@@ -15,7 +15,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,29 +30,59 @@ CACHE_MAXSIZE = 1 << 14
 
 Block = tuple[int, ...]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Partition:
-    """A set partition of [k] in canonical block form."""
 
-    k: int
-    blocks: tuple[Block, ...]
+class Frozen:
+    """Base of the exact layers' value classes: __init__ sets each field
+    once through object.__setattr__; assigning or deleting one raises."""
 
-    def __post_init__(self):
-        if self.k < 1:
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle pass (None, {field: value})
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class Partition(Frozen):
+    """A set partition of [k] in canonical block form; equal by (k, blocks),
+    hashed by the blocks, which determine k."""
+
+    __slots__ = ("k", "blocks")
+
+    def __init__(self, k: int, blocks: tuple[Block, ...]):
+        if k < 1:
             raise ValueError("ground set must be nonempty")
         seen = []
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block")
             if list(block) != sorted(block):
                 raise ValueError("block not internally sorted")
             seen.extend(block)
-        if len(seen) != self.k or sorted(seen) != list(range(1, self.k + 1)):
-            raise ValueError(f"blocks do not partition [{self.k}]")
-        mins = [b[0] for b in self.blocks]
+        if len(seen) != k or sorted(seen) != list(range(1, k + 1)):
+            raise ValueError(f"blocks do not partition [{k}]")
+        mins = [b[0] for b in blocks]
         if mins != sorted(mins):
             raise ValueError("blocks not ordered by minimum")
+        _set(self, "k", k)
+        _set(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.k == other.k and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"Partition({self.k}, {self.blocks})"
 
     @classmethod
     def of(cls, blocks, k: int | None = None) -> "Partition":
@@ -69,7 +98,8 @@ class Partition:
         if k < 1:
             raise ValueError("ground set must be nonempty")
         p = object.__new__(cls)
-        vars(p).update(k=k, blocks=blocks)
+        _set(p, "k", k)
+        _set(p, "blocks", blocks)
         return p
 
     @classmethod
@@ -79,17 +109,6 @@ class Partition:
     @classmethod
     def one_hat(cls, k: int) -> "Partition":
         return cls._trusted(k, (tuple(range(1, k + 1)),))
-
-    @classmethod
-    def from_rgs(cls, rgs) -> "Partition":
-        """From a restricted-growth string (0-based labels): canonical as built."""
-        blocks: list[list[int]] = []
-        for pos, label in enumerate(rgs, start=1):
-            if label == len(blocks):
-                blocks.append([pos])
-            else:
-                blocks[label].append(pos)
-        return cls._trusted(sum(map(len, blocks)), tuple(tuple(b) for b in blocks))
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -104,7 +123,7 @@ class Partition:
         return cls.of(blocks)
 
     def __str__(self) -> str:
-        return "(" + "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks) + ")"
+        return "(" + "".join(map(_block_text, self.blocks)) + ")"
 
     @property
     def num_blocks(self) -> int:
@@ -119,6 +138,12 @@ class Partition:
         return tuple(labels)
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _block_text(block: Block) -> str:
+    """A block as text, "(1,6,7)"; P(k <= 10) has at most 1023 distinct blocks."""
+    return "(" + ",".join(map(str, block)) + ")"
+
+
 def _check_same_k(a: Partition, b: Partition) -> None:
     if a.k != b.k:
         raise DimensionError(f"ground sets differ: {a.k} vs {b.k}")
@@ -128,26 +153,22 @@ def _check_same_k(a: Partition, b: Partition) -> None:
 # enumeration
 
 
-def _rgs_strings(k: int):
-    """All restricted-growth strings of length k, lexicographically."""
-    a = [0] * k
-
-    def rec(i: int, m: int):
-        if i == k:
-            yield tuple(a)
-            return
-        for v in range(m + 2):
-            a[i] = v
-            yield from rec(i + 1, max(m, v))
-
-    yield from rec(1, 0) if k > 1 else iter([(0,)] if k == 1 else [])
-
-
 # The two whole-lattice caches are keyed by k alone, and k is bounded by the
 # enumeration guards, so they stay unbounded.
 @lru_cache(maxsize=None)
 def _all_set_partitions(k: int) -> tuple[Partition, ...]:
-    return tuple(Partition.from_rgs(r) for r in _rgs_strings(k))
+    """P(k) by one-point extension of P(k - 1): point k joins each block of
+    p in turn, then opens its own.  Appending each possible last label to
+    the strings of P(k - 1), in order, keeps restricted-growth order."""
+    if k == 1:
+        return (Partition._trusted(1, ((1,),)),)
+    out = []
+    for p in _all_set_partitions(k - 1):
+        blocks = p.blocks
+        for i, block in enumerate(blocks):
+            out.append(Partition._trusted(k, blocks[:i] + (block + (k,),) + blocks[i + 1:]))
+        out.append(Partition._trusted(k, blocks + ((k,),)))
+    return tuple(out)
 
 
 def _nc_block_lists(segment: tuple[int, ...], labels=None):
@@ -408,12 +429,14 @@ def noncrossing_refinements(p: Partition) -> tuple[Partition, ...]:
 # inner/outer classification
 
 
-@dataclass(frozen=True)
-class ClassSplit:
+class ClassSplit(Frozen):
     """Outer/inner decomposition of a noncrossing partition."""
 
-    outer: tuple[Block, ...]
-    inner: tuple[Block, ...]
+    __slots__ = ("outer", "inner")
+
+    def __init__(self, outer: tuple[Block, ...], inner: tuple[Block, ...]):
+        _set(self, "outer", outer)
+        _set(self, "inner", inner)
 
     @property
     def outer_count(self) -> int:

@@ -18,27 +18,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, SizeGuardError
-from .partitions import Partition
+from .partitions import Frozen, Partition
 from .rational import format_rational, parse_rational
 
 _ATOM_UIDS = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A primitive free-increment process with unit-time cumulants r_n.
+class Atom(Frozen):
+    """A primitive free-increment process with unit-time cumulants r_n,
+    equal by (uid, kind, data) and hashed by the uid.
 
     The uid keeps separately created atoms freely independent even when
     their parameters coincide (two free Poissons in a free family).
     """
 
-    uid: int
-    kind: str  # "poisson" | "semicircular" | "custom"
-    data: tuple
+    __slots__ = ("uid", "kind", "data")
+
+    def __init__(self, uid: int, kind: str, data: tuple):
+        object.__setattr__(self, "uid", uid)
+        object.__setattr__(self, "kind", kind)  # "poisson" | "semicircular" | "custom"
+        object.__setattr__(self, "data", data)
+
+    def __eq__(self, other):
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return (self.uid, self.kind, self.data) == (other.uid, other.kind, other.data)
+
+    def __hash__(self):
+        return hash(self.uid)
 
     def cumulant(self, order: int) -> Fraction:
         if order < 1:
@@ -69,11 +79,22 @@ def word_cumulant(word: tuple[Atom, ...]) -> Fraction:
     return first.cumulant(len(word))
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    """A consistent tuple of free stochastic measures, one word per component."""
+class ProcessSpec(Frozen):
+    """A consistent tuple of free stochastic measures, one word per
+    component, equal and hashed by its words."""
 
-    words: tuple[tuple[Atom, ...], ...]
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[tuple[Atom, ...], ...]):
+        object.__setattr__(self, "words", words)
+
+    def __eq__(self, other):
+        if other.__class__ is not ProcessSpec:
+            return NotImplemented
+        return self.words == other.words
+
+    def __hash__(self):
+        return hash(self.words)
 
     @property
     def k(self) -> int:
@@ -229,20 +250,29 @@ def derived_diagonal_tuple(spec: ProcessSpec, groups) -> ProcessSpec:
 # subdivisions
 
 
-@dataclass(frozen=True)
-class Subdivision:
-    """Ordered interval lengths of [0, t), all positive exact rationals."""
+class Subdivision(Frozen):
+    """Ordered interval lengths of [0, t), all positive exact rationals;
+    equal by (t, lengths), hashed by the lengths, which sum to t."""
 
-    t: Fraction
-    lengths: tuple[Fraction, ...]
+    __slots__ = ("t", "lengths")
 
-    def __post_init__(self):
-        if not self.lengths:
+    def __init__(self, t: Fraction, lengths: tuple[Fraction, ...]):
+        if not lengths:
             raise ValueError("need at least one interval")
-        if any(l <= 0 for l in self.lengths):
+        if any(l <= 0 for l in lengths):
             raise ValueError("interval lengths must be positive")
-        if sum(self.lengths) != self.t:
-            raise ValueError(f"lengths sum to {sum(self.lengths)}, not t={self.t}")
+        if sum(lengths) != t:
+            raise ValueError(f"lengths sum to {sum(lengths)}, not t={t}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "lengths", lengths)
+
+    def __eq__(self, other):
+        if other.__class__ is not Subdivision:
+            return NotImplemented
+        return self.t == other.t and self.lengths == other.lengths
+
+    def __hash__(self):
+        return hash(self.lengths)
 
     @classmethod
     def uniform(cls, n: int, t=1) -> "Subdivision":

@@ -103,6 +103,38 @@ def set_partitions_by_insertion(elements):
         yield smaller + [[last]]
 
 
+def all_rgs_strings(k):
+    """All restricted-growth strings of length k, lexicographically."""
+    a = [0] * k
+
+    def rec(i, m):
+        if i == k:
+            yield tuple(a)
+            return
+        for v in range(m + 2):
+            a[i] = v
+            yield from rec(i + 1, max(m, v))
+
+    yield from rec(1, 0) if k > 1 else iter([(0,)] if k == 1 else [])
+
+
+def from_rgs(rgs):
+    """The partition of a restricted-growth string (0-based labels), built
+    without the block checks: it is canonical as built."""
+    blocks = []
+    for pos, label in enumerate(rgs, start=1):
+        if label == len(blocks):
+            blocks.append([pos])
+        else:
+            blocks[label].append(pos)
+    return Partition._trusted(sum(map(len, blocks)), tuple(tuple(b) for b in blocks))
+
+
+def joined_text(p):
+    """The text of a partition, joined block by block without a cache."""
+    return "(" + "".join("(" + ",".join(map(str, b)) + ")" for b in p.blocks) + ")"
+
+
 # Bound on the index tuples one iteration may visit.
 MAX_INDEX_TUPLES = 2_000_000
 

@@ -249,6 +249,25 @@ def test_k_max_caps_exit_2_before_any_work(capsys, monkeypatch, argv, error):
     assert captured.out == "" and captured.err.splitlines() == [error]
 
 
+def test_matrix_main_theorem_arity_cap_exits_2_before_any_draw(capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("sampled increments before checking the cap")
+
+    monkeypatch.setattr("freestoch.matrixsim.sample_increments", no_draw)
+    assert run(["simulate", "main-theorem", "--partition", "((1)(2)(3)(4)(5)(6)(7)(8)(9))",
+                "--dim", "4", "--n", "2", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: matrix St arity 9 exceeds guard 8"]
+    # 0-hat_8 at N = 40: the crossing coarsenings' brute-force sums are
+    # summed up front, and refused as a whole.
+    assert run(["simulate", "main-theorem", "--partition", "((1)(2)(3)(4)(5)(6)(7)(8))",
+                "--dim", "4", "--n", "40", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: brute-force Pr sums need ")
+
+
 def test_unallocatable_dim_exits_2(capsys):
     # numpy refuses the 10^7 x 10^7 draw before touching any memory
     assert run(["simulate", "calibrate", "--dim", "10000000", "--trials", "1", "--n", "4"]) == 2
@@ -328,9 +347,11 @@ def test_exact_commands_leave_numpy_unloaded():
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [run(argv) for argv in exact]
             exact_numpy = "numpy" in sys.modules
+            exact_reflection = sorted({"dataclasses", "inspect"} & set(sys.modules))
             codes.append(run(["simulate", "proj-decay", "--dim", "20", "--meshes", "2,4",
                               "--trials", "2"]))
         print(json.dumps({"codes": codes, "numpy_after_exact": exact_numpy,
+                          "reflection_after_exact": exact_reflection,
                           "numpy_after_simulate": "numpy" in sys.modules}))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -338,6 +359,7 @@ def test_exact_commands_leave_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert json.loads(proc.stdout) == {"codes": [0] * 9, "numpy_after_exact": False,
+                                       "reflection_after_exact": [],
                                        "numpy_after_simulate": True}
 
 

@@ -21,11 +21,14 @@ from freestoch.partitions import (
 )
 
 from helpers import (
+    all_rgs_strings,
     bell_numbers,
     catalan,
+    from_rgs,
     iter_exact_index_tuples,
     iter_geq_index_tuples,
     join,
+    joined_text,
     meet,
     mobius_zero_hat_full,
     rotate,
@@ -52,6 +55,16 @@ def test_enumeration_matches_independent_generator():
         assert mine == other
 
 
+def test_enumeration_is_the_restricted_growth_order():
+    for k in range(1, 10):
+        assert enumerate_set_partitions(k) == [from_rgs(r) for r in all_rgs_strings(k)]
+
+
+def test_text_matches_the_joined_blocks():
+    for k in range(1, 9):
+        assert all(str(p) == joined_text(p) for p in enumerate_set_partitions(k))
+
+
 def test_noncrossing_is_the_filtered_full_lattice():
     for k in range(1, 9):
         filtered = [p for p in enumerate_set_partitions(k) if is_noncrossing(p)]
@@ -59,7 +72,7 @@ def test_noncrossing_is_the_filtered_full_lattice():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Partition.from_rgs(()),
+    lambda: from_rgs(()),
     lambda: Partition.zero_hat(0),
     lambda: Partition.one_hat(-1),
     lambda: Partition(0, ()),

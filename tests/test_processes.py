@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from freestoch.errors import CrossingPartitionError, DimensionError
 from freestoch.partitions import Partition
 from freestoch.processes import (
+    Atom,
+    ProcessSpec,
     Subdivision,
     derived_diagonal_tuple,
     free_family,
@@ -25,6 +29,36 @@ from helpers import (
     increment_cumulant,
     process_fixtures,
 )
+
+
+def _value_objects():
+    """Two equal builds, from separate inputs, of each hashable value class."""
+    def build():
+        atom = Atom(7, "custom", (Fraction(1, 2), Fraction(1, 3)))
+        return [Partition(3, ((1, 3), (2,))), atom, ProcessSpec(((atom,), (atom, atom))),
+                Subdivision(Fraction(1), (Fraction(1, 3), Fraction(2, 3)))]
+    return list(zip(build(), build()))
+
+
+@pytest.mark.parametrize("value, field", [
+    (Partition(3, ((1, 3), (2,))), "k"),
+    (Partition(3, ((1, 3), (2,))), "blocks"),
+    (Atom(7, "poisson", (Fraction(1),)), "data"),
+    (make_free_poisson(1), "words"),
+    (Subdivision.uniform(2), "lengths"),
+])
+def test_value_fields_cannot_be_assigned(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+@pytest.mark.parametrize("a, b", _value_objects(), ids=lambda v: type(v).__name__)
+def test_equal_builds_compare_and_hash_equal(a, b):
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != object() and not (a == (a,))
+    assert copy.deepcopy(a) == b and pickle.loads(pickle.dumps(a)) == b
 
 
 def test_free_poisson_cumulants():

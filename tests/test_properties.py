@@ -57,6 +57,7 @@ from helpers import (
     brute_expect_pr,
     brute_expect_st,
     cumulant_functional_by_subsets,
+    from_rgs,
     identity_suite_by_pairs,
     join,
     limit_product_by_patterns,
@@ -224,7 +225,7 @@ def rgs_strings(draw, k_max: int, k_min: int = 1, blocks_max: int | None = None)
 
 
 def partitions(k_max: int, k_min: int = 1):
-    return rgs_strings(k_max, k_min).map(Partition.from_rgs)
+    return rgs_strings(k_max, k_min).map(from_rgs)
 
 
 def _validated(p: Partition) -> Partition:
@@ -235,7 +236,7 @@ def _validated(p: Partition) -> Partition:
 @settings(PROPERTY_SETTINGS, max_examples=200)
 @given(rgs_strings(12))
 def test_from_rgs_builds_valid_partitions(rgs):
-    p = Partition.from_rgs(rgs)
+    p = from_rgs(rgs)
     assert p == _validated(p) and hash(p) == hash(_validated(p))
     assert p.rgs() == rgs and all(type(b) is tuple for b in p.blocks)
 
@@ -358,7 +359,7 @@ def limit_products(draw, arity_max: int):
         if kind == "st" and draw(st.booleans()):
             p = Partition.zero_hat(k)
         else:
-            p = Partition.from_rgs(draw(rgs_strings(k, k, 3 if kind == "pr" else k)))
+            p = from_rgs(draw(rgs_strings(k, k, 3 if kind == "pr" else k)))
         factors.append((p, kind))
     assume(sum(1 if kind == "st" else p.num_blocks for p, kind in factors) <= 8)
     return factors, draw(specs(sum(p.k for p, _ in factors)))
