@@ -14,13 +14,16 @@ per nested gap instead of N.  Gaussian increments and hand-built sets have no
 factor and run through the same code on the d x d matrices themselves.
 
 Everything is seeded per trial from the master seed, so runs are
-reproducible and trials are order-insensitive.
+reproducible and trials are order-insensitive: `calibrate` and
+`lem_proj_decay` spread them over the cores that BLAS leaves free and keep
+results in trial order, so every estimate is the same on any core count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -36,8 +39,6 @@ from .partitions import (
     mobius,
 )
 from .processes import ProcessSpec, Subdivision
-
-HERMITIAN_TOL = 1e-12
 
 MODELS = ("poisson_sps", "gaussian_increments")
 
@@ -68,8 +69,8 @@ class IncrementSet:
     through the Gram blocks `grams[i]` = s_i* s_i.  With no factor each s_i
     is the identity and the cores are the d x d increment matrices.
 
-    Sampled increments are Hermitian (checked at sampling time); derived
-    diagonal components hold products and need not be.
+    Sampled increments are Hermitian bitwise by construction; derived diagonal
+    components hold products and need not be.  Gram blocks are built on use.
     """
 
     subdivision: Subdivision
@@ -77,11 +78,6 @@ class IncrementSet:
     factor: np.ndarray | None = None
     slices: tuple[slice, ...] | None = None
     grams: list[np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.factor is not None and self.grams is None:
-            self.grams = [self.factor[:, sl].conj().T @ self.factor[:, sl]
-                          for sl in self.slices]
 
     @property
     def k(self) -> int:
@@ -172,7 +168,6 @@ def sample_increments(spec: ProcessSpec, sub: Subdivision, cfg: MatrixEnsembleCo
         if kind != "poisson" or spec.atoms()[0].data[0] != 1:
             raise ValueError("poisson_sps requires the rate-1 constant-cumulant process")
         s = hermitian_gaussian(rng, d)
-        _check_hermitian([s])
         ranks = projection_ranks(sub, d)
         bounds = list(itertools.accumulate(ranks, initial=0))
         slices = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
@@ -184,15 +179,8 @@ def sample_increments(spec: ProcessSpec, sub: Subdivision, cfg: MatrixEnsembleCo
         mats = [
             math.sqrt(float(l)) * hermitian_gaussian(rng, d) for l in sub.lengths
         ]
-        _check_hermitian(mats)
         return IncrementSet(sub, [mats] * spec.k)
     raise ValueError(cfg.model)  # pragma: no cover - config validates
-
-
-def _check_hermitian(mats) -> None:
-    for m in mats:
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("increment matrix is not Hermitian")
 
 
 def _between(inc: IncrementSet, gap: np.ndarray | None) -> list[np.ndarray | None]:
@@ -201,6 +189,8 @@ def _between(inc: IncrementSet, gap: np.ndarray | None) -> list[np.ndarray | Non
     if inc.factor is None:
         return [gap] * inc.n
     if gap is None:
+        if inc.grams is None:
+            inc.grams = [inc.factor[:, sl].conj().T @ inc.factor[:, sl] for sl in inc.slices]
         return inc.grams
     right = gap @ inc.factor
     return [inc.factor[:, sl].conj().T @ right[:, sl] for sl in inc.slices]
@@ -221,13 +211,14 @@ def _interval_cores(inc: IncrementSet, positions, betweens) -> list[np.ndarray]:
 
 
 def _assemble(inc: IncrementSet, cores) -> np.ndarray:
-    """Sum over intervals of s_i cores[i] s_i* = s blockdiag(cores) s*, with
-    one d x d product; unfactored, the plain sum of the cores."""
+    """Sum over intervals of s_i cores[i] s_i* = s blockdiag(cores) s* (s* is s
+    bitwise; identity cores leave s), one d x d product; unfactored, the sum."""
     if inc.factor is None:
         return sum(cores)
     s = inc.factor
-    left = np.concatenate([s[:, sl] @ c for sl, c in zip(inc.slices, cores)], axis=1)
-    return left @ s.conj().T
+    if all(np.array_equal(c, np.eye(len(c))) for c in cores):
+        return s @ s
+    return np.concatenate([s[:, sl] @ c for sl, c in zip(inc.slices, cores)], axis=1) @ s
 
 
 def derived_increments(inc: IncrementSet, groups) -> IncrementSet:
@@ -299,15 +290,47 @@ def st_matrix(p: Partition, inc: IncrementSet) -> np.ndarray:
     inversion over the coarsenings of p."""
     if p.k != inc.k:
         raise DimensionError(f"partition of [{p.k}] vs {inc.k} components")
-    d = inc.dim
-    total = np.zeros((d, d), dtype=complex)
+    total = None  # the first term: a zero matrix would be one more live d x d
     for sigma in coarsenings(p):
-        total += float(mobius(p, sigma, "full")) * pr_matrix(sigma, inc)
+        term = float(mobius(p, sigma, "full")) * pr_matrix(sigma, inc)
+        total = term if total is None else np.add(total, term, out=total)
     return total
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo checks
+
+_pool = None
+
+
+def _free_cores() -> int:
+    """Cores this process may use over the threads BLAS takes (the first of its
+    variables set, else all of them): trial threads must not oversubscribe it."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    blas = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                         "OMP_NUM_THREADS") if v in os.environ), "")
+    return cores // int(blas) if blas.isdigit() and int(blas) > 0 else 1
+
+
+def _map_trials(fn, items) -> list:
+    """[fn(x) for x in items], in order.  With w >= 2 free cores the caller takes
+    every w-th item and w - 1 pool threads the others (numpy releases the GIL as
+    it draws): fixed shares on few threads, since each keeps the memory it frees."""
+    global _pool
+    items, w = list(items), _free_cores()
+    if w < 2 or len(items) < 2:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor, wait
+    if _pool is None:
+        _pool = ThreadPoolExecutor(w - 1, thread_name_prefix="freestoch-trial")
+    helpers = [_pool.submit(lambda k: [fn(x) for x in items[k::w]], k) for k in range(1, w)]
+    try:
+        shares = [[fn(x) for x in items[::w]]]
+    finally:
+        wait(helpers)
+    shares += [f.result() for f in helpers]
+    return [shares[i % w][i // w] for i in range(len(items))]
 
 
 def _mean_stderr(samples) -> tuple[float, float]:
@@ -327,21 +350,19 @@ def calibrate(spec: ProcessSpec, sub: Subdivision, cfg: MatrixEnsembleConfig,
     product of A^floor(n/2) and A^ceil(n/2): only powers up to
     ceil(max(orders)/2) are formed.
     """
-    samples: dict[int, list[float]] = {n: [] for n in orders}
-    for trial in range(cfg.trials):
+    def trial_samples(trial):
         inc = sample_increments(spec, sub, cfg, trial)
         powers = [_assemble(inc, inc.cores[0])]
         while len(powers) < (max(orders) + 1) // 2:
             powers.append(powers[-1] @ powers[0])
-        for n in orders:
-            if n == 1:
-                samples[n].append(normalized_trace(powers[0]))
-            else:
-                inner = np.vdot(powers[n // 2 - 1], powers[(n + 1) // 2 - 1])
-                samples[n].append(float(inner.real) / cfg.dim)
+        return [normalized_trace(powers[0]) if n == 1 else
+                float(np.vdot(powers[n // 2 - 1], powers[(n + 1) // 2 - 1]).real) / cfg.dim
+                for n in orders]
+
+    rows = _map_trials(trial_samples, range(cfg.trials))
     records = []
-    for n in orders:
-        est, se = _mean_stderr(samples[n])
+    for j, n in enumerate(orders):
+        est, se = _mean_stderr([row[j] for row in rows])
         ref = float(references[n])
         records.append({
             "d": cfg.dim, "N": sub.n, "trial_count": cfg.trials,
@@ -368,27 +389,26 @@ def lem_proj_decay(cfg: MatrixEnsembleConfig, meshes, word_len: int,
     probe = sampler(trial_rng(cfg.seed, 0, stream=99), d)
     if abs(normalized_trace(probe)) > 0.1:
         raise ValueError("sandwich blocks must be centered (normalized trace near 0)")
+    blocks = {n: [(lo, hi) for lo, hi in itertools.pairwise(itertools.accumulate(
+        projection_ranks(Subdivision.uniform(n), d), initial=0)) if hi > lo] for n in meshes}
+
+    def worst_norm(job):
+        n, trial = job
+        rng = trial_rng(cfg.seed, trial, stream=n)
+        worst = 0.0
+        for lo, hi in blocks[n]:
+            block = None
+            for _ in range(word_len):
+                z = (hermitian_gaussian(rng, d, slice(lo, hi)) if z_sampler is None
+                     else z_sampler(rng, d)[lo:hi, lo:hi])
+                block = z if block is None else block @ z
+            worst = max(worst, float(np.linalg.norm(block, 2)))
+        return worst
+
+    norms = _map_trials(worst_norm, [(n, trial) for n in meshes for trial in range(cfg.trials)])
     records = []
-    for n in meshes:
-        sub = Subdivision.uniform(n)
-        ranks = projection_ranks(sub, d)
-        bounds = np.cumsum([0] + ranks)
-        norms = []
-        for trial in range(cfg.trials):
-            rng = trial_rng(cfg.seed, trial, stream=n)
-            worst = 0.0
-            for i in range(n):
-                lo, hi = bounds[i], bounds[i + 1]
-                if hi == lo:
-                    continue
-                block = None
-                for _ in range(word_len):
-                    z = (hermitian_gaussian(rng, d, slice(lo, hi)) if z_sampler is None
-                         else z_sampler(rng, d)[lo:hi, lo:hi])
-                    block = z if block is None else block @ z
-                worst = max(worst, float(np.linalg.norm(block, 2)))
-            norms.append(worst)
-        est, se = _mean_stderr(norms)
+    for j, n in enumerate(meshes):
+        est, se = _mean_stderr(norms[j * cfg.trials:(j + 1) * cfg.trials])
         records.append({
             "d": d, "N": n, "trial_count": cfg.trials, "k": word_len,
             "mesh": 1.0 / n, "estimate": est, "stderr": se, "reference": 0.0,

@@ -35,10 +35,12 @@ PROCESSES = (("free_poisson", "semicircular",
 # the suite's k_max above its cap so that the derandomized draws reach it.
 FORMULA_PARTITIONS = (PARTITIONS[0] + ("((1,3)(2,4))", "((1,2,3,4,5,6))"),
                       ("((" + ",".join(map(str, range(1, 12))) + "))",) + PARTITIONS[1][1:])
-# simulate main-theorem: the broken half starts with a 0-hat one point above
-# the matrix arity guard, refused before any draw (the derandomized draws
-# need not reach it; test_cli checks that guard on its own).
-SIMULATE_PARTITIONS = (PARTITIONS[0], ("((1)(2)(3)(4)(5)(6)(7)(8)(9))",) + PARTITIONS[1])
+# simulate main-theorem checks its sizes before the matrix check refuses a
+# crossing partition or one above its arity guard, so a second entry fixes
+# valid sizes and varies the partition alone, from a broken half that the
+# derandomized draws cover: a 0-hat one point above the guard, a crossing
+# pattern and a syntax error.
+SIMULATE_PARTITIONS = (PARTITIONS[0], ("((1)(2)(3)(4)(5)(6)(7)(8)(9))", "((1,3)(2,4))", "((1,2)"))
 RATIONALS = (("1", "3/2", "1/3"), ("0", "-1", "1/0", "x", ""))
 K_MAX = (("1", "2", "3"), ("0", "-1", "x", ""))
 # One above each command's cap, checked before any work: the suite's, the
@@ -96,11 +98,13 @@ def _commands(files=((), ())):
             "--seed": (("1", "7"), ("-1", "x")), "--n": (("1", "3"), ("0", "x")), **OUTPUT},
          ("--dim", "--trials", "--n")),
         (["simulate", "main-theorem"], {
-            "--partition": SIMULATE_PARTITIONS, "--dim": (("2", "6", "12"), ("1",)),
+            "--partition": PARTITIONS, "--dim": (("2", "6", "12"), ("1",)),
             "--n": (("1", "3", "5"), ("0",)), "--trials": (("1", "2"), ("0", "-1")),
             "--seed": (("1", "7"), ("-1",)),
             "--threshold": (("0.5", "0.9", "0"), ("nan", "x")), **OUTPUT},
          ("--dim", "--n", "--trials")),
+        (["simulate", "main-theorem", "--dim", "6", "--n", "3", "--trials", "1"],
+         {"--partition": SIMULATE_PARTITIONS}, ("--partition",)),
         (["simulate", "proj-decay"], {
             "--k": (("1", "2"), ("0", "x")), "--dim": (("48", "64"), ("1", "2")),
             "--meshes": (("2,4", "4", "1,2,3"), ("0,4", "", "a", "4,-2")),
@@ -147,7 +151,8 @@ def functional_files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("index", range(len(_commands())), ids=[
-    "-".join(words + [flag.strip("-") for flag in always if flag in ("--moments", "--functional")])
+    "-".join([w.strip("-") for w in words]
+             + [flag.strip("-") for flag in always if flag in ("--moments", "--functional")])
     for words, _, always in _commands()])
 def test_cli_keeps_its_exit_contract(functional_files, index):
     command = _commands(functional_files)[index]

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import threading
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import freestoch.matrixsim as mx
 from freestoch.errors import DimensionError, SizeGuardError
 from freestoch.matrixsim import (
     IncrementSet,
@@ -70,12 +72,19 @@ def test_determinism():
 
 
 def test_sampled_increments_are_hermitian():
+    # the draws bitwise, by construction; the dense products to rounding
     sub = Subdivision.of(["1/2", "1/3", "1/6"])
-    for model, spec in (("poisson_sps", POISSON), ("gaussian_increments", SEMI)):
-        cfg = MatrixEnsembleConfig(dim=50, trials=1, seed=9, model=model)
+    for d, (model, spec) in itertools.product(
+            (2, 3, 7, 50, 160), (("poisson_sps", POISSON), ("gaussian_increments", SEMI))):
+        cfg = MatrixEnsembleConfig(dim=d, trials=1, seed=9, model=model)
         inc = sample_increments(spec, sub, cfg)
+        for m in inc.cores[0] if inc.factor is None else [inc.factor]:
+            assert np.array_equal(m, m.conj().T)
         for m in inc.matrices[0]:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+        for lo, hi in ((0, d), (0, d // 2 + 1), (d // 3, d), (d - 1, d)):
+            z = hermitian_gaussian(trial_rng(9, 1, stream=d), d, slice(lo, hi))
+            assert z.shape == (hi - lo, hi - lo) and np.array_equal(z, z.conj().T)
 
 
 def test_projection_ranks_largest_remainder():
@@ -327,8 +336,9 @@ def test_derived_increments_products():
         cfg = MatrixEnsembleConfig(dim=d, trials=1, seed=4, model="poisson_sps")
         inc = sample_increments(make_tuple(POISSON, "identical", k=3), sub, cfg)
         mats = inc.matrices
+        assert inc.grams is None  # built on first use
         der = derived_increments(inc, groups)
-        assert der.factor is inc.factor
+        assert der.factor is inc.factor and der.grams is inc.grams is not None
         dense = derived_increments(IncrementSet(sub, mats), groups)
         for g, got, ref in zip(groups, der.matrices, dense.matrices):
             for i in range(sub.n):
@@ -338,6 +348,15 @@ def test_derived_increments_products():
                 scale = max(np.linalg.norm(prod), 1.0)
                 assert np.linalg.norm(ref[i] - prod) <= 1e-12 * scale
                 assert np.linalg.norm(got[i] - prod) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d,sub", SUBDIVISION_CASES)
+def test_assemble_skips_identity_cores_exactly(d, sub):
+    cfg = MatrixEnsembleConfig(dim=d, trials=1, seed=4, model="poisson_sps")
+    inc = sample_increments(POISSON, sub, cfg)
+    s = inc.factor
+    full = np.concatenate([s[:, sl] @ c for sl, c in zip(inc.slices, inc.cores[0])], axis=1)
+    assert np.array_equal(mx._assemble(inc, inc.cores[0]), full @ s.conj().T)
 
 
 @pytest.mark.parametrize("model,spec", [("poisson_sps", POISSON), ("gaussian_increments", SEMI)])
@@ -380,3 +399,94 @@ def test_hermitian_gaussian_normalization():
     z = hermitian_gaussian(rng, d)
     assert abs(normalized_trace(z @ z) - 1.0) < 0.1
     assert abs(np.mean(samples)) < 0.1
+
+
+@pytest.fixture
+def free_cores(monkeypatch):
+    """`free_cores(n)` makes `_map_trials` see n free cores, with a fresh pool;
+    each pool the test starts is shut down."""
+    def use(n):
+        if mx._pool is not None:
+            mx._pool.shutdown()
+        monkeypatch.setattr(mx, "_pool", None)
+        monkeypatch.setattr(mx, "_free_cores", lambda: n)
+
+    monkeypatch.setattr(mx, "_pool", None)
+    yield use
+    if mx._pool is not None:
+        mx._pool.shutdown()
+
+
+def _serial_and_pooled(free_cores, run, cores=2):
+    free_cores(1)
+    serial = run()
+    assert mx._pool is None
+    free_cores(cores)
+    return serial, run()
+
+
+@pytest.mark.parametrize("cores", [2, 3])  # 5 trials: shares of 3 and 2, or 2, 2 and 1
+@pytest.mark.parametrize("model,spec", [("poisson_sps", POISSON), ("gaussian_increments", SEMI)])
+def test_pooled_calibrate_equals_serial(free_cores, model, spec, cores):
+    sub = Subdivision.of(["1/2", "1/3", "1/6"])
+    cfg = MatrixEnsembleConfig(dim=30, trials=5, seed=6, model=model)
+    orders = [1, 2, 3, 4]
+    serial, pooled = _serial_and_pooled(
+        free_cores, lambda: calibrate(spec, sub, cfg, orders, {n: 0 for n in orders}), cores)
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("word_len", [1, 2])
+def test_pooled_proj_decay_equals_serial(free_cores, word_len):
+    cfg = MatrixEnsembleConfig(dim=37, trials=4, seed=8, model="poisson_sps")
+    threads = set()
+
+    def sampler(rng, d):
+        threads.add(threading.current_thread().name)
+        return hermitian_gaussian(rng, d)
+
+    for z_sampler in (None, sampler):
+        serial, pooled = _serial_and_pooled(
+            free_cores, lambda: lem_proj_decay(cfg, [3, 4, 8], word_len, z_sampler))
+        assert pooled == serial
+    assert any(name.startswith("freestoch-trial") for name in threads)  # a pool thread drew
+
+
+def test_main_theorem_with_free_cores_equals_serial(free_cores):
+    # its trials stay serial in the caller: two d x d trials at once, or one
+    # on a second thread, would raise the peak memory
+    cfg = MatrixEnsembleConfig(dim=40, trials=3, seed=13, model="poisson_sps")
+    serial, pooled = _serial_and_pooled(free_cores, lambda: main_theorem_matrix_residual(
+        Partition.parse("((1,3)(2))"), cfg, Subdivision.uniform(6)))
+    assert pooled == serial and mx._pool is None
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("failing", [1, 2])  # with 2 cores: the pool's share, the caller's
+def test_a_trial_error_propagates_unchanged(free_cores, cores, failing):
+    free_cores(cores)
+    cfg = MatrixEnsembleConfig(dim=24, trials=4, seed=3, model="poisson_sps")
+    error = RuntimeError(f"trial {failing} failed")
+    fresh = trial_rng(cfg.seed, failing, stream=4).bit_generator.state
+
+    def sampler(rng, d):
+        if rng.bit_generator.state == fresh:  # the failing trial's first draw
+            raise error
+        return hermitian_gaussian(rng, d)
+
+    with pytest.raises(RuntimeError) as info:
+        lem_proj_decay(cfg, [4], 1, z_sampler=sampler)
+    assert info.value is error
+
+
+@pytest.mark.parametrize("env,cores", [
+    ({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 2), ({"OMP_NUM_THREADS": "1"}, 2),
+    ({"GOTO_NUM_THREADS": "2"}, 1), ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1), ({"OPENBLAS_NUM_THREADS": "x"}, 1)])
+def test_free_cores_leaves_the_blas_threads_their_cores(monkeypatch, env, cores):
+    monkeypatch.setattr(mx.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert mx._free_cores() == cores
