@@ -38,13 +38,14 @@ from .measures import (
 )
 from .partitions import (
     Partition,
+    _block_text,
     classify_classes,
     enumerate_noncrossing,
     enumerate_set_partitions,
     kreweras,
     mobius,
 )
-from .processes import Subdivision, make_tuple, spec_from_descriptor
+from .processes import ScaledCumulants, Subdivision, make_tuple, spec_from_descriptor
 from .rational import format_rational, parse_rational
 
 
@@ -154,8 +155,8 @@ def _cmd_partitions_classify(args) -> int:
     split = classify_classes(p)
     _write_report(args, "partitions classify", [{
         "partition": str(p),
-        "outer": "".join("(" + ",".join(map(str, b)) + ")" for b in split.outer),
-        "inner": "".join("(" + ",".join(map(str, b)) + ")" for b in split.inner),
+        "outer": "".join(map(_block_text, split.outer)),
+        "inner": "".join(map(_block_text, split.inner)),
         "outer_count": split.outer_count,
         "inner_count": split.inner_count,
         "pass": True,
@@ -170,9 +171,9 @@ def _cmd_partitions_classify(args) -> int:
 def _single_variable_cumulants(spec, order: int) -> CumulantFunctional:
     if spec.k != 1:
         raise DimensionError("--process must describe a single-component process")
-    from .processes import word_cumulant
-
-    seq = [word_cumulant(spec.words[0] * n) for n in range(1, order + 1)]
+    scaled = ScaledCumulants(spec)
+    seq = [Fraction(scaled.value(scaled.merge([scaled.parts[0]] * n)), scaled.scale)
+           for n in range(1, order + 1)]
     return CumulantFunctional.from_single_variable(order, seq)
 
 

@@ -292,7 +292,7 @@ def st_matrix(p: Partition, inc: IncrementSet) -> np.ndarray:
         raise DimensionError(f"partition of [{p.k}] vs {inc.k} components")
     total = None  # the first term: a zero matrix would be one more live d x d
     for sigma in coarsenings(p):
-        term = float(mobius(p, sigma, "full")) * pr_matrix(sigma, inc)
+        term = mobius(p, sigma, "full") * pr_matrix(sigma, inc)
         total = term if total is None else np.add(total, term, out=total)
     return total
 
@@ -372,23 +372,18 @@ def calibrate(spec: ProcessSpec, sub: Subdivision, cfg: MatrixEnsembleConfig,
     return records
 
 
-def lem_proj_decay(cfg: MatrixEnsembleConfig, meshes, word_len: int,
-                   z_sampler=None) -> list[dict]:
+def lem_proj_decay(cfg: MatrixEnsembleConfig, meshes, word_len: int) -> list[dict]:
     """Norm of the projection-sandwich sum per mesh; the limit statement
     says it dies like mesh^(1/(2 word_len)) or faster.
 
-    The blocks supplied between projections must be centered; a sampler
-    whose normalized trace stays away from zero is rejected.
+    The blocks between projections are the diagonal blocks of centered
+    Hermitian Gaussians, each drawn on its own trial and mesh stream.
     """
     if word_len < 1:
         raise ValueError("word length k must be >= 1")
     if not meshes:
         raise ValueError("need at least one mesh")
     d = cfg.dim
-    sampler = z_sampler or hermitian_gaussian
-    probe = sampler(trial_rng(cfg.seed, 0, stream=99), d)
-    if abs(normalized_trace(probe)) > 0.1:
-        raise ValueError("sandwich blocks must be centered (normalized trace near 0)")
     blocks = {n: [(lo, hi) for lo, hi in itertools.pairwise(itertools.accumulate(
         projection_ranks(Subdivision.uniform(n), d), initial=0)) if hi > lo] for n in meshes}
 
@@ -399,8 +394,7 @@ def lem_proj_decay(cfg: MatrixEnsembleConfig, meshes, word_len: int,
         for lo, hi in blocks[n]:
             block = None
             for _ in range(word_len):
-                z = (hermitian_gaussian(rng, d, slice(lo, hi)) if z_sampler is None
-                     else z_sampler(rng, d)[lo:hi, lo:hi])
+                z = hermitian_gaussian(rng, d, slice(lo, hi))
                 block = z if block is None else block @ z
             worst = max(worst, float(np.linalg.norm(block, 2)))
         return worst

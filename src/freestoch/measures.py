@@ -45,7 +45,6 @@ from .processes import (
     make_free_poisson,
     make_semicircular,
     make_tuple,
-    word_cumulant,
 )
 from .rational import format_rational
 
@@ -93,12 +92,8 @@ class TraceTable:
         each of the k - |rho| missing factors."""
         if rho not in self._cumulants:
             scaled = self._scaled
-            out = scaled.scale ** (rho.k - rho.num_blocks)
-            for block in rho.blocks:
-                out *= scaled.value(scaled.merge(scaled.parts[i - 1] for i in block))
-                if not out:
-                    break
-            self._cumulants[rho] = out
+            self._cumulants[rho] = (scaled.scale ** (rho.k - rho.num_blocks)
+                                    * scaled.product(rho.blocks))
         return self._cumulants[rho]
 
     def _injective_weight(self, exponents) -> Poly:
@@ -227,14 +222,23 @@ def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
     return Fraction(value(table.pr(p)), scale)
 
 
+def _limit_weight(blocks, spec: ProcessSpec, t) -> Fraction:
+    """t^|blocks| times the product of the unit cumulants of the blocks (sets
+    of components): the integer t.numerator^m B^m prod R over (t.denominator
+    B)^m, for m blocks and B the tuple's cumulant scale."""
+    t = Fraction(t)
+    scaled = ScaledCumulants(spec)
+    m = len(blocks)
+    return Fraction(t.numerator**m * scaled.product(blocks), (t.denominator * scaled.scale) ** m)
+
+
 def limit_expect_st(p: Partition, spec: ProcessSpec, t=1) -> Fraction:
     """Mesh limit of the St_p trace: t^|p| R_p when p is noncrossing, else 0."""
     if p.k != spec.k:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
-    t = Fraction(t)
     if not is_noncrossing(p):
         return Fraction(0)
-    return t**p.num_blocks * spec.partition_cumulant(p)
+    return _limit_weight(p.blocks, spec, t)
 
 
 def exact_moment(spec: ProcessSpec, t=1) -> Fraction:
@@ -417,10 +421,7 @@ def _st_word(p: Partition, spec: ProcessSpec, scalar=1) -> MeasureWord:
 
 def _main_theorem_sides(p: Partition, spec: ProcessSpec, t) -> tuple[MeasureWord, MeasureWord]:
     split = classify_classes(p)
-    t = Fraction(t)
-    scalar = Fraction(1)
-    for c_block in split.inner:
-        scalar *= t * spec.unit_cumulant(c_block)
+    scalar = _limit_weight(split.inner, spec, t)
     derived_words = tuple(spec.subset_word(b) for b in split.outer)
     rhs = MeasureWord(scalar, ((Partition.zero_hat(split.outer_count), "st"),), derived_words)
     return _st_word(p, spec), rhs
@@ -454,10 +455,7 @@ def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
     split = classify_classes(p)
-    t = Fraction(t)
-    scalar = Fraction(1)
-    for c_block in split.inner:
-        scalar *= t * spec.unit_cumulant(c_block)
+    scalar = _limit_weight(split.inner, spec, t)
     support = sorted(el for b in split.outer for el in b)
     outer_part = restrict(p, support)
     rhs = MeasureWord(scalar, ((outer_part, "st"),),
@@ -491,20 +489,15 @@ def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:
     """
     if base.k != 1:
         raise DimensionError("the sandwich check takes a single-component process")
-    t = Fraction(t)
     z_spec = make_custom_process(z_cumulants)
-    sandwich = ProcessSpec((base.words[0], z_spec.words[0], base.words[0]))
-    total = Fraction(0)
-    for rho in enumerate_noncrossing(3):
-        r = sandwich.partition_cumulant(rho)
-        if r == 0:
-            continue
-        x_blocks = sum(1 for b in rho.blocks if 1 in b or 3 in b)
-        if x_blocks == 1:
-            total += t * r
-    tau_z = Fraction(z_cumulants[0])
-    delta2 = t * word_cumulant(base.words[0] * 2)
-    return total - tau_z * delta2
+    sandwich = ScaledCumulants(ProcessSpec((base.words[0], z_spec.words[0], base.words[0])))
+    scale = sandwich.scale
+    # B^3 times the sum of R_rho, and B^3 times tau(Z) R(X X)
+    total = sum(scale ** (3 - rho.num_blocks) * sandwich.product(rho.blocks)
+                for rho in enumerate_noncrossing(3)
+                if sum(1 for b in rho.blocks if 1 in b or 3 in b) == 1)
+    tau_delta2 = scale * sandwich.product(((2,), (1, 3)))
+    return Fraction(t) * Fraction(total - tau_delta2, scale**3)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +583,7 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
     for k in range(1, k_max + 1):
         spec = make_tuple(base, "identical", k=k)
         lattice = enumerate_set_partitions(k)
-        above = [(p, [(s, int(mobius(p, s, "full"))) for s in coarsenings(p)])
+        above = [(p, [(s, mobius(p, s, "full")) for s in coarsenings(p)])
                  for p in lattice]
         table = TraceTable(spec)
         for sub in battery:

@@ -15,7 +15,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
@@ -477,7 +476,7 @@ def _mu_noncrossing(n: int) -> int:
     return (-1) ** (n - 1) * (math.comb(2 * n - 2, n - 1) // n)
 
 
-def mobius(s: Partition, p: Partition, lattice: str = "full") -> Fraction:
+def mobius(s: Partition, p: Partition, lattice: str = "full") -> int:
     """Mobius function of the interval [s, p] in P(k) or NC(k), in closed form.
 
     The interval is the product over the blocks W of p of the intervals
@@ -505,4 +504,4 @@ def mobius(s: Partition, p: Partition, lattice: str = "full") -> Fraction:
         plabels = p.rgs()
         for n in Counter(plabels[block[0] - 1] for block in s.blocks).values():
             out *= _mu_full(n)
-    return Fraction(out)
+    return out

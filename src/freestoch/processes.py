@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionError, SizeGuardError
-from .partitions import Frozen, Partition
+from .partitions import Frozen
 from .rational import format_rational, parse_rational
 
 _ATOM_UIDS = itertools.count(1)
@@ -69,16 +69,6 @@ def _new_atom(kind: str, data: tuple) -> Atom:
     return Atom(next(_ATOM_UIDS), kind, data)
 
 
-def word_cumulant(word: tuple[Atom, ...]) -> Fraction:
-    """Unit-time cumulant of a word of atoms; zero across distinct atoms."""
-    if not word:
-        raise ValueError("empty word")
-    first = word[0]
-    if any(a is not first and a != first for a in word[1:]):
-        return Fraction(0)
-    return first.cumulant(len(word))
-
-
 class ProcessSpec(Frozen):
     """A consistent tuple of free stochastic measures, one word per
     component, equal and hashed by its words."""
@@ -104,21 +94,6 @@ class ProcessSpec(Frozen):
         """Concatenated word of the components in an increasing subset."""
         return tuple(a for i in subset for a in self.words[i - 1])
 
-    def unit_cumulant(self, subset) -> Fraction:
-        """R(B; X) per unit time."""
-        return word_cumulant(self.subset_word(subset))
-
-    def partition_cumulant(self, p: Partition) -> Fraction:
-        """R_p(X) per unit time: the product over blocks."""
-        if p.k != self.k:
-            raise DimensionError(f"partition of [{p.k}] vs {self.k} components")
-        out = Fraction(1)
-        for block in p.blocks:
-            out *= self.unit_cumulant(block)
-            if out == 0:
-                return out
-        return out
-
     def restrict(self, indices) -> "ProcessSpec":
         """Sub-tuple of the chosen components, in the given order."""
         return ProcessSpec(tuple(self.words[i - 1] for i in indices))
@@ -135,7 +110,8 @@ Part = tuple[int | None, int]  # (atom index, or None across atoms; word length)
 
 
 class ScaledCumulants:
-    """Unit-time cumulants of sets of a tuple's components, as integers.
+    """Unit-time cumulants of sets of a tuple's components, as integers: the
+    one way the exact engine evaluates them.
 
     `scale` is B, the lcm of the denominators of every cumulant the atoms
     declare, so B R(S) is an integer for every set S of components.  R(S)
@@ -176,6 +152,16 @@ class ScaledCumulants:
             r = self._atoms[part[0]].cumulant(part[1])
             self._values[part] = r.numerator * (self.scale // r.denominator)
         return self._values[part]
+
+    def product(self, blocks) -> int:
+        """B^|blocks| times the product of the unit cumulants of the blocks,
+        each a set of components."""
+        out = 1
+        for block in blocks:
+            out *= self.value(self.merge(self.parts[i - 1] for i in block))
+            if not out:
+                break
+        return out
 
 
 # ---------------------------------------------------------------------------

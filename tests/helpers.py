@@ -66,6 +66,34 @@ CENTERED_SEQ = (
 )
 
 
+def word_cumulant(word):
+    """Unit-time cumulant of a word of atoms, as a Fraction; zero across
+    distinct atoms."""
+    if not word:
+        raise ValueError("empty word")
+    first = word[0]
+    if any(a is not first and a != first for a in word[1:]):
+        return Fraction(0)
+    return first.cumulant(len(word))
+
+
+def unit_cumulant(spec, subset):
+    """R(B; X) per unit time: the cumulant of the subset's concatenated word."""
+    return word_cumulant(spec.subset_word(subset))
+
+
+def partition_cumulant(spec, p):
+    """R_p(X) per unit time: the product over blocks, in Fractions."""
+    if p.k != spec.k:
+        raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
+    out = Fraction(1)
+    for block in p.blocks:
+        out *= unit_cumulant(spec, block)
+        if out == 0:
+            return out
+    return out
+
+
 def process_fixtures():
     return {
         "free_poisson": make_free_poisson(1),
@@ -270,14 +298,14 @@ def diagonal_substitution_residual(spec, groups):
     poly_a = {}
     for tau in enumerate_noncrossing(len(flat)):
         if refines(sigma, tau):
-            val = flattened.partition_cumulant(tau)
+            val = partition_cumulant(flattened, tau)
             if val:
                 poly_a[tau.num_blocks] = poly_a.get(tau.num_blocks, Fraction(0)) + val
 
     derived = derived_diagonal_tuple(spec, groups)
     poly_b = {}
     for rho in enumerate_noncrossing(len(groups)):
-        val = derived.partition_cumulant(rho)
+        val = partition_cumulant(derived, rho)
         if val:
             poly_b[rho.num_blocks] = poly_b.get(rho.num_blocks, Fraction(0)) + val
 
@@ -334,13 +362,13 @@ class FiniteTraces:
             exps = [0] * p.num_blocks
             for block in rho.blocks:
                 exps[labels[block[0] - 1]] += 1
-            total += self.spec.partition_cumulant(rho) * self._injective_weight(exps)
+            total += partition_cumulant(self.spec, rho) * self._injective_weight(exps)
         return total
 
     def pr(self, p):
         total = Fraction(0)
         for rho in enumerate_noncrossing(p.k):
-            term = self.spec.partition_cumulant(rho)
+            term = partition_cumulant(self.spec, rho)
             jlabels = join(rho, p).rgs()
             for c in Counter(jlabels[block[0] - 1] for block in rho.blocks).values():
                 term *= self.power_sums[c]
@@ -388,7 +416,7 @@ def increment_cumulant(spec, p, intervals):
         out *= _intersection_length([ivs[i - 1] for i in block])
         if out == 0:
             return out
-    return out * spec.partition_cumulant(p)
+    return out * partition_cumulant(spec, p)
 
 
 def tuple_increment_cumulants(spec, sub, indices):
@@ -405,7 +433,7 @@ def tuple_increment_cumulants(spec, sub, indices):
     for b in nonempty_subsets(spec.k):
         chosen = {indices[i - 1] for i in b}
         if len(chosen) == 1:
-            values[b] = sub.lengths[next(iter(chosen)) - 1] * spec.unit_cumulant(b)
+            values[b] = sub.lengths[next(iter(chosen)) - 1] * unit_cumulant(spec, b)
         else:
             values[b] = Fraction(0)
     return CumulantFunctional(spec.k, values)
@@ -612,7 +640,7 @@ def limit_product_by_patterns(factors, spec, t=1):
                                       for p, kind in factors))
     total = Fraction(0)
     for sigma in noncrossing_coarsenings(pi_total, apart):
-        r = spec.partition_cumulant(sigma)
+        r = partition_cumulant(spec, sigma)
         if r:
             total += t**sigma.num_blocks * r
     return total

@@ -61,6 +61,7 @@ from helpers import (
     brute_expect_st,
     catalan,
     diagonal_substitution_residual,
+    partition_cumulant,
     process_fixtures,
 )
 
@@ -159,7 +160,7 @@ def test_limit_formula_and_crossing_decay():
             spec = make_tuple(base, "identical", k=k)
             for t in (Fraction(1), Fraction(3, 2)):
                 for p in enumerate_noncrossing(k):
-                    expected = t ** p.num_blocks * spec.partition_cumulant(p)
+                    expected = t ** p.num_blocks * partition_cumulant(spec, p)
                     if limit_expect_st(p, spec, t) != expected:
                         bad.append(("limit", name, str(p)))
                     if k <= 4 and st_uniform_formula(p, spec, t).limit != expected:

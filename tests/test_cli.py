@@ -51,6 +51,30 @@ def test_to_moments(capsys):
         "cumulants", "to-moments", "--process", "free_poisson", "--order", "4"])
     assert code == 0
     assert rep["records"][0]["moments"] == "1/1,2/1,5/1,14/1"
+    # a custom process with fractional cumulants, against the noncrossing sum
+    from fractions import Fraction
+
+    from freestoch.cumulants import CumulantFunctional
+    from freestoch.rational import format_rational
+    from helpers import moments_from_cumulants
+
+    seq = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 7), Fraction(5, 11), Fraction(-1, 13)]
+    process = json.dumps({"type": "custom",
+                          "cumulants": {str(n): format_rational(r) for n, r in enumerate(seq, 1)}})
+    code, rep = _run_json(capsys, ["cumulants", "to-moments", "--process", process, "--order", "5"])
+    assert code == 0
+    assert rep["records"][0]["moments"] == ",".join(
+        format_rational(moments_from_cumulants(CumulantFunctional.from_single_variable(n, seq)))
+        for n in range(1, 6))
+
+
+def test_to_moments_refuses_an_order_the_process_does_not_declare(capsys):
+    process = json.dumps({"type": "custom", "cumulants": {"1": "1/2"}})
+    assert run(["cumulants", "to-moments", "--process", process, "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "error: custom process declares cumulants up to order 1, order 2 requested"]
 
 
 def test_from_moments(capsys):
@@ -364,15 +388,18 @@ def test_exact_commands_leave_numpy_unloaded():
 
 
 def test_failing_check_exits_1(capsys, monkeypatch):
-    # force a failure by shrinking the decay trial budget and flipping pass
+    # force a failure: sandwich blocks whose norm, d / r for an r x r block,
+    # grows as the mesh shrinks
+    import numpy as np
+
     import freestoch.matrixsim as matrixsim
 
-    def fake_decay(cfg, meshes, k, z_sampler=None):
-        return [{"d": cfg.dim, "N": meshes[0], "estimate": 1.0, "stderr": 0.0,
-                 "pass": False, "seed": cfg.seed, "trial_count": cfg.trials}]
+    def growing(rng, d, part):
+        r = len(range(d)[part])
+        return np.eye(r, dtype=complex) * (d / r)
 
-    monkeypatch.setattr(matrixsim, "lem_proj_decay", fake_decay)
-    code = run(["simulate", "proj-decay", "--k", "1", "--dim", "80",
-                "--meshes", "4", "--trials", "2", "--seed", "2"])
+    monkeypatch.setattr(matrixsim, "hermitian_gaussian", growing)
+    code, rep = _run_json(capsys, ["simulate", "proj-decay", "--k", "1", "--dim", "80",
+                                   "--meshes", "4,8", "--trials", "2", "--seed", "2"])
     assert code == 1
-    capsys.readouterr()
+    assert [r["pass"] for r in rep["records"]] == [True, False]

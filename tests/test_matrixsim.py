@@ -175,7 +175,9 @@ def test_st_matrix_trace_matches_exact_engine():
 
 def test_word_traces_match_exact_engine_at_scale():
     # mean traces of words of specific increments, against the per-tuple
-    # mixed moments from the cumulant transform
+    # mixed moments from the cumulant transform.  With P_i = s_i s_i*,
+    # tr(P_a P_b P_c) = tr(G_ab G_bc G_ca) for the Gram blocks G_ij = s_i* s_j
+    # of one s* s product, so each trace takes r x r products only.
     from helpers import moments_from_cumulants, tuple_increment_cumulants
 
     sub = Subdivision.of(["1/3", "2/3"])
@@ -185,10 +187,14 @@ def test_word_traces_match_exact_engine_at_scale():
     samples = {w: [] for w in words}
     for trial in range(cfg.trials):
         inc = sample_increments(POISSON, sub, cfg, trial)
-        mats = inc.matrices[0]
-        for w in words:
-            prod = mats[w[0] - 1] @ mats[w[1] - 1] @ mats[w[2] - 1]
-            samples[w].append(normalized_trace(prod))
+        s = inc.factor
+        gram = s.conj().T @ s
+        blocks = {(i, j): gram[inc.slices[i - 1], inc.slices[j - 1]]
+                  for i in (1, 2) for j in (1, 2)}
+        for a, b, c in words:
+            # the trace of a product XY is the sum of the entries of X * Y^T
+            head = blocks[a, b] @ blocks[b, c]
+            samples[a, b, c].append(float(np.sum(head * blocks[c, a].T).real) / cfg.dim)
     for w in words:
         ref = float(moments_from_cumulants(tuple_increment_cumulants(spec3, sub, w)))
         arr = np.array(samples[w])
@@ -231,12 +237,6 @@ def test_lem_proj_decay_monotone():
         assert records[0]["estimate"] > records[-1]["estimate"]
 
 
-def test_lem_proj_decay_rejects_uncentered_blocks():
-    cfg = MatrixEnsembleConfig(dim=80, trials=2, seed=1, model="poisson_sps")
-    with pytest.raises(ValueError):
-        lem_proj_decay(cfg, [4], 1, z_sampler=lambda rng, d: np.eye(d, dtype=complex))
-
-
 @pytest.mark.parametrize("d,lo,hi", [(2, 0, 1), (7, 2, 5), (40, 0, 40), (40, 39, 40),
                                      (33, 10, 10)])
 def test_hermitian_gaussian_block_is_the_full_draws_block(d, lo, hi):
@@ -256,13 +256,6 @@ def test_hermitian_gaussian_is_bytewise_the_complex_assembly(d):
         assert (z.dtype, z.shape, z.strides) == (expected.dtype, expected.shape, expected.strides)
         assert z.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-def test_lem_proj_decay_blocks_equal_the_full_draw_path():
-    cfg = MatrixEnsembleConfig(dim=37, trials=3, seed=8, model="poisson_sps")
-    for k in (1, 2):
-        assert (lem_proj_decay(cfg, [3, 4, 8], k)
-                == lem_proj_decay(cfg, [3, 4, 8], k, z_sampler=hermitian_gaussian))
 
 
 def test_lem_proj_decay_rejects_empty_words_and_meshes():
@@ -437,18 +430,18 @@ def test_pooled_calibrate_equals_serial(free_cores, model, spec, cores):
 
 
 @pytest.mark.parametrize("word_len", [1, 2])
-def test_pooled_proj_decay_equals_serial(free_cores, word_len):
+def test_pooled_proj_decay_equals_serial(monkeypatch, free_cores, word_len):
     cfg = MatrixEnsembleConfig(dim=37, trials=4, seed=8, model="poisson_sps")
     threads = set()
 
-    def sampler(rng, d):
+    def sampler(rng, d, part):
         threads.add(threading.current_thread().name)
-        return hermitian_gaussian(rng, d)
+        return hermitian_gaussian(rng, d, part)
 
-    for z_sampler in (None, sampler):
-        serial, pooled = _serial_and_pooled(
-            free_cores, lambda: lem_proj_decay(cfg, [3, 4, 8], word_len, z_sampler))
-        assert pooled == serial
+    monkeypatch.setattr(mx, "hermitian_gaussian", sampler)
+    serial, pooled = _serial_and_pooled(
+        free_cores, lambda: lem_proj_decay(cfg, [3, 4, 8], word_len))
+    assert pooled == serial
     assert any(name.startswith("freestoch-trial") for name in threads)  # a pool thread drew
 
 
@@ -463,19 +456,20 @@ def test_main_theorem_with_free_cores_equals_serial(free_cores):
 
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("failing", [1, 2])  # with 2 cores: the pool's share, the caller's
-def test_a_trial_error_propagates_unchanged(free_cores, cores, failing):
+def test_a_trial_error_propagates_unchanged(monkeypatch, free_cores, cores, failing):
     free_cores(cores)
     cfg = MatrixEnsembleConfig(dim=24, trials=4, seed=3, model="poisson_sps")
     error = RuntimeError(f"trial {failing} failed")
     fresh = trial_rng(cfg.seed, failing, stream=4).bit_generator.state
 
-    def sampler(rng, d):
+    def sampler(rng, d, part):
         if rng.bit_generator.state == fresh:  # the failing trial's first draw
             raise error
-        return hermitian_gaussian(rng, d)
+        return hermitian_gaussian(rng, d, part)
 
+    monkeypatch.setattr(mx, "hermitian_gaussian", sampler)
     with pytest.raises(RuntimeError) as info:
-        lem_proj_decay(cfg, [4], 1, z_sampler=sampler)
+        lem_proj_decay(cfg, [4], 1)
     assert info.value is error
 
 

@@ -65,6 +65,7 @@ from helpers import (
     moment_functional_by_subsets,
     noncrossing_coarsenings,
     noncrossing_refinements_by_filter,
+    partition_cumulant,
     process_fixtures,
     product_patterns_by_filter,
     recursive_mobius,
@@ -130,7 +131,7 @@ def test_limit_product_walk_matches_lattice_filter(factors):
     k = sum(p.k for p, _ in factors)
     spec = make_tuple(CUSTOM, "identical", k=k)
     t = Fraction(3, 2)
-    oracle = sum((t**sigma.num_blocks * spec.partition_cumulant(sigma)
+    oracle = sum((t**sigma.num_blocks * partition_cumulant(spec, sigma)
                   for sigma in product_patterns_by_filter(factors, noncrossing=True)),
                  Fraction(0))
     assert limit_product_of_st(factors, spec, t) == oracle
@@ -375,7 +376,7 @@ def test_limit_product_recursion_matches_pattern_walk(case, t):
 @settings(PROPERTY_SETTINGS, max_examples=40)
 @given(st.integers(1, 9).flatmap(specs), st.sampled_from((Fraction(1), Fraction(2, 5))))
 def test_exact_moment_is_the_noncrossing_sum(spec, t):
-    oracle = sum((t**sigma.num_blocks * spec.partition_cumulant(sigma)
+    oracle = sum((t**sigma.num_blocks * partition_cumulant(spec, sigma)
                   for sigma in enumerate_noncrossing(spec.k)), Fraction(0))
     assert exact_moment(spec, t) == oracle
 

@@ -8,6 +8,7 @@ families whose words mix atoms.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from freestoch.measures import (
     expect_pr,
     expect_product_of_st,
     expect_st,
+    free_sandwich_residual,
     identity_suite,
     inner_peeling_residual,
     limit_expect_st,
@@ -33,11 +35,20 @@ from freestoch.measures import (
     main_theorem_residual,
     st_uniform_formula,
 )
-from freestoch.partitions import Partition, enumerate_noncrossing, enumerate_set_partitions, mobius
+from freestoch.partitions import (
+    Partition,
+    classify_classes,
+    enumerate_noncrossing,
+    enumerate_set_partitions,
+    is_noncrossing,
+    mobius,
+    restrict,
+)
 from freestoch.processes import (
     ProcessSpec,
     ScaledCumulants,
     Subdivision,
+    derived_diagonal_tuple,
     free_family,
     make_custom_process,
     make_free_poisson,
@@ -46,7 +57,14 @@ from freestoch.processes import (
 )
 from freestoch.rational import format_rational
 
-from helpers import FiniteTraces, identity_suite_by_pairs, limit_product_by_patterns
+from helpers import (
+    FiniteTraces,
+    identity_suite_by_pairs,
+    limit_product_by_patterns,
+    partition_cumulant,
+    unit_cumulant,
+    word_cumulant,
+)
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True)
 
@@ -82,7 +100,7 @@ def test_scaled_cumulants_are_b_times_the_unit_cumulants():
     for r in range(1, 4):
         for subset in itertools.combinations(range(1, spec.k + 1), r):
             part = scaled.merge(scaled.parts[i - 1] for i in subset)
-            assert Fraction(scaled.value(part), scaled.scale) == spec.unit_cumulant(subset)
+            assert Fraction(scaled.value(part), scaled.scale) == unit_cumulant(spec, subset)
 
 
 def test_trace_tables_match_finite_traces_at_coprime_lengths():
@@ -152,6 +170,36 @@ def test_exact_moments_match_the_pattern_sums_at_t_2_7():
             assert exact_moment(spec, T) == oracle
 
 
+def _limit_by_fractions(p, spec, t):
+    return t**p.num_blocks * partition_cumulant(spec, p) if is_noncrossing(p) else Fraction(0)
+
+
+def test_limit_scalars_match_the_fraction_oracle_at_t_2_7():
+    for k in range(1, 6):
+        for spec in _mixed_specs(k):
+            for p in enumerate_set_partitions(k):
+                assert limit_expect_st(p, spec, T) == _limit_by_fractions(p, spec, T), (spec, p)
+            for p in enumerate_noncrossing(k):
+                split = classify_classes(p)
+                scalar = math.prod((T * unit_cumulant(spec, b) for b in split.inner),
+                                   start=Fraction(1))
+                left = _limit_by_fractions(p, spec, T)
+                derived = derived_diagonal_tuple(spec, split.outer)
+                assert main_theorem_residual(p, spec, "L1", T) == left - scalar * (
+                    _limit_by_fractions(Partition.zero_hat(derived.k), derived, T)), (spec, p)
+                support = sorted(el for b in split.outer for el in b)
+                assert inner_peeling_residual(p, spec, "L1", T) == left - scalar * (
+                    _limit_by_fractions(restrict(p, support), spec.restrict(support), T))
+    z = (Fraction(2, 3), Fraction(-1, 5), Fraction(3, 7))
+    for word in WORDS:
+        base = ProcessSpec((word,))
+        sandwich = ProcessSpec((word, make_custom_process(z).words[0], word))
+        single_x_block = sum(partition_cumulant(sandwich, rho) for rho in enumerate_noncrossing(3)
+                             if sum(1 for b in rho.blocks if 1 in b or 3 in b) == 1)
+        expected = T * single_x_block - z[0] * T * word_cumulant(word * 2)
+        assert free_sandwich_residual(base, z, T) == expected, word
+
+
 def test_identity_suite_matches_the_pair_oracle_at_coprime_lengths():
     for name in ("poisson_3/2", "custom_3_5_7"):
         base = BASES[name]
@@ -171,7 +219,7 @@ def test_public_exact_functions_return_fractions():
         *example_formulas_check("brownian", Partition.parse("((1)(2,3))"), T),
         *st_uniform_formula(Partition.one_hat(2), make_tuple(POISSON, "identical", k=2),
                             T).coeffs.values(),
-        mobius(zero, zero), exact_moment(make_tuple(POISSON, "identical", k=3), 2),
+        exact_moment(make_tuple(POISSON, "identical", k=3), 2),
     ]
     zeros = {b: Fraction(0) for b in ((1,), (2,), (1, 2))}
     for f in (moment_functional(CumulantFunctional(2, zeros)),
@@ -181,6 +229,10 @@ def test_public_exact_functions_return_fractions():
     assert all(type(v) is Fraction for v in values), [type(v) for v in values]
     assert [format_rational(v) for v in values[:10]] == ["0/1"] * 10
     assert format_rational(exact_moment(make_tuple(POISSON, "identical", k=3), 2)) == "57/1"
+    one = Partition.one_hat(3)
+    mus = [mobius(zero, zero), mobius(Partition.zero_hat(3), one, "full"),
+           mobius(Partition.zero_hat(3), one, "noncrossing")]
+    assert [type(mu) for mu in mus] == [int] * 3 and mus == [1, 2, 2]
 
 
 def test_suite_records_keep_their_rational_format():
