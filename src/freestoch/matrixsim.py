@@ -374,15 +374,20 @@ def calibrate(spec: ProcessSpec, sub: Subdivision, cfg: MatrixEnsembleConfig,
 
 def lem_proj_decay(cfg: MatrixEnsembleConfig, meshes, word_len: int) -> list[dict]:
     """Norm of the projection-sandwich sum per mesh; the limit statement
-    says it dies like mesh^(1/(2 word_len)) or faster.
+    says it dies like mesh^(1/(2 word_len)) or faster.  Each record after
+    the first passes when its estimate exceeds the previous one by at most
+    twice their summed stderrs, so the meshes (the N of uniform
+    subdivisions) must be at least two and strictly increasing.
 
     The blocks between projections are the diagonal blocks of centered
     Hermitian Gaussians, each drawn on its own trial and mesh stream.
     """
     if word_len < 1:
         raise ValueError("word length k must be >= 1")
-    if not meshes:
-        raise ValueError("need at least one mesh")
+    if len(meshes) < 2:
+        raise ValueError("need at least two meshes to compare")
+    if any(cur <= prev for prev, cur in itertools.pairwise(meshes)):
+        raise ValueError(f"meshes must be strictly increasing, got {list(meshes)}")
     d = cfg.dim
     blocks = {n: [(lo, hi) for lo, hi in itertools.pairwise(itertools.accumulate(
         projection_ranks(Subdivision.uniform(n), d), initial=0)) if hi > lo] for n in meshes}

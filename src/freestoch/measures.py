@@ -297,20 +297,27 @@ def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
 # products of St/Pr factors
 
 
-def _concatenated(factors, spec: ProcessSpec, max_arity: int) -> tuple[Partition, Partition]:
+def _check_factors(factors, spec: ProcessSpec, max_arity: int) -> None:
+    """The guards of a product expansion, in order: the factor kinds, the
+    total arity against the tuple, the total arity against the cap."""
+    if any(kind not in ("st", "pr") for _, kind in factors):
+        raise ValueError("factor kind must be 'st' or 'pr'")
+    arity = sum(p.k for p, _ in factors)
+    if arity != spec.k:
+        raise DimensionError(f"factors cover [{arity}] vs {spec.k} components")
+    if arity > max_arity:
+        raise SizeGuardError(f"total arity {arity} exceeds guard {max_arity}")
+
+
+def _concatenated(factors, spec: ProcessSpec) -> tuple[Partition, Partition]:
     """The concatenated pattern of the factors and the `apart` partition
     whose blocks no coincidence pattern may merge within: each whole St
     factor, since St pins its within-factor pattern exactly, and each block
     of a Pr factor, which only bounds that pattern from below."""
-    if any(kind not in ("st", "pr") for _, kind in factors):
-        raise ValueError("factor kind must be 'st' or 'pr'")
+    _check_factors(factors, spec, MAX_PRODUCT_ARITY)
     pi_total = functools.reduce(concat, (p for p, _ in factors))
     apart = functools.reduce(concat, (Partition.one_hat(p.k) if kind == "st" else p
                                       for p, kind in factors))
-    if pi_total.k != spec.k:
-        raise DimensionError(f"factors cover [{pi_total.k}] vs {spec.k} components")
-    if pi_total.k > max_arity:
-        raise SizeGuardError(f"total arity {pi_total.k} exceeds guard {max_arity}")
     return pi_total, apart
 
 
@@ -318,7 +325,7 @@ def _product_patterns(factors, spec: ProcessSpec) -> list[Partition]:
     """Coincidence patterns sigma of the concatenated word whose restriction
     to each factor matches it: the coarsenings of the concatenated pattern
     that keep apart the blocks of `apart`."""
-    return coarsenings(*_concatenated(factors, spec, MAX_PRODUCT_ARITY))
+    return coarsenings(*_concatenated(factors, spec))
 
 
 def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fraction:
@@ -341,8 +348,11 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
 
     The patterns are never listed.  The first-block recursion runs over
     sets of blocks of the concatenated pattern (units), as bitmasks: a block
-    of sigma is a union of them that keeps the `apart` groups apart and
-    weighs t times the unit cumulant of its word.
+    of sigma is a union of them that keeps apart the units of one group and
+    weighs t times the unit cumulant of its word.  The units, their groups
+    and their words are read off the factors at a running offset: a whole
+    St factor is one group and each block of a Pr factor its own, as in
+    `_concatenated`.
 
     The sums run in integers.  With D = B t.denominator (B the tuple's
     cumulant scale), a block of n units weighs the integer t R D^n, so the
@@ -351,15 +361,19 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
     """
     if not factors:
         return Fraction(1)
-    pi_total, apart = _concatenated(factors, spec, MAX_LIMIT_ARITY)
+    _check_factors(factors, spec, MAX_LIMIT_ARITY)
     t = Fraction(t)
     cumulants = ScaledCumulants(spec)
     scale = cumulants.scale * t.denominator
-    labels = apart.rgs()
-    bits = [sum(1 << el for el in block) for block in pi_total.blocks]
-    tags = [labels[block[0] - 1] for block in pi_total.blocks]
-    parts = [cumulants.merge(cumulants.parts[el - 1] for el in block)
-             for block in pi_total.blocks]
+    bits, tags, parts = [], [], []
+    offset = group = 0
+    for p, kind in factors:
+        for j, block in enumerate(p.blocks):
+            bits.append(sum(1 << (offset + el) for el in block))
+            tags.append(group if kind == "st" else group + j)
+            parts.append(cumulants.merge(cumulants.parts[offset + el - 1] for el in block))
+        offset += p.k
+        group += 1 if kind == "st" else p.num_blocks
     powers = [t.numerator * scale**n for n in range(len(bits))]  # t R D^n = (B R) powers[n - 1]
     weights: dict[int, int] = {}
     sums: dict[int, int] = {}
@@ -401,18 +415,27 @@ class MeasureWord(Frozen):
 
 
 def _pair_trace(a: MeasureWord, b: MeasureWord, t) -> Fraction:
+    """tau(A B) for the words A and B; 0 without a limit product when a
+    scalar is 0, once the product's guards have passed."""
+    scalar = a.scalar * b.scalar
     factors = a.factors + b.factors
     if not factors:
-        return a.scalar * b.scalar
+        return scalar
     spec = ProcessSpec(a.words + b.words)
-    return a.scalar * b.scalar * limit_product_of_st(list(factors), spec, t)
+    if not scalar:
+        _check_factors(factors, spec, MAX_LIMIT_ARITY)
+        return scalar
+    return scalar * limit_product_of_st(factors, spec, t)
 
 
 def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
-    """Trace of (A - B)(A - B)*; zero iff A = B by faithfulness."""
+    """Trace of (A - B)(A - B)*; zero iff A = B by faithfulness.
+
+    Every trace here is a real rational and tau(X*) is the conjugate of
+    tau(X), so tau(B A*) = tau(A B*): three pair traces, not four.
+    """
     a_star, b_star = a.adjoint(), b.adjoint()
-    return (_pair_trace(a, a_star, t) - _pair_trace(a, b_star, t)
-            - _pair_trace(b, a_star, t) + _pair_trace(b, b_star, t))
+    return _pair_trace(a, a_star, t) - 2 * _pair_trace(a, b_star, t) + _pair_trace(b, b_star, t)
 
 
 def _st_word(p: Partition, spec: ProcessSpec, scalar=1) -> MeasureWord:
@@ -449,22 +472,26 @@ def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=
     raise ValueError(f"unknown order {order!r}")
 
 
+def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t) -> tuple[MeasureWord, MeasureWord]:
+    split = classify_classes(p)
+    scalar = _limit_weight(split.inner, spec, t)
+    support = sorted(el for b in split.outer for el in b)
+    rhs = MeasureWord(scalar, ((restrict(p, support), "st"),), spec.restrict(support).words)
+    return _st_word(p, spec), rhs
+
+
 def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
     """Residual of St_p against peeling all inner classes off as scalars,
     keeping St of the outer blocks on their own positions."""
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
-    split = classify_classes(p)
-    scalar = _limit_weight(split.inner, spec, t)
-    support = sorted(el for b in split.outer for el in b)
-    outer_part = restrict(p, support)
-    rhs = MeasureWord(scalar, ((outer_part, "st"),),
-                      tuple(spec.words[i - 1] for i in support))
+    lhs, rhs = _inner_peeling_sides(p, spec, t)
     if order == "L1":
-        return limit_expect_st(p, spec, t) - scalar * limit_expect_st(
-            outer_part, spec.restrict(support), t)
+        ((outer_part, _),) = rhs.factors
+        return limit_expect_st(p, spec, t) - rhs.scalar * limit_expect_st(
+            outer_part, ProcessSpec(rhs.words), t)
     if order == "L2":
-        return l2_residual(_st_word(p, spec), rhs, t)
+        return l2_residual(lhs, rhs, t)
     raise ValueError(f"unknown order {order!r}")
 
 

@@ -294,8 +294,12 @@ def kreweras(p: Partition) -> Partition:
 
 
 def opposite(p: Partition) -> Partition:
-    """Reverse the ground set: i maps to k - i + 1, blockwise."""
-    return Partition.of([[p.k - i + 1 for i in b] for b in p.blocks], p.k)
+    """Reverse the ground set: i maps to k - i + 1, blockwise.  Each image
+    block is sorted once read backwards, and sorting the disjoint blocks
+    orders them by their minima, so the result is canonical."""
+    k = p.k
+    return Partition._trusted(k, tuple(sorted(tuple(k + 1 - i for i in reversed(b))
+                                              for b in p.blocks)))
 
 
 def concat(p: Partition, s: Partition) -> Partition:

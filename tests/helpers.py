@@ -31,6 +31,7 @@ from freestoch.measures import (
     free_sandwich_residual,
     inner_peeling_residual,
     limit_expect_st,
+    limit_product_of_st,
     st_uniform_formula,
 )
 from freestoch.partitions import (
@@ -46,6 +47,7 @@ from freestoch.partitions import (
     restrict,
 )
 from freestoch.processes import (
+    ProcessSpec,
     derived_diagonal_tuple,
     make_custom_process,
     make_free_poisson,
@@ -644,3 +646,19 @@ def limit_product_by_patterns(factors, spec, t=1):
         if r:
             total += t**sigma.num_blocks * r
     return total
+
+
+def pair_trace(a, b, t=1):
+    """tau(A B) for two measure words by one limit product, run whatever
+    the scalars."""
+    factors = list(a.factors + b.factors)
+    if not factors:
+        return a.scalar * b.scalar
+    return a.scalar * b.scalar * limit_product_of_st(factors, ProcessSpec(a.words + b.words), t)
+
+
+def l2_residual_by_four_traces(a, b, t=1):
+    """tau((A - B)(A - B)*) expanded into all four pair traces."""
+    a_star, b_star = a.adjoint(), b.adjoint()
+    return (pair_trace(a, a_star, t) - pair_trace(a, b_star, t)
+            - pair_trace(b, a_star, t) + pair_trace(b, b_star, t))

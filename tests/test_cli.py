@@ -224,6 +224,18 @@ def test_simulate_size_errors_exit_2_with_one_error_line(capsys, argv):
     assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("meshes,error", [
+    ("4", "error: need at least two meshes to compare"),
+    ("8,4", "error: meshes must be strictly increasing, got [8, 4]"),
+    ("4,16,8", "error: meshes must be strictly increasing, got [4, 16, 8]")])
+def test_proj_decay_refuses_meshes_it_cannot_compare(capsys, meshes, error):
+    # with one mesh the sweep used to exit 0 with nothing compared
+    assert run(["simulate", "proj-decay", "--dim", "10", "--trials", "1",
+                "--meshes", meshes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [error]
+
+
 @pytest.mark.parametrize("argv", [
     ["cumulants", "from-moments"],
     ["cumulants", "from-moments", "--moments", "1,2", "--functional", "f.json"],

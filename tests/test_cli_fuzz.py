@@ -107,7 +107,7 @@ def _commands(files=((), ())):
          {"--partition": SIMULATE_PARTITIONS}, ("--partition",)),
         (["simulate", "proj-decay"], {
             "--k": (("1", "2"), ("0", "x")), "--dim": (("48", "64"), ("1", "2")),
-            "--meshes": (("2,4", "4", "1,2,3"), ("0,4", "", "a", "4,-2")),
+            "--meshes": (("2,4", "1,2,3"), ("4", "0,4", "", "a", "4,-2", "8,4")),
             "--trials": (("1", "3"), ("0",)), "--seed": (("1", "7"), ("-1",)), **OUTPUT},
          ("--dim", "--meshes", "--trials")),
     ]

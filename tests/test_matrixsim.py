@@ -266,6 +266,21 @@ def test_lem_proj_decay_rejects_empty_words_and_meshes():
         lem_proj_decay(cfg, [], 1)
 
 
+@pytest.mark.parametrize("meshes,message", [
+    ([4], "two meshes"), ([8, 4], "strictly increasing"), ([4, 4], "strictly increasing"),
+    ([4, 16, 8], "strictly increasing")])
+def test_lem_proj_decay_refuses_meshes_it_cannot_compare(monkeypatch, meshes, message):
+    # one mesh leaves its only record nothing to compare with; meshes out of
+    # order would compare the decay backwards.  Both are refused before a draw.
+    def refuse(*args):
+        raise AssertionError("drew a block")
+
+    monkeypatch.setattr(mx, "hermitian_gaussian", refuse)
+    cfg = MatrixEnsembleConfig(dim=20, trials=1, seed=1, model="poisson_sps")
+    with pytest.raises(ValueError, match=message):
+        lem_proj_decay(cfg, meshes, 1)
+
+
 def test_main_theorem_matrix_residual_trivial_partition():
     # one block: both sides are literally the same sum
     cfg = MatrixEnsembleConfig(dim=60, trials=2, seed=8, model="poisson_sps")
@@ -469,7 +484,7 @@ def test_a_trial_error_propagates_unchanged(monkeypatch, free_cores, cores, fail
 
     monkeypatch.setattr(mx, "hermitian_gaussian", sampler)
     with pytest.raises(RuntimeError) as info:
-        lem_proj_decay(cfg, [4], 1)
+        lem_proj_decay(cfg, [4, 8], 1)
     assert info.value is error
 
 

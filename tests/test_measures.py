@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from freestoch import measures
 from freestoch.errors import CrossingPartitionError, DimensionError, SizeGuardError
 from freestoch.measures import (
     MAX_LIMIT_ARITY,
     MAX_SUITE_K,
     MeasureWord,
     SUBDIVISION_BATTERY,
+    _inner_peeling_sides,
+    _main_theorem_sides,
     free_sandwich_residual,
     diagonal_nesting_residual,
     exact_moment,
@@ -47,6 +50,7 @@ from helpers import (
     brute_expect_pr,
     brute_expect_st,
     catalan,
+    l2_residual_by_four_traces,
     process_fixtures,
     st_report,
 )
@@ -232,6 +236,54 @@ def test_limit_guard_holds_at_12_and_trips_at_13():
             limit_product_of_st(factors, spec13)
     with pytest.raises(SizeGuardError):
         exact_moment(spec13)
+
+
+def test_l2_residual_is_the_four_trace_expansion():
+    # tau(B A*) = tau(A B*) lets the residual skip one pair trace, and a zero
+    # scalar skips its pair traces; neither may move a value.  Arity 10 at
+    # k = 5: the custom process needs cumulants up to order 10.
+    fixtures = {**process_fixtures(),
+                "custom": make_custom_process(CUSTOM_SEQ + (Fraction(1, 23), Fraction(1, 29)))}
+    for t in (Fraction(1), Fraction(3, 2)):
+        for name, base in fixtures.items():
+            for k in range(1, 6):
+                spec = make_tuple(base, "identical", k=k)
+                for p in enumerate_noncrossing(k):
+                    for sides in (_main_theorem_sides, _inner_peeling_sides):
+                        lhs, rhs = sides(p, spec, t)
+                        assert l2_residual(lhs, rhs, t) == \
+                            l2_residual_by_four_traces(lhs, rhs, t), (name, p, t)
+
+
+def _no_recursion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the first-block recursion ran")
+
+    monkeypatch.setattr(measures, "first_block_sum", refuse)
+
+
+def test_limit_product_guards_run_in_order_before_the_recursion(monkeypatch):
+    _no_recursion(monkeypatch)
+    base = make_free_poisson(1)
+    spec3, spec13 = make_tuple(base, "identical", k=3), make_tuple(base, "identical", k=13)
+    zero13, one2 = Partition.zero_hat(13), Partition.one_hat(2)
+    # each case also breaks every later guard
+    with pytest.raises(ValueError, match="kind"):
+        limit_product_of_st([(one2, "st"), (zero13, "diag")], spec3)
+    with pytest.raises(DimensionError):
+        limit_product_of_st([(one2, "st"), (zero13, "pr")], spec3)
+    with pytest.raises(SizeGuardError):
+        limit_product_of_st([(zero13, "pr")], spec13)
+
+
+def test_a_zero_scalar_word_keeps_the_arity_guard(monkeypatch):
+    _no_recursion(monkeypatch)
+    spec7 = make_tuple(make_free_poisson(1), "identical", k=7)
+    zero = MeasureWord(Fraction(0), ((Partition.zero_hat(7), "st"),), spec7.words)
+    one = MeasureWord(Fraction(1), (), ())
+    for a, b in ((zero, one), (one, zero)):
+        with pytest.raises(SizeGuardError):
+            l2_residual(a, b)
 
 
 def test_main_theorem_sides_for_a_known_case():

@@ -20,6 +20,7 @@ from freestoch.cumulants import (
     nonempty_subsets,
 )
 from freestoch.measures import (
+    MeasureWord,
     TraceTable,
     _product_patterns,
     exact_moment,
@@ -39,6 +40,7 @@ from freestoch.partitions import (
     kreweras,
     mobius,
     noncrossing_refinements,
+    opposite,
     refines,
 )
 from freestoch.processes import (
@@ -65,6 +67,7 @@ from helpers import (
     moment_functional_by_subsets,
     noncrossing_coarsenings,
     noncrossing_refinements_by_filter,
+    pair_trace,
     partition_cumulant,
     process_fixtures,
     product_patterns_by_filter,
@@ -272,6 +275,15 @@ def test_refinement_walk_is_the_filtered_lattice(p):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
+@given(partitions(9))
+def test_opposite_is_the_validated_reversal(p):
+    reversed_p = opposite(p)
+    assert _validated(reversed_p) == reversed_p
+    assert reversed_p == Partition.of([[p.k + 1 - i for i in b] for b in p.blocks], p.k)
+    assert opposite(reversed_p) == p
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
 @given(st.integers(1, 8).flatmap(lambda k: st.tuples(*[partitions(k, k)] * 3)))
 def test_meet_and_join_obey_the_lattice_laws(abc):
     a, b, c = abc
@@ -371,6 +383,16 @@ def limit_products(draw, arity_max: int):
 def test_limit_product_recursion_matches_pattern_walk(case, t):
     factors, spec = case
     assert limit_product_of_st(factors, spec, t) == limit_product_by_patterns(factors, spec, t)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(limit_products(6), limit_products(6), st.sampled_from((Fraction(1), Fraction(3, 2))))
+def test_limit_products_of_a_word_and_an_adjoint_are_symmetric(a_case, b_case, t):
+    """tau(A B*) = tau(B A*), the identity that lets an L2 residual skip a
+    pair trace: every limit trace is a real rational."""
+    a, b = (MeasureWord(Fraction(1), tuple(factors), spec.words)
+            for factors, spec in (a_case, b_case))
+    assert pair_trace(a, b.adjoint(), t) == pair_trace(b, a.adjoint(), t)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)
