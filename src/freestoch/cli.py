@@ -49,11 +49,26 @@ from .processes import ScaledCumulants, Subdivision, make_tuple, spec_from_descr
 from .rational import format_rational, parse_rational
 
 
+def _bounded_copies(obj: dict) -> dict:
+    """JSON object hook: refuse an identical tuple of more copies than the
+    largest arity any command takes, the St arity guard, before
+    spec_from_descriptor builds a word per copy."""
+    if obj.get("type") == "tuple" and obj.get("mode") == "identical":
+        try:
+            k = int(obj.get("k"))
+        except (TypeError, ValueError, OverflowError):
+            return obj  # spec_from_descriptor reports it
+        if k > MAX_ST_ARITY:
+            raise SizeGuardError(f"tuple of {k} copies exceeds St arity guard {MAX_ST_ARITY}")
+    return obj
+
+
 def _parse_process(text: str):
     text = text.strip()
     try:
-        return spec_from_descriptor(json.loads(text) if text.startswith("{") else text)
-    except (TypeError, AttributeError) as exc:  # a JSON value of the wrong shape
+        obj = json.loads(text, object_hook=_bounded_copies) if text.startswith("{") else text
+        return spec_from_descriptor(obj)
+    except (TypeError, AttributeError, OverflowError) as exc:  # a JSON value of the wrong shape
         raise ValueError(f"malformed process descriptor: {exc}") from exc
 
 

@@ -438,8 +438,36 @@ def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
     return _pair_trace(a, a_star, t) - 2 * _pair_trace(a, b_star, t) + _pair_trace(b, b_star, t)
 
 
-def _st_word(p: Partition, spec: ProcessSpec, scalar=1) -> MeasureWord:
-    return MeasureWord(Fraction(scalar), ((p, "st"),), spec.words)
+def _trace(word: MeasureWord, t) -> Fraction:
+    """tau(W) for a word of at most one St factor: its scalar times the
+    closed-form limit of that factor."""
+    if not word.factors:
+        return word.scalar
+    ((p, _),) = word.factors
+    return word.scalar * limit_expect_st(p, ProcessSpec(word.words), t)
+
+
+def _residual(p: Partition, spec: ProcessSpec, sides, order: str, t) -> Fraction:
+    """Residual of the St_p word L against the right side R of sides(p, spec,
+    t), once p is checked noncrossing and then against the tuple's size.
+
+    L1 compares tau(L) with tau(R); L2 expands the trace of (L - R)(L - R)*
+    over the concatenated word and must also vanish.
+    """
+    if not is_noncrossing(p):
+        raise CrossingPartitionError(f"{p} is crossing")
+    if p.k != spec.k:
+        raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
+    lhs, rhs = sides(p, spec, t)
+    if order == "L1":
+        return _trace(lhs, t) - _trace(rhs, t)
+    if order == "L2":
+        return l2_residual(lhs, rhs, t)
+    raise ValueError(f"unknown order {order!r}")
+
+
+def _st_word(p: Partition, spec: ProcessSpec) -> MeasureWord:
+    return MeasureWord(Fraction(1), ((p, "st"),), spec.words)
 
 
 def _main_theorem_sides(p: Partition, spec: ProcessSpec, t) -> tuple[MeasureWord, MeasureWord]:
@@ -451,25 +479,8 @@ def _main_theorem_sides(p: Partition, spec: ProcessSpec, t) -> tuple[MeasureWord
 
 
 def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
-    """Residual of St_p against the inner-scalar times off-diagonal form.
-
-    L1 compares traces of the two sides; L2 expands the trace of
-    (L - R)(L - R)* over the concatenated word and must also vanish.
-    """
-    if not is_noncrossing(p):
-        raise CrossingPartitionError(f"{p} is crossing")
-    if p.k != spec.k:
-        raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
-    lhs, rhs = _main_theorem_sides(p, spec, t)
-    if order == "L1":
-        split = classify_classes(p)
-        derived = derived_diagonal_tuple(spec, split.outer)
-        left = limit_expect_st(p, spec, t)
-        right = rhs.scalar * limit_expect_st(Partition.zero_hat(derived.k), derived, t)
-        return left - right
-    if order == "L2":
-        return l2_residual(lhs, rhs, t)
-    raise ValueError(f"unknown order {order!r}")
+    """Residual of St_p against the inner-scalar times off-diagonal form."""
+    return _residual(p, spec, _main_theorem_sides, order, t)
 
 
 def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t) -> tuple[MeasureWord, MeasureWord]:
@@ -483,16 +494,7 @@ def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t) -> tuple[MeasureWor
 def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
     """Residual of St_p against peeling all inner classes off as scalars,
     keeping St of the outer blocks on their own positions."""
-    if not is_noncrossing(p):
-        raise CrossingPartitionError(f"{p} is crossing")
-    lhs, rhs = _inner_peeling_sides(p, spec, t)
-    if order == "L1":
-        ((outer_part, _),) = rhs.factors
-        return limit_expect_st(p, spec, t) - rhs.scalar * limit_expect_st(
-            outer_part, ProcessSpec(rhs.words), t)
-    if order == "L2":
-        return l2_residual(lhs, rhs, t)
-    raise ValueError(f"unknown order {order!r}")
+    return _residual(p, spec, _inner_peeling_sides, order, t)
 
 
 def diagonal_nesting_residual(spec: ProcessSpec, interval_blocks, t=1) -> Fraction:
@@ -540,10 +542,8 @@ def example_formulas_check(which: str, p: Partition, t=1) -> tuple[Fraction, Fra
     closed form collapses to a scalar times a lower-order off-diagonal sum,
     or to zero when a block is too big or an inner singleton appears.
     """
-    if not is_noncrossing(p):
-        raise CrossingPartitionError(f"{p} is crossing")
     t = Fraction(t)
-    split = classify_classes(p)
+    split = classify_classes(p)  # refuses a crossing p first
     if which == "free_poisson":
         spec = make_tuple(make_free_poisson(1), "identical", k=p.k)
         o = split.outer_count
@@ -565,11 +565,8 @@ def example_formulas_check(which: str, p: Partition, t=1) -> tuple[Fraction, Fra
                 rhs = MeasureWord(t**pairs, (), ())
     else:
         raise ValueError(f"unknown example {which!r}")
-    lhs = _st_word(p, spec)
-    l1 = _pair_trace(lhs, MeasureWord(Fraction(1), (), ()), t) - _pair_trace(
-        rhs, MeasureWord(Fraction(1), (), ()), t)
-    l2 = l2_residual(lhs, rhs, t)
-    return l1, l2
+    sides = (_st_word(p, spec), rhs)
+    return tuple(_residual(p, spec, lambda *_: sides, order, t) for order in ("L1", "L2"))
 
 
 SUBDIVISION_BATTERY = (

@@ -11,7 +11,6 @@ enumeration order is reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections import Counter
@@ -152,61 +151,48 @@ def _check_same_k(a: Partition, b: Partition) -> None:
 # enumeration
 
 
+def _extended(k: int, noncrossing: bool, labels=None) -> tuple[Partition, ...]:
+    """P(k), NC(k) or, given the labels of p, the members of NC(k) below p,
+    all by one-point extension in restricted-growth order.
+
+    Each block list of [j - 1] lets point j join, in block order, each block
+    that may take it, and then open its own; appending the possible last
+    labels in ascending order keeps restricted-growth order.  In P(k) every
+    block may take j.  In NC(k) only a chain may: the block of j - 1, the
+    block of the point just below that block's minimum, and so on down; any
+    other block has a later one straddling its last point (Nica-Speicher,
+    Lectures on the Combinatorics of Free Probability, Lectures 9-10).  The
+    chain is kept in block order beside each block list: joining its c-th
+    block closes the blocks after it, and a new block goes on its end.  With
+    labels, j joins only the chain blocks of its own label.
+    """
+    level, chains = [()], [()]  # the chains stay empty for P(k)
+    for j in range(1, k + 1):
+        label = None if labels is None else labels[j - 1]
+        grown, grown_chains = [], []
+        for blocks, chain in zip(level, chains):
+            n = len(blocks)
+            for c, i in enumerate(chain if noncrossing else range(n)):
+                block = blocks[i]
+                if label is None or labels[block[0] - 1] == label:
+                    grown.append(blocks[:i] + (block + (j,),) + blocks[i + 1:])
+                    grown_chains.append(chain[:c + 1])
+            grown.append(blocks + ((j,),))
+            grown_chains.append(chain + (n,) if noncrossing else chain)
+        level, chains = grown, grown_chains
+    return tuple([Partition._trusted(k, blocks) for blocks in level])
+
+
 # The two whole-lattice caches are keyed by k alone, and k is bounded by the
 # enumeration guards, so they stay unbounded.
 @lru_cache(maxsize=None)
 def _all_set_partitions(k: int) -> tuple[Partition, ...]:
-    """P(k) by one-point extension of P(k - 1): point k joins each block of
-    p in turn, then opens its own.  Appending each possible last label to
-    the strings of P(k - 1), in order, keeps restricted-growth order."""
-    if k == 1:
-        return (Partition._trusted(1, ((1,),)),)
-    out = []
-    for p in _all_set_partitions(k - 1):
-        blocks = p.blocks
-        for i, block in enumerate(blocks):
-            out.append(Partition._trusted(k, blocks[:i] + (block + (k,),) + blocks[i + 1:]))
-        out.append(Partition._trusted(k, blocks + ((k,),)))
-    return tuple(out)
-
-
-def _nc_block_lists(segment: tuple[int, ...], labels=None):
-    """Noncrossing partitions of a sorted segment, as lists of blocks in
-    canonical order; with labels, only those whose blocks keep to one label.
-
-    The block of the smallest point takes later points of its label only
-    and splits the rest into independent gaps; no block may straddle a gap
-    boundary without crossing it.
-    """
-    if not segment:
-        yield []
-        return
-    first, rest = segment[0], segment[1:]
-    mates = rest if labels is None else [x for x in rest if labels[x - 1] == labels[first - 1]]
-    for r in range(len(mates) + 1):
-        for tail in itertools.combinations(mates, r):
-            block = (first,) + tail
-            bounds = list(block) + [segment[-1] + 1]
-            gaps = [
-                tuple(x for x in rest if lo < x < hi)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            for combo in itertools.product(*(_nc_block_lists(g, labels) for g in gaps)):
-                yield [block] + [b for sub in combo for b in sub]
-
-
-def _noncrossing_below(k: int, labels=None) -> tuple[Partition, ...]:
-    """NC(k), or its members below the partition with these labels, in
-    restricted-growth-string order."""
-    parts = [Partition._trusted(k, tuple(bs))
-             for bs in _nc_block_lists(tuple(range(1, k + 1)), labels)]
-    parts.sort(key=Partition.rgs)
-    return tuple(parts)
+    return _extended(k, noncrossing=False)
 
 
 @lru_cache(maxsize=None)
 def _all_noncrossing(k: int) -> tuple[Partition, ...]:
-    return _noncrossing_below(k)
+    return _extended(k, noncrossing=True)
 
 
 def enumerate_set_partitions(k: int) -> list[Partition]:
@@ -424,8 +410,9 @@ def first_block_sum(units: int, bits, weight, value, tags=None):
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def noncrossing_refinements(p: Partition) -> tuple[Partition, ...]:
     """All rho in NC(k) with rho <= p, in restricted-growth-string order: the
-    noncrossing walk with each block kept inside one block of p."""
-    return _noncrossing_below(p.k, p.rgs())
+    one-point extension of NC(k), each point joining only blocks that lie in
+    its own block of p."""
+    return _extended(p.k, noncrossing=True, labels=p.rgs())
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,47 @@ def test_formula_runs_at_the_arity_guard_and_refuses_above(capsys):
         f"error: St arity {k + 1} exceeds guard {k}"]
 
 
+def _copies(k):
+    return f'{{"type": "tuple", "mode": "identical", "base": "free_poisson", "k": {k}}}'
+
+
+@pytest.mark.parametrize("process, shown", [
+    (_copies(10000000), "10000000"),
+    (_copies(10**9), "1000000000"),
+    (_copies('"11"'), "11"),
+    ('{"type": "tuple", "mode": "free_family", "components": ["semicircular", '
+     + _copies(10**8) + "]}", "100000000"),
+])
+def test_tuple_descriptor_above_the_arity_guard_exits_2_before_building(
+        capsys, monkeypatch, process, shown):
+    def no_build(obj):
+        raise AssertionError("built a spec before checking the copy count")
+
+    monkeypatch.setattr("freestoch.cli.spec_from_descriptor", no_build)
+    assert run(["verify", "formula", "--partition", "((1,2))", "--process", process]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"error: tuple of {shown} copies exceeds St arity guard {MAX_ST_ARITY}"]
+
+
+def test_an_infinite_tuple_descriptor_exits_2_with_one_error_line(capsys):
+    assert run(["verify", "formula", "--partition", "((1,2))", "--process",
+                _copies("Infinity")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: malformed process descriptor: cannot convert float infinity to integer"]
+
+
+def test_tuple_descriptor_at_the_arity_guard_is_the_named_process(capsys):
+    one = _one_block(MAX_ST_ARITY)
+    _, named = _run_json(capsys, ["verify", "formula", "--partition", one])
+    code, tuple_ = _run_json(capsys, ["verify", "formula", "--partition", one,
+                                      "--process", _copies(MAX_ST_ARITY)])
+    assert code == 0
+    assert [r["coefficient"] for r in tuple_["records"]] == \
+        [r["coefficient"] for r in named["records"]]
+
+
 @pytest.mark.parametrize("argv", [
     ["cumulants", "to-moments", "--order", "13"],
     ["cumulants", "from-moments", "--moments", ",".join(["1"] * 13)],

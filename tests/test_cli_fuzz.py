@@ -22,10 +22,13 @@ from freestoch.cli import run
 PARTITIONS = (("((1,2)(3))", "((1,3)(2))", "((1)(2))", "((1,2))", "((1,4)(2,3))"),
               ("((1,3)(2,4))", "((1,2)", "((2)(1))", "((1,1))", "((0))", "((1000000000000))",
                "()", "x"))
+# The first broken process asks for 10^7 identical copies, refused before
+# they are built; it is put first so that the derandomized draws reach it.
 PROCESSES = (("free_poisson", "semicircular",
               '{"type": "custom", "cumulants": {"1": "1/2", "2": "1/3", "3": "1/5", "4": "1"}}',
               '{"type": "free_poisson", "rate": "2/3"}'),
-             ("brownian", "{", "[1]", '{"type": "nope"}', '{"type": "custom"}',
+             ('{"type": "tuple", "mode": "identical", "k": 10000000, "base": "free_poisson"}',
+              "brownian", "{", "[1]", '{"type": "nope"}', '{"type": "custom"}',
               '{"type": "custom", "cumulants": [1, 2]}',
               '{"type": "tuple", "mode": "identical", "k": null, "base": "semicircular"}',
               '{"type": "tuple", "mode": "identical", "k": 2, "base": 5}',

@@ -302,6 +302,19 @@ def test_main_theorem_guards():
         main_theorem_residual(Partition.parse("((1,3)(2,4))"), spec4, "L1")
 
 
+@pytest.mark.parametrize("residual", [main_theorem_residual, inner_peeling_residual])
+@pytest.mark.parametrize("order", ["L1", "L2"])
+def test_residuals_refuse_a_tuple_of_another_size(residual, order):
+    # checked after the crossing test and before either side is built
+    p = Partition.parse("((1,4)(2,3))")
+    for k in (2, 6):
+        spec = make_tuple(make_free_poisson(1), "identical", k=k)
+        with pytest.raises(DimensionError, match=f"partition of \\[4\\] vs {k} components"):
+            residual(p, spec, order)
+        with pytest.raises(CrossingPartitionError):
+            residual(Partition.parse("((1,3)(2,4))"), spec, order)
+
+
 def test_one_outer_class_shape():
     # single outer class: the residual reduces to scalar peeling onto the
     # diagonal of the outer block
