@@ -222,14 +222,13 @@ def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
     return Fraction(value(table.pr(p)), scale)
 
 
-def _limit_weight(blocks, spec: ProcessSpec, t) -> Fraction:
+def _limit_weight(blocks, table: ScaledCumulants, t, parts=None) -> Fraction:
     """t^|blocks| times the product of the unit cumulants of the blocks (sets
-    of components): the integer t.numerator^m B^m prod R over (t.denominator
-    B)^m, for m blocks and B the tuple's cumulant scale."""
-    t = Fraction(t)
-    scaled = ScaledCumulants(spec)
-    m = len(blocks)
-    return Fraction(t.numerator**m * scaled.product(blocks), (t.denominator * scaled.scale) ** m)
+    of components, as in `table.product`): the integer t.numerator^m B^m
+    prod R over (t.denominator B)^m, for m blocks and B the table's scale."""
+    t, m = Fraction(t), len(blocks)
+    return Fraction(t.numerator**m * table.product(blocks, parts),
+                    (t.denominator * table.scale) ** m)
 
 
 def limit_expect_st(p: Partition, spec: ProcessSpec, t=1) -> Fraction:
@@ -238,7 +237,7 @@ def limit_expect_st(p: Partition, spec: ProcessSpec, t=1) -> Fraction:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
     if not is_noncrossing(p):
         return Fraction(0)
-    return _limit_weight(p.blocks, spec, t)
+    return _limit_weight(p.blocks, ScaledCumulants(spec), t)
 
 
 def exact_moment(spec: ProcessSpec, t=1) -> Fraction:
@@ -297,14 +296,14 @@ def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
 # products of St/Pr factors
 
 
-def _check_factors(factors, spec: ProcessSpec, max_arity: int) -> None:
+def _check_factors(factors, k: int, max_arity: int) -> None:
     """The guards of a product expansion, in order: the factor kinds, the
-    total arity against the tuple, the total arity against the cap."""
+    total arity against the k components, the total arity against the cap."""
     if any(kind not in ("st", "pr") for _, kind in factors):
         raise ValueError("factor kind must be 'st' or 'pr'")
     arity = sum(p.k for p, _ in factors)
-    if arity != spec.k:
-        raise DimensionError(f"factors cover [{arity}] vs {spec.k} components")
+    if arity != k:
+        raise DimensionError(f"factors cover [{arity}] vs {k} components")
     if arity > max_arity:
         raise SizeGuardError(f"total arity {arity} exceeds guard {max_arity}")
 
@@ -314,7 +313,7 @@ def _concatenated(factors, spec: ProcessSpec) -> tuple[Partition, Partition]:
     whose blocks no coincidence pattern may merge within: each whole St
     factor, since St pins its within-factor pattern exactly, and each block
     of a Pr factor, which only bounds that pattern from below."""
-    _check_factors(factors, spec, MAX_PRODUCT_ARITY)
+    _check_factors(factors, spec.k, MAX_PRODUCT_ARITY)
     pi_total = functools.reduce(concat, (p for p, _ in factors))
     apart = functools.reduce(concat, (Partition.one_hat(p.k) if kind == "st" else p
                                       for p, kind in factors))
@@ -357,33 +356,41 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
     The sums run in integers.  With D = B t.denominator (B the tuple's
     cumulant scale), a block of n units weighs the integer t R D^n, so the
     sum over m units is D^m times its value, and one Fraction is formed at
-    the end.  The weight and sum tables live for one call.
+    the end.  The part and sum tables live for one call.
     """
     if not factors:
         return Fraction(1)
-    _check_factors(factors, spec, MAX_LIMIT_ARITY)
+    _check_factors(factors, spec.k, MAX_LIMIT_ARITY)
+    table = ScaledCumulants(spec)
+    return _limit_product(factors, table.parts, table, t)
+
+
+def _limit_product(factors, parts, table: ScaledCumulants, t) -> Fraction:
+    """limit_product_of_st, guards passed, on components with these parts."""
     t = Fraction(t)
-    cumulants = ScaledCumulants(spec)
-    scale = cumulants.scale * t.denominator
-    bits, tags, parts = [], [], []
+    scale = table.scale * t.denominator
+    bits, tags, merged = [], [], {}  # merged: the part of each set of units
     offset = group = 0
     for p, kind in factors:
         for j, block in enumerate(p.blocks):
             bits.append(sum(1 << (offset + el) for el in block))
             tags.append(group if kind == "st" else group + j)
-            parts.append(cumulants.merge(cumulants.parts[offset + el - 1] for el in block))
+            merged[1 << len(merged)] = table.merge(parts[offset + el - 1] for el in block)
         offset += p.k
         group += 1 if kind == "st" else p.num_blocks
     powers = [t.numerator * scale**n for n in range(len(bits))]  # t R D^n = (B R) powers[n - 1]
-    weights: dict[int, int] = {}
     sums: dict[int, int] = {}
 
+    def part(v: int):
+        """The part of a set of units: its top unit's merged with the rest's."""
+        if v not in merged:
+            top = 1 << (v.bit_length() - 1)
+            (atom, n), (top_atom, m) = part(v ^ top), merged[top]
+            merged[v] = (atom if atom == top_atom else None, n + m)
+        return merged[v]
+
     def weight(v: int) -> int:
-        if v not in weights:
-            members = [i for i in range(len(bits)) if v >> i & 1]
-            r = cumulants.value(cumulants.merge(parts[i] for i in members))
-            weights[v] = r * powers[len(members) - 1]
-        return weights[v]
+        return table.value(part(v)) * powers[v.bit_count() - 1]
 
     def total(units: int) -> int:
         if units not in sums:
@@ -414,42 +421,46 @@ class MeasureWord(Frozen):
         return MeasureWord(self.scalar, factors, words)
 
 
-def _pair_trace(a: MeasureWord, b: MeasureWord, t) -> Fraction:
-    """tau(A B) for the words A and B; 0 without a limit product when a
-    scalar is 0, once the product's guards have passed."""
+def _pair_trace(a: MeasureWord, b: MeasureWord, t, table: ScaledCumulants, parts) -> Fraction:
+    """tau(A B) for the words A and B, whose parts in the table are given; 0
+    without a limit product when a scalar is 0, once its guards have passed."""
     scalar = a.scalar * b.scalar
     factors = a.factors + b.factors
     if not factors:
         return scalar
-    spec = ProcessSpec(a.words + b.words)
-    if not scalar:
-        _check_factors(factors, spec, MAX_LIMIT_ARITY)
-        return scalar
-    return scalar * limit_product_of_st(factors, spec, t)
+    _check_factors(factors, len(parts), MAX_LIMIT_ARITY)
+    return scalar and scalar * _limit_product(factors, parts, table, t)
 
 
-def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
+def l2_residual(a: MeasureWord, b: MeasureWord, t=1, table=None) -> Fraction:
     """Trace of (A - B)(A - B)*; zero iff A = B by faithfulness.
 
     Every trace here is a real rational and tau(X*) is the conjugate of
-    tau(X), so tau(B A*) = tau(A B*): three pair traces, not four.
+    tau(X), so tau(B A*) = tau(A B*): three pair traces, not four, on one
+    cumulant table (by default over the atoms of A and B).
     """
+    if table is None:
+        table = ScaledCumulants(ProcessSpec(a.words + b.words))
+    pa, pb = ([table.part(w) for w in x.words] for x in (a, b))  # an adjoint's: reversed
     a_star, b_star = a.adjoint(), b.adjoint()
-    return _pair_trace(a, a_star, t) - 2 * _pair_trace(a, b_star, t) + _pair_trace(b, b_star, t)
+    return (_pair_trace(a, a_star, t, table, pa + pa[::-1])
+            - 2 * _pair_trace(a, b_star, t, table, pa + pb[::-1])
+            + _pair_trace(b, b_star, t, table, pb + pb[::-1]))
 
 
-def _trace(word: MeasureWord, t) -> Fraction:
-    """tau(W) for a word of at most one St factor: its scalar times the
-    closed-form limit of that factor."""
+def _trace(word: MeasureWord, t, table: ScaledCumulants) -> Fraction:
+    """tau(W) for a word of at most one St factor, whose pattern a residual
+    keeps noncrossing: its scalar times the closed-form limit t^|p| R_p."""
     if not word.factors:
         return word.scalar
     ((p, _),) = word.factors
-    return word.scalar * limit_expect_st(p, ProcessSpec(word.words), t)
+    return word.scalar * _limit_weight(p.blocks, table, t, [table.part(w) for w in word.words])
 
 
 def _residual(p: Partition, spec: ProcessSpec, sides, order: str, t) -> Fraction:
     """Residual of the St_p word L against the right side R of sides(p, spec,
-    t), once p is checked noncrossing and then against the tuple's size.
+    t, table), once p is checked noncrossing and then against the tuple's
+    size; one cumulant table over the tuple's atoms serves every trace.
 
     L1 compares tau(L) with tau(R); L2 expands the trace of (L - R)(L - R)*
     over the concatenated word and must also vanish.
@@ -458,11 +469,12 @@ def _residual(p: Partition, spec: ProcessSpec, sides, order: str, t) -> Fraction
         raise CrossingPartitionError(f"{p} is crossing")
     if p.k != spec.k:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
-    lhs, rhs = sides(p, spec, t)
+    table = ScaledCumulants(spec)
+    lhs, rhs = sides(p, spec, t, table)
     if order == "L1":
-        return _trace(lhs, t) - _trace(rhs, t)
+        return _trace(lhs, t, table) - _trace(rhs, t, table)
     if order == "L2":
-        return l2_residual(lhs, rhs, t)
+        return l2_residual(lhs, rhs, t, table)
     raise ValueError(f"unknown order {order!r}")
 
 
@@ -470,9 +482,9 @@ def _st_word(p: Partition, spec: ProcessSpec) -> MeasureWord:
     return MeasureWord(Fraction(1), ((p, "st"),), spec.words)
 
 
-def _main_theorem_sides(p: Partition, spec: ProcessSpec, t) -> tuple[MeasureWord, MeasureWord]:
+def _main_theorem_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulants):
     split = classify_classes(p)
-    scalar = _limit_weight(split.inner, spec, t)
+    scalar = _limit_weight(split.inner, table, t)
     derived_words = tuple(spec.subset_word(b) for b in split.outer)
     rhs = MeasureWord(scalar, ((Partition.zero_hat(split.outer_count), "st"),), derived_words)
     return _st_word(p, spec), rhs
@@ -483,9 +495,9 @@ def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=
     return _residual(p, spec, _main_theorem_sides, order, t)
 
 
-def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t) -> tuple[MeasureWord, MeasureWord]:
+def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulants):
     split = classify_classes(p)
-    scalar = _limit_weight(split.inner, spec, t)
+    scalar = _limit_weight(split.inner, table, t)
     support = sorted(el for b in split.outer for el in b)
     rhs = MeasureWord(scalar, ((restrict(p, support), "st"),), spec.restrict(support).words)
     return _st_word(p, spec), rhs
@@ -504,9 +516,8 @@ def diagonal_nesting_residual(spec: ProcessSpec, interval_blocks, t=1) -> Fracti
     if flat != list(range(1, spec.k + 1)):
         raise ValueError("blocks must form an interval partition of the components")
     derived = derived_diagonal_tuple(spec, blocks)
-    lhs = limit_expect_st(Partition.one_hat(derived.k), derived, t)
-    rhs = limit_expect_st(Partition.one_hat(spec.k), spec, t)
-    return lhs - rhs
+    return (limit_expect_st(Partition.one_hat(derived.k), derived, t)
+            - limit_expect_st(Partition.one_hat(spec.k), spec, t))
 
 
 def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:

@@ -122,7 +122,7 @@ class ScaledCumulants:
 
     def __init__(self, spec: ProcessSpec):
         self._atoms: list[Atom] = []
-        self.parts: list[Part] = [self.merge((self._index(a), 1) for a in w) for w in spec.words]
+        self.parts: list[Part] = [self.part(w) for w in spec.words]
         self.scale = math.lcm(*(x.denominator for a in self._atoms for x in a.data))
         self._values: dict[Part, int] = {}
 
@@ -132,6 +132,11 @@ class ScaledCumulants:
                 return i
         self._atoms.append(atom)
         return len(self._atoms) - 1
+
+    def part(self, word) -> Part:
+        """The part of any word over the spec's atoms, adjoint and derived ones too."""
+        atoms = {self._index(a) for a in word}
+        return (atoms.pop() if len(atoms) == 1 else None), len(word)
 
     @staticmethod
     def merge(parts) -> Part:
@@ -153,12 +158,13 @@ class ScaledCumulants:
             self._values[part] = r.numerator * (self.scale // r.denominator)
         return self._values[part]
 
-    def product(self, blocks) -> int:
+    def product(self, blocks, parts=None) -> int:
         """B^|blocks| times the product of the unit cumulants of the blocks,
-        each a set of components."""
+        each a set of components: of the spec, or of words with these parts."""
+        parts = self.parts if parts is None else parts
         out = 1
         for block in blocks:
-            out *= self.value(self.merge(self.parts[i - 1] for i in block))
+            out *= self.value(self.merge(parts[i - 1] for i in block))
             if not out:
                 break
         return out
@@ -197,8 +203,8 @@ def make_tuple(base: ProcessSpec, mode: str, k: int | None = None) -> ProcessSpe
         raise ValueError(f"unknown mode {mode!r}")
     if base.k != 1:
         raise DimensionError("identical copies need a single-component base")
-    if k is None or k < 1:
-        raise ValueError("identical copies need k >= 1")
+    if type(k) is not int or k < 1:  # a JSON float or bool k included
+        raise ValueError(f"identical copies need an integer k >= 1, got {k!r}")
     return ProcessSpec((base.words[0],) * k)
 
 
@@ -307,7 +313,7 @@ def spec_from_descriptor(obj) -> ProcessSpec:
     if kind == "tuple":
         mode = obj["mode"]
         if mode == "identical":
-            return make_tuple(spec_from_descriptor(obj["base"]), "identical", k=int(obj["k"]))
+            return make_tuple(spec_from_descriptor(obj["base"]), "identical", k=obj["k"])
         if mode == "free_family":
             return free_family([spec_from_descriptor(c) for c in obj["components"]])
         raise ValueError(f"unknown tuple mode {mode!r}")

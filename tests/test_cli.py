@@ -242,13 +242,17 @@ def test_proj_decay_refuses_meshes_it_cannot_compare(capsys, meshes, error):
     ["cumulants", "from-moments", "--functional", "{array}"],
     ["cumulants", "to-moments", "--functional", "{array}"],
     ["cumulants", "to-moments", "--functional", "{no_values}"],
+    ["cumulants", "to-moments", "--functional", "{bool_k}"],
+    ["cumulants", "from-moments", "--functional", "{bool_k}"],
 ])
 def test_cumulant_sources_exit_2_with_one_error_line(tmp_path, capsys, argv):
     array = tmp_path / "array.json"
     array.write_text("[1, 2, 5]")
     no_values = tmp_path / "no_values.json"
     no_values.write_text('{"k": 2, "values": [1, 2]}')
-    argv = [a.format(array=array, no_values=no_values) for a in argv]
+    bool_k = tmp_path / "bool_k.json"  # true is a JSON boolean, not the integer 1
+    bool_k.write_text('{"k": true, "values": {"1": "2"}}')
+    argv = [a.format(array=array, no_values=no_values, bool_k=bool_k) for a in argv]
     assert run(argv) == 2
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if "error:" in line]
@@ -366,6 +370,16 @@ def test_tuple_descriptor_above_the_arity_guard_exits_2_before_building(
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [
         f"error: tuple of {shown} copies exceeds St arity guard {MAX_ST_ARITY}"]
+
+
+@pytest.mark.parametrize("partition, k", [
+    ("((1))", "true"), ("((1,2))", "2.7"), ("((1,2))", "2.0"), ("((1,2))", '"2"'),
+    ("((1,2))", "null")])
+def test_a_tuple_k_that_is_not_a_json_integer_exits_2(capsys, partition, k):
+    assert run(["verify", "formula", "--partition", partition, "--process", _copies(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: identical copies need an integer k >= 1, got ")
 
 
 def test_an_infinite_tuple_descriptor_exits_2_with_one_error_line(capsys):

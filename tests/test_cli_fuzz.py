@@ -31,6 +31,8 @@ PROCESSES = (("free_poisson", "semicircular",
               "brownian", "{", "[1]", '{"type": "nope"}', '{"type": "custom"}',
               '{"type": "custom", "cumulants": [1, 2]}',
               '{"type": "tuple", "mode": "identical", "k": null, "base": "semicircular"}',
+              '{"type": "tuple", "mode": "identical", "k": true, "base": "free_poisson"}',
+              '{"type": "tuple", "mode": "identical", "k": 2.7, "base": "free_poisson"}',
               '{"type": "tuple", "mode": "identical", "k": 2, "base": 5}',
               '{"type": "tuple", "mode": "free_family", "components": 3}'))
 # verify formula takes crossing patterns; its broken half also holds a
@@ -64,6 +66,7 @@ FUNCTIONALS = {
     "list_values.json": {"k": 2, "values": ["1", "2"]},
     "huge_k.json": {"k": 4096, "values": {"1": "1"}},
     "short.json": {"k": 3, "values": {"1": "1"}},
+    "bool_k.json": {"k": True, "values": {"1": "2"}},
 }
 
 

@@ -36,6 +36,7 @@ from freestoch.partitions import (
 )
 from freestoch.processes import (
     ProcessSpec,
+    ScaledCumulants,
     Subdivision,
     make_custom_process,
     make_free_poisson,
@@ -250,8 +251,9 @@ def test_l2_residual_is_the_four_trace_expansion():
                 spec = make_tuple(base, "identical", k=k)
                 for p in enumerate_noncrossing(k):
                     for sides in (_main_theorem_sides, _inner_peeling_sides):
-                        lhs, rhs = sides(p, spec, t)
-                        assert l2_residual(lhs, rhs, t) == \
+                        table = ScaledCumulants(spec)
+                        lhs, rhs = sides(p, spec, t, table)
+                        assert l2_residual(lhs, rhs, t, table) == \
                             l2_residual_by_four_traces(lhs, rhs, t), (name, p, t)
 
 

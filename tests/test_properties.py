@@ -8,11 +8,13 @@ Sizes are bounded so that the worst drawn case (the recursion over all of
 NC(8), or a product expansion over all of P(8)) stays near a second.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 from freestoch.cumulants import (
+    MAX_SCALED_BITS,
     CumulantFunctional,
     MomentFunctional,
     cumulant_functional,
@@ -421,3 +423,37 @@ def test_transforms_match_the_per_subset_sums(drawn):
     r, m = CumulantFunctional(k, values), MomentFunctional(k, values)
     assert moment_functional(r).values == moment_functional_by_subsets(r).values
     assert cumulant_functional(m).values == cumulant_functional_by_subsets(m).values
+
+
+PRIMES = [n for n in range(2, 320) if all(n % d for d in range(2, int(n**0.5) + 1))]
+
+
+@st.composite
+def functionals_by_width(draw, k_max: int):
+    """(kind, k, values): integer values (D = 1), denominators in 1..5, or a
+    distinct prime power per subset, raised until k * bit_length(D) passes
+    MAX_SCALED_BITS, so that the transforms sum the Fractions themselves."""
+    kind = draw(st.sampled_from(("integer", "small", "primes")))
+    k = draw(st.integers(1, k_max))
+    rng = draw(st.randoms(use_true_random=False))
+    subsets = nonempty_subsets(k)
+    power = MAX_SCALED_BITS // (k * len(subsets)) + 1
+    denominators = {"integer": [1] * len(subsets),
+                    "small": [rng.randint(1, 5) for _ in subsets],
+                    "primes": [q**power for q in PRIMES[:len(subsets)]]}[kind]
+    return kind, k, {b: Fraction(rng.randint(-3, 3), d) for b, d in zip(subsets, denominators)}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(functionals_by_width(6))
+def test_transforms_on_each_side_of_the_width_bound(drawn):
+    kind, k, values = drawn
+    width = k * math.lcm(*(v.denominator for v in values.values())).bit_length()
+    assert (width > MAX_SCALED_BITS) == (kind == "primes")
+    r, m = CumulantFunctional(k, values), MomentFunctional(k, values)
+    moments, cumulants = moment_functional(r), cumulant_functional(m)
+    assert moments.values == moment_functional_by_subsets(r).values
+    assert cumulants.values == cumulant_functional_by_subsets(m).values
+    assert all(type(v) is Fraction for f in (moments, cumulants) for v in f.values.values())
+    assert cumulant_functional(moments).values == values
+    assert moment_functional(cumulants).values == values

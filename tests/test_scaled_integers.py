@@ -21,6 +21,9 @@ from freestoch.cumulants import (
 )
 from freestoch.measures import (
     TraceTable,
+    _inner_peeling_sides,
+    _main_theorem_sides,
+    _pair_trace,
     _product_patterns,
     example_formulas_check,
     exact_moment,
@@ -30,6 +33,7 @@ from freestoch.measures import (
     free_sandwich_residual,
     identity_suite,
     inner_peeling_residual,
+    l2_residual,
     limit_expect_st,
     limit_product_of_st,
     main_theorem_residual,
@@ -61,6 +65,7 @@ from helpers import (
     FiniteTraces,
     identity_suite_by_pairs,
     limit_product_by_patterns,
+    pair_trace,
     partition_cumulant,
     unit_cumulant,
     word_cumulant,
@@ -198,6 +203,47 @@ def test_limit_scalars_match_the_fraction_oracle_at_t_2_7():
                              if sum(1 for b in rho.blocks if 1 in b or 3 in b) == 1)
         expected = T * single_x_block - z[0] * T * word_cumulant(word * 2)
         assert free_sandwich_residual(base, z, T) == expected, word
+
+
+def _shared_table_families():
+    """Tuples whose atoms a shared table must keep apart: two free Poissons
+    of equal rate, and a custom process beside a semicircular one, each with
+    its atoms interleaved as A, B, A, B."""
+    poissons = free_family([make_tuple(make_free_poisson(1), "identical", k=2)] * 2)
+    mixed = free_family([make_tuple(CUSTOM, "identical", k=2),
+                         make_tuple(make_semicircular(), "identical", k=2)])
+    return {"poissons": poissons.restrict((1, 3, 2, 4)), "custom+semi": mixed.restrict((1, 3, 2, 4))}
+
+
+def test_one_table_per_residual_keeps_the_atoms_apart():
+    nonzero = {name: 0 for name in _shared_table_families()}
+    for name, family in _shared_table_families().items():
+        for k in (2, 3, 4):
+            spec = family.restrict(range(1, k + 1))
+            for p in enumerate_noncrossing(k):
+                for sides, residual in ((_main_theorem_sides, main_theorem_residual),
+                                        (_inner_peeling_sides, inner_peeling_residual)):
+                    table = ScaledCumulants(spec)
+                    lhs, rhs = sides(p, spec, T, table)
+                    scalar = math.prod((T * unit_cumulant(spec, b)
+                                        for b in classify_classes(p).inner), start=Fraction(1))
+                    assert rhs.scalar == scalar, (name, p)
+                    traces = []
+                    for a, b in ((lhs, lhs.adjoint()), (lhs, rhs.adjoint()), (rhs, rhs.adjoint())):
+                        parts = [table.part(w) for w in a.words + b.words]
+                        shared = _pair_trace(a, b, T, table, parts)
+                        oracle = a.scalar * b.scalar * limit_product_by_patterns(
+                            a.factors + b.factors, ProcessSpec(a.words + b.words), T)
+                        assert shared == pair_trace(a, b, T) == oracle, (name, p, a, b)
+                        traces.append(oracle)
+                        nonzero[name] += oracle != 0
+                    l1 = (limit_product_by_patterns(lhs.factors, ProcessSpec(lhs.words), T)
+                          - rhs.scalar * limit_product_by_patterns(rhs.factors,
+                                                                   ProcessSpec(rhs.words), T))
+                    l2 = traces[0] - 2 * traces[1] + traces[2]
+                    assert residual(p, spec, "L1", T) == l1, (name, p)
+                    assert residual(p, spec, "L2", T) == l2_residual(lhs, rhs, T, table) == l2
+    assert all(nonzero.values()), nonzero
 
 
 def test_identity_suite_matches_the_pair_oracle_at_coprime_lengths():
