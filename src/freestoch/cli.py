@@ -192,21 +192,22 @@ def _single_variable_cumulants(spec, order: int) -> CumulantFunctional:
     return CumulantFunctional.from_single_variable(order, seq)
 
 
-def _transform_report(args, command: str, f, name: str) -> int:
-    """One record: the whole functional and, as `name`, its values on [1..n]."""
-    diagonal = (f.values[tuple(range(1, n + 1))] for n in range(1, f.k + 1))
-    _write_report(args, command, [{"functional": json.dumps(functional_to_json(f)),
-                                   name: ",".join(map(format_rational, diagonal)), "pass": True}])
-    return 0
-
-
 def _cmd_cumulants_to_moments(args) -> int:
     if args.functional:
         with open(args.functional) as fh:
             r = cumulant_functional_from_json(json.load(fh))
     else:
         r = _single_variable_cumulants(_parse_process(args.process), args.order)
-    return _transform_report(args, "cumulants to-moments", moment_functional(r), "moments")
+    m = moment_functional(r)
+    records = [{
+        "functional": json.dumps(functional_to_json(m)),
+        "moments": ",".join(
+            format_rational(m.values[tuple(range(1, n + 1))]) for n in range(1, m.k + 1)
+        ),
+        "pass": True,
+    }]
+    _write_report(args, "cumulants to-moments", records)
+    return 0
 
 
 def _cmd_cumulants_from_moments(args) -> int:
@@ -216,7 +217,16 @@ def _cmd_cumulants_from_moments(args) -> int:
     else:
         seq = [parse_rational(x) for x in args.moments]
         m = MomentFunctional.from_single_variable(len(seq), seq)
-    return _transform_report(args, "cumulants from-moments", cumulant_functional(m), "cumulants")
+    r = cumulant_functional(m)
+    records = [{
+        "functional": json.dumps(functional_to_json(r)),
+        "cumulants": ",".join(
+            format_rational(r.values[tuple(range(1, n + 1))]) for n in range(1, r.k + 1)
+        ),
+        "pass": True,
+    }]
+    _write_report(args, "cumulants from-moments", records)
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,10 @@ MAX_SCALED_BITS = 4000
 
 
 def nonempty_subsets(k: int) -> list[Subset]:
-    return [b for r in range(1, k + 1) for b in itertools.combinations(range(1, k + 1), r)]
+    out = []
+    for r in range(1, k + 1):
+        out.extend(itertools.combinations(range(1, k + 1), r))
+    return out
 
 
 def _check_values(k: int, values: dict) -> None:

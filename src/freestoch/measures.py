@@ -432,15 +432,14 @@ def _pair_trace(a: MeasureWord, b: MeasureWord, t, table: ScaledCumulants, parts
     return scalar and scalar * _limit_product(factors, parts, table, t)
 
 
-def l2_residual(a: MeasureWord, b: MeasureWord, t=1, table=None) -> Fraction:
+def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
     """Trace of (A - B)(A - B)*; zero iff A = B by faithfulness.
 
     Every trace here is a real rational and tau(X*) is the conjugate of
     tau(X), so tau(B A*) = tau(A B*): three pair traces, not four, on one
-    cumulant table (by default over the atoms of A and B).
+    cumulant table.
     """
-    if table is None:
-        table = ScaledCumulants(ProcessSpec(a.words + b.words))
+    table = ScaledCumulants(ProcessSpec(a.words + b.words))
     pa, pb = ([table.part(w) for w in x.words] for x in (a, b))  # an adjoint's: reversed
     a_star, b_star = a.adjoint(), b.adjoint()
     return (_pair_trace(a, a_star, t, table, pa + pa[::-1])
@@ -460,7 +459,8 @@ def _trace(word: MeasureWord, t, table: ScaledCumulants) -> Fraction:
 def _residual(p: Partition, spec: ProcessSpec, sides, order: str, t) -> Fraction:
     """Residual of the St_p word L against the right side R of sides(p, spec,
     t, table), once p is checked noncrossing and then against the tuple's
-    size; one cumulant table over the tuple's atoms serves every trace.
+    size; one cumulant table over the tuple's atoms serves the inner scalars
+    and the L1 traces.
 
     L1 compares tau(L) with tau(R); L2 expands the trace of (L - R)(L - R)*
     over the concatenated word and must also vanish.
@@ -474,7 +474,7 @@ def _residual(p: Partition, spec: ProcessSpec, sides, order: str, t) -> Fraction
     if order == "L1":
         return _trace(lhs, t, table) - _trace(rhs, t, table)
     if order == "L2":
-        return l2_residual(lhs, rhs, t, table)
+        return l2_residual(lhs, rhs, t)
     raise ValueError(f"unknown order {order!r}")
 
 
@@ -516,8 +516,9 @@ def diagonal_nesting_residual(spec: ProcessSpec, interval_blocks, t=1) -> Fracti
     if flat != list(range(1, spec.k + 1)):
         raise ValueError("blocks must form an interval partition of the components")
     derived = derived_diagonal_tuple(spec, blocks)
-    return (limit_expect_st(Partition.one_hat(derived.k), derived, t)
-            - limit_expect_st(Partition.one_hat(spec.k), spec, t))
+    lhs = limit_expect_st(Partition.one_hat(derived.k), derived, t)
+    rhs = limit_expect_st(Partition.one_hat(spec.k), spec, t)
+    return lhs - rhs
 
 
 def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:

@@ -117,11 +117,12 @@ class ScaledCumulants:
     declare, so B R(S) is an integer for every set S of components.  R(S)
     depends only on the atom of S's word and its length, so each component
     is reduced to that part (`parts`) and the scaled values are cached per
-    part.  Atoms are told apart by identity or equality, never hashed.
+    part.  The table holds the spec's atoms only, so `part` refuses a word
+    over any other: its cumulants' denominators are not in B.
     """
 
     def __init__(self, spec: ProcessSpec):
-        self._atoms: list[Atom] = []
+        self._atoms: list[Atom] = list(spec.atoms())
         self.parts: list[Part] = [self.part(w) for w in spec.words]
         self.scale = math.lcm(*(x.denominator for a in self._atoms for x in a.data))
         self._values: dict[Part, int] = {}
@@ -130,11 +131,11 @@ class ScaledCumulants:
         for i, a in enumerate(self._atoms):
             if a is atom or a == atom:
                 return i
-        self._atoms.append(atom)
-        return len(self._atoms) - 1
+        raise ValueError(f"atom {atom.kind} {atom.uid} is not in this cumulant table")
 
     def part(self, word) -> Part:
-        """The part of any word over the spec's atoms, adjoint and derived ones too."""
+        """The part of any word over the spec's atoms, adjoint and derived
+        ones too."""
         atoms = {self._index(a) for a in word}
         return (atoms.pop() if len(atoms) == 1 else None), len(word)
 

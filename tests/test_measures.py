@@ -253,7 +253,7 @@ def test_l2_residual_is_the_four_trace_expansion():
                     for sides in (_main_theorem_sides, _inner_peeling_sides):
                         table = ScaledCumulants(spec)
                         lhs, rhs = sides(p, spec, t, table)
-                        assert l2_residual(lhs, rhs, t, table) == \
+                        assert l2_residual(lhs, rhs, t) == \
                             l2_residual_by_four_traces(lhs, rhs, t), (name, p, t)
 
 

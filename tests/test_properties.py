@@ -432,7 +432,8 @@ PRIMES = [n for n in range(2, 320) if all(n % d for d in range(2, int(n**0.5) + 
 def functionals_by_width(draw, k_max: int):
     """(kind, k, values): integer values (D = 1), denominators in 1..5, or a
     distinct prime power per subset, raised until k * bit_length(D) passes
-    MAX_SCALED_BITS, so that the transforms sum the Fractions themselves."""
+    MAX_SCALED_BITS, so that the transforms sum the Fractions themselves.
+    No value is 0, which would drop its prime from D (`functionals` draws 0s)."""
     kind = draw(st.sampled_from(("integer", "small", "primes")))
     k = draw(st.integers(1, k_max))
     rng = draw(st.randoms(use_true_random=False))
@@ -441,7 +442,8 @@ def functionals_by_width(draw, k_max: int):
     denominators = {"integer": [1] * len(subsets),
                     "small": [rng.randint(1, 5) for _ in subsets],
                     "primes": [q**power for q in PRIMES[:len(subsets)]]}[kind]
-    return kind, k, {b: Fraction(rng.randint(-3, 3), d) for b, d in zip(subsets, denominators)}
+    return kind, k, {b: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), d)
+                     for b, d in zip(subsets, denominators)}
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)

@@ -11,6 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from freestoch.cumulants import (
@@ -212,7 +213,8 @@ def _shared_table_families():
     poissons = free_family([make_tuple(make_free_poisson(1), "identical", k=2)] * 2)
     mixed = free_family([make_tuple(CUSTOM, "identical", k=2),
                          make_tuple(make_semicircular(), "identical", k=2)])
-    return {"poissons": poissons.restrict((1, 3, 2, 4)), "custom+semi": mixed.restrict((1, 3, 2, 4))}
+    return {"poissons": poissons.restrict((1, 3, 2, 4)),
+            "custom+semi": mixed.restrict((1, 3, 2, 4))}
 
 
 def test_one_table_per_residual_keeps_the_atoms_apart():
@@ -242,8 +244,20 @@ def test_one_table_per_residual_keeps_the_atoms_apart():
                                                                    ProcessSpec(rhs.words), T))
                     l2 = traces[0] - 2 * traces[1] + traces[2]
                     assert residual(p, spec, "L1", T) == l1, (name, p)
-                    assert residual(p, spec, "L2", T) == l2_residual(lhs, rhs, T, table) == l2
+                    assert residual(p, spec, "L2", T) == l2_residual(lhs, rhs, T) == l2, (name, p)
     assert all(nonzero.values()), nonzero
+
+
+def test_a_cumulant_table_refuses_atoms_it_was_not_built_over():
+    # The scale covers only the table's own atoms: over a semicircular table
+    # (scale 1) a word of CUSTOM (r_1 = 1/3) would floor every cumulant to 0.
+    semi = make_tuple(make_semicircular(), "identical", k=2)
+    table = ScaledCumulants(semi)
+    own = semi.words[0]
+    assert table.part(own * 3) == (0, 3)
+    for word in (CUSTOM.words[0], own + CUSTOM.words[0], make_semicircular().words[0]):
+        with pytest.raises(ValueError, match="not in this cumulant table"):
+            table.part(word)
 
 
 def test_identity_suite_matches_the_pair_oracle_at_coprime_lengths():
