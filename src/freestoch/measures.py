@@ -50,13 +50,13 @@ from .rational import format_rational
 
 # Arity guards; no trace depends on N beyond its k + 1 power sums.  An St
 # trace of arity k sums over the noncrossing refinements of its pattern,
-# all of NC(k) for 1-hat.  Product expansions cap the concatenated arity:
-# the finite ones walk every admissible coarsening, the limits run the
-# first-block recursion over at most 2^arity sets of blocks.  The identity
-# suite covers all of P(k) per k.
+# a Pr trace over all of NC(k).  Product expansions cap the concatenated
+# arity: the finite ones walk every admissible coarsening, the limits run
+# the first-block recursion over at most 2^arity sets of blocks.  The
+# identity suite covers all of P(k) per k.
 MAX_ST_ARITY = 10
 MAX_PRODUCT_ARITY = 8
-MAX_LIMIT_ARITY = 12
+MAX_LIMIT_ARITY = 16
 MAX_SUITE_K = 6
 
 Factor = tuple[Partition, str]  # kind: "st" | "pr"
@@ -213,10 +213,7 @@ def expect_st(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
 
 def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
     """Trace of Pr_p(X, S), indices constant on blocks (TraceTable.pr)."""
-    if p.k != spec.k:
-        raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
-    if p.k > MAX_PRODUCT_ARITY:
-        raise SizeGuardError(f"arity {p.k} exceeds guard {MAX_PRODUCT_ARITY}")
+    _check_st(p, spec)
     table = TraceTable(spec)
     value, scale = table.at(sub)
     return Fraction(value(table.pr(p)), scale)
@@ -437,14 +434,17 @@ def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
 
     Every trace here is a real rational and tau(X*) is the conjugate of
     tau(X), so tau(B A*) = tau(A B*): three pair traces, not four, on one
-    cumulant table.
+    cumulant table.  Sides that share their factors and parts need one:
+    A - B = (a - b) W, so the residual is (a - b)^2 tau(W W*).
     """
     table = ScaledCumulants(ProcessSpec(a.words + b.words))
     pa, pb = ([table.part(w) for w in x.words] for x in (a, b))  # an adjoint's: reversed
-    a_star, b_star = a.adjoint(), b.adjoint()
-    return (_pair_trace(a, a_star, t, table, pa + pa[::-1])
-            - 2 * _pair_trace(a, b_star, t, table, pa + pb[::-1])
-            + _pair_trace(b, b_star, t, table, pb + pb[::-1]))
+    if a.factors == b.factors and pa == pb:
+        diff = MeasureWord(a.scalar - b.scalar, a.factors, a.words)
+        return _pair_trace(diff, diff.adjoint(), t, table, pa + pa[::-1])
+    return (_pair_trace(a, a.adjoint(), t, table, pa + pa[::-1])
+            - 2 * _pair_trace(a, b.adjoint(), t, table, pa + pb[::-1])
+            + _pair_trace(b, b.adjoint(), t, table, pb + pb[::-1]))
 
 
 def _trace(word: MeasureWord, t, table: ScaledCumulants) -> Fraction:

@@ -260,24 +260,25 @@ def test_cumulant_sources_exit_2_with_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
 
 
-def test_l2_runs_to_k6_and_refuses_k7(capsys):
+def test_l2_runs_to_k8_and_refuses_k9(capsys):
     argv = ["verify", "main-theorem", "--process", "semicircular", "--order", "L2"]
-    code, rep = _run_json(capsys, argv + ["--k-max", "6"])
+    code, rep = _run_json(capsys, argv + ["--k-max", "8"])
     assert code == 0 and all(r["pass"] for r in rep["records"])
-    assert len(rep["records"]) == 1 + 2 + 5 + 14 + 42 + 132  # all of NC(k), k <= 6
-    assert run(argv + ["--k-max", "7"]) == 2
+    # all of NC(k), k <= 8
+    assert len(rep["records"]) == 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430
+    assert run(argv + ["--k-max", "9"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [
-        "error: L2 at k=7 needs arity 14 > 12"]
+        "error: L2 at k=9 needs arity 18 > 16"]
 
 
 @pytest.mark.parametrize("argv, error", [
     (["verify", "main-theorem", "--order", "L1", "--k-max", "11"],
      "error: L1 at k=11 exceeds St arity guard 10"),
-    (["verify", "main-theorem", "--order", "both", "--k-max", "7"],
-     "error: L2 at k=7 needs arity 14 > 12"),
-    (["verify", "examples", "--which", "free_poisson", "--k-max", "7"],
-     "error: L2 at k=7 needs arity 14 > 12"),
+    (["verify", "main-theorem", "--order", "both", "--k-max", "9"],
+     "error: L2 at k=9 needs arity 18 > 16"),
+    (["verify", "examples", "--which", "free_poisson", "--k-max", "9"],
+     "error: L2 at k=9 needs arity 18 > 16"),
 ])
 def test_k_max_caps_exit_2_before_any_work(capsys, monkeypatch, argv, error):
     def no_work(k):

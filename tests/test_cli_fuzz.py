@@ -3,9 +3,13 @@ check fails, 2 on a usage error, never a traceback and nothing on stderr
 but argparse's usage block and one `error:` line.
 
 Argument vectors are drawn per subcommand from pools of valid and broken
-values.  Sizes (`--dim`, `--trials`, `--n`, `--k`, `--k-max`, `--order`,
-the length of `--moments`) are always given and kept small, so every
-command finishes in milliseconds.
+values, and each draw knows whether it is broken.  A broken draw must exit
+2; a valid one must exit 0, or 0 or 1 for a `simulate` command, whose small
+ensembles may miss a statistical gate.  So a pool value is broken only if
+every command that draws it refuses it, and pools are split per command
+where that differs.  Sizes (`--dim`, `--trials`, `--n`, `--k`, `--k-max`,
+`--order`, the length of `--moments`) are always given and kept small, so
+every command finishes in milliseconds.
 """
 
 import contextlib
@@ -18,14 +22,24 @@ from hypothesis import given, settings, strategies as st
 
 from freestoch.cli import run
 
-# Each pool is (valid values, broken values).
-PARTITIONS = (("((1,2)(3))", "((1,3)(2))", "((1)(2))", "((1,2))", "((1,4)(2,3))"),
-              ("((1,3)(2,4))", "((1,2)", "((2)(1))", "((1,1))", "((0))", "((1000000000000))",
-               "()", "x"))
+# Each pool is (valid values, broken values).  Blocks given in any order
+# parse, so ((2)(1)) is valid.
+PARTITIONS = (("((1,2)(3))", "((1,3)(2))", "((1)(2))", "((1,2))", "((1,4)(2,3))", "((2)(1))"),
+              ("((1,3)(2,4))", "((1,2)", "((1,1))", "((0))", "((1000000000000))", "()", "x"))
+# Mobius needs lower <= upper on one ground set: each valid lower refines
+# each valid upper, all noncrossing, so that either lattice takes them; a
+# broken value has another ground set or does not parse.  The crossing
+# upper is valid on the full lattice only, so it has an entry of its own.
+MOBIUS_LOWER = (("((1)(2)(3)(4))", "((4)(3)(2)(1))", "((1)(2,3)(4))"),
+                ("((1,2)(3))", "((1,2)", "((1,1))", "x"))
+MOBIUS_UPPER = (("((1,2,3,4))", "((1,4)(2,3))", "((1,2,3)(4))"), ("((1)(2))", "()", "((0))"))
 # The first broken process asks for 10^7 identical copies, refused before
 # they are built; it is put first so that the derandomized draws reach it.
+# The custom process declares the cumulants up to order 6 that the valid
+# sizes ask for: L2 at k = 3 and St of 1-hat_6 in verify formula.
 PROCESSES = (("free_poisson", "semicircular",
-              '{"type": "custom", "cumulants": {"1": "1/2", "2": "1/3", "3": "1/5", "4": "1"}}',
+              '{"type": "custom", "cumulants": {"1": "1/2", "2": "1/3", "3": "1/5", "4": "1",'
+              ' "5": "2/7", "6": "1/11"}}',
               '{"type": "free_poisson", "rate": "2/3"}'),
              ('{"type": "tuple", "mode": "identical", "k": 10000000, "base": "free_poisson"}',
               "brownian", "{", "[1]", '{"type": "nope"}', '{"type": "custom"}',
@@ -53,10 +67,11 @@ K_MAX = (("1", "2", "3"), ("0", "-1", "x", ""))
 # arity's (examples).
 SUITE_K_MAX = (K_MAX[0], ("7",) + K_MAX[1])
 MAIN_THEOREM_K_MAX = (K_MAX[0], ("11",) + K_MAX[1])
-EXAMPLES_K_MAX = (K_MAX[0], ("7",) + K_MAX[1])
+EXAMPLES_K_MAX = (K_MAX[0], ("9",) + K_MAX[1])
+# No estimate beats a threshold of 0 or nan: the check runs and fails.
+THRESHOLDS = (("0.5", "0.9", "0", "nan"), ("x",))
 OUTPUT = {"--output": (("json", "csv"), ("xml",))}
-# Never dropped, so that no command runs at its default size.
-SIZE_FLAGS = ("--dim", "--trials", "--n", "--k-max")
+STRAY_TOKENS = ("--bogus", "extra", "--k", "--help", "--moments", "--functional")
 
 FUNCTIONALS = {
     "moments.json": {"k": 2, "values": {"1": "1", "2": "1", "1,2": "2"}},
@@ -71,78 +86,91 @@ FUNCTIONALS = {
 
 
 def _commands(files=((), ())):
-    """(command words, {flag: pool or None for a switch}, flags always given)."""
+    """(command words, {flag: pool or None for a switch}, flags always given,
+    the flags among them that the command requires)."""
     return [
         (["partitions", "enumerate"], {"--k": (("1", "4", "7"), ("0", "13", "x")),
-                                       "--noncrossing": None, **OUTPUT}, ("--k",)),
-        (["partitions", "mobius"], {"--lower": PARTITIONS, "--upper": PARTITIONS,
+                                       "--noncrossing": None, **OUTPUT}, ("--k",), ("--k",)),
+        (["partitions", "mobius"], {"--lower": MOBIUS_LOWER, "--upper": MOBIUS_UPPER,
                                     "--lattice": (("full", "noncrossing"), ("other",)),
-                                    **OUTPUT}, ("--lower", "--upper")),
-        (["partitions", "kreweras"], {"--partition": PARTITIONS, **OUTPUT}, ("--partition",)),
-        (["partitions", "classify"], {"--partition": PARTITIONS, **OUTPUT}, ("--partition",)),
+                                    **OUTPUT}, ("--lower", "--upper"), ("--lower", "--upper")),
+        (["partitions", "mobius", "--lattice", "full"], {
+            "--lower": (MOBIUS_LOWER[0][:2], MOBIUS_LOWER[1]),
+            "--upper": (("((1,3)(2,4))",) + MOBIUS_UPPER[0], MOBIUS_UPPER[1]), **OUTPUT},
+         ("--lower", "--upper"), ("--lower", "--upper")),
+        (["partitions", "kreweras"], {"--partition": PARTITIONS, **OUTPUT}, ("--partition",),
+         ("--partition",)),
+        (["partitions", "classify"], {"--partition": PARTITIONS, **OUTPUT}, ("--partition",),
+         ("--partition",)),
         (["cumulants", "to-moments"], {"--process": PROCESSES,
                                        "--order": (("1", "3", "5"), ("0", "-1", "x")),
-                                       **OUTPUT}, ("--order",)),
-        (["cumulants", "to-moments"], {"--functional": files, **OUTPUT}, ("--functional",)),
+                                       **OUTPUT}, ("--order",), ()),
+        (["cumulants", "to-moments"], {"--functional": files, **OUTPUT}, ("--functional",), ()),
         (["cumulants", "from-moments"], {
             "--moments": (("1,2,5,14", "1", "0,1", "1/2,3"), ("1,,2", "", "x", "1/0")),
-            **OUTPUT}, ("--moments",)),
-        (["cumulants", "from-moments"], {"--functional": files, **OUTPUT}, ("--functional",)),
+            **OUTPUT}, ("--moments",), ("--moments",)),
+        (["cumulants", "from-moments"], {"--functional": files, **OUTPUT}, ("--functional",),
+         ("--functional",)),
         (["verify", "suite"], {"--process": PROCESSES, "--k-max": SUITE_K_MAX, **OUTPUT},
-         ("--k-max",)),
+         ("--k-max",), ()),
         (["verify", "main-theorem"], {"--process": PROCESSES, "--k-max": MAIN_THEOREM_K_MAX,
                                       "--order": (("L1", "L2", "both"), ("L3",)),
-                                      "--t": RATIONALS, **OUTPUT}, ("--k-max",)),
+                                      "--t": RATIONALS, **OUTPUT}, ("--k-max",), ()),
         (["verify", "examples"], {"--which": (("free_poisson", "brownian"), ("other",)),
                                   "--k-max": EXAMPLES_K_MAX, "--t": RATIONALS, **OUTPUT},
-         ("--which", "--k-max")),
+         ("--which", "--k-max"), ("--which",)),
         (["verify", "formula"], {"--partition": FORMULA_PARTITIONS, "--process": PROCESSES,
-                                 "--t": RATIONALS, **OUTPUT}, ("--partition",)),
+                                 "--t": RATIONALS, **OUTPUT}, ("--partition",), ("--partition",)),
         (["simulate", "calibrate"], {
             "--model": (("poisson_sps", "gaussian_increments"), ("other",)),
             "--dim": (("2", "6", "12"), ("1", "x")), "--trials": (("1", "3"), ("0", "x")),
             "--seed": (("1", "7"), ("-1", "x")), "--n": (("1", "3"), ("0", "x")), **OUTPUT},
-         ("--dim", "--trials", "--n")),
+         ("--dim", "--trials", "--n"), ()),
         (["simulate", "main-theorem"], {
             "--partition": PARTITIONS, "--dim": (("2", "6", "12"), ("1",)),
             "--n": (("1", "3", "5"), ("0",)), "--trials": (("1", "2"), ("0", "-1")),
-            "--seed": (("1", "7"), ("-1",)),
-            "--threshold": (("0.5", "0.9", "0"), ("nan", "x")), **OUTPUT},
-         ("--dim", "--n", "--trials")),
+            "--seed": (("1", "7"), ("-1",)), "--threshold": THRESHOLDS, **OUTPUT},
+         ("--dim", "--n", "--trials"), ()),
         (["simulate", "main-theorem", "--dim", "6", "--n", "3", "--trials", "1"],
-         {"--partition": SIMULATE_PARTITIONS}, ("--partition",)),
+         {"--partition": SIMULATE_PARTITIONS}, ("--partition",), ()),
         (["simulate", "proj-decay"], {
-            "--k": (("1", "2"), ("0", "x")), "--dim": (("48", "64"), ("1", "2")),
+            "--k": (("1", "2"), ("0", "x")), "--dim": (("2", "48", "64"), ("1",)),
             "--meshes": (("2,4", "1,2,3"), ("4", "0,4", "", "a", "4,-2", "8,4")),
             "--trials": (("1", "3"), ("0",)), "--seed": (("1", "7"), ("-1",)), **OUTPUT},
-         ("--dim", "--meshes", "--trials")),
+         ("--dim", "--meshes", "--trials"), ()),
     ]
 
 
 @st.composite
-def argument_vectors(draw, words, pools, always):
-    """Half the draws keep to valid values; in the other half each flag may
-    take a broken value or, unless it sets a size, be dropped, and a stray
-    token may be inserted."""
-    broken = draw(st.booleans())
-    argv = list(words)
+def argument_vectors(draw, words, pools, always, required):
+    """(argv, broken).  Half the draws keep to valid values; in the other
+    half each flag may take a broken value or, if the command requires it,
+    be dropped, and a stray token may be inserted.  `broken` says whether
+    any of these happened.  A stray --help, put where the command's own
+    parser meets it first, asks for help whatever else is broken: valid."""
+    breaking = draw(st.booleans())
+    argv, broken = list(words), False
     for flag, pool in pools.items():
-        if flag in always:
-            given_ = flag in SIZE_FLAGS or not (broken and draw(st.booleans()))
-        else:
-            given_ = draw(st.booleans())
-        if not given_:
+        if flag in required and breaking and draw(st.booleans()):
+            broken = True
+            continue
+        if flag not in always and not draw(st.booleans()):
             continue
         if pool is None:
             argv.append(flag)
             continue
         valid, bad = pool
-        argv += [flag, draw(st.sampled_from(bad if broken and draw(st.booleans()) else valid))]
-    if broken and draw(st.booleans()):
-        argv.insert(draw(st.integers(0, len(argv))),
-                    draw(st.sampled_from(("--bogus", "extra", "--k", "--help", "--moments",
-                                          "--functional"))))
-    return argv
+        bad_value = breaking and draw(st.booleans())
+        broken |= bad_value
+        argv += [flag, draw(st.sampled_from(bad if bad_value else valid))]
+    if breaking and draw(st.booleans()):
+        token = draw(st.sampled_from(STRAY_TOKENS))
+        if token == "--help":
+            argv.insert(len(words), token)
+            return argv, False
+        argv.insert(draw(st.integers(0, len(argv))), token)
+        broken = True
+    return argv, broken
 
 
 @pytest.fixture(scope="module")
@@ -156,10 +184,43 @@ def functional_files(tmp_path_factory):
     return tuple(paths[:2]), tuple(paths[2:]) + (str(root),)
 
 
-@pytest.mark.parametrize("index", range(len(_commands())), ids=[
-    "-".join([w.strip("-") for w in words]
-             + [flag.strip("-") for flag in always if flag in ("--moments", "--functional")])
-    for words, _, always in _commands()])
+def _pool_values(words, pools, always, required):
+    """Every value of every pool once, as (argv, broken), the other flags that
+    are always given at their first valid value: the fuzz draws may miss a
+    value, this walk may not."""
+    first = {flag: pools[flag][0][0] for flag in always}
+    for flag, pool in pools.items():
+        for broken, values in enumerate(pool or ()):
+            for value in values:
+                given = {**first, flag: value}
+                yield [*words, *(x for item in given.items() for x in item)], bool(broken)
+
+
+def _check_exit_contract(argv, broken, exact):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(argv)
+    lines = err.getvalue().splitlines()
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if broken:
+        assert code == 2 and out.getvalue() == "", (argv, code)
+        errors = [line for line in lines if "error:" in line]
+        assert errors == lines[-1:], (argv, lines)
+        assert all(line.startswith(("usage:", " ")) for line in lines[:-1]), (argv, lines)
+    else:
+        assert code in ((0,) if exact else (0, 1)), (argv, code, lines)
+        assert lines == [], (argv, lines)
+
+
+COMMAND_IDS = ["-".join([w.strip("-") for w in words]
+                        + [flag.strip("-") for flag in always
+                           if flag in ("--moments", "--functional")])
+               for words, _, always, _ in _commands()]
+
+
+@pytest.mark.parametrize("index", range(len(_commands())), ids=COMMAND_IDS)
 def test_cli_keeps_its_exit_contract(functional_files, index):
     command = _commands(functional_files)[index]
     # The partitions and cumulants commands take milliseconds: draw more of them.
@@ -167,20 +228,14 @@ def test_cli_keeps_its_exit_contract(functional_files, index):
 
     @settings(deadline=None, derandomize=True, max_examples=50 if cheap else 20)
     @given(argument_vectors(*command))
-    def check(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = run(argv)
-        lines = err.getvalue().splitlines()
-        assert code in (0, 1, 2), argv
-        assert not caught, (argv, [str(w.message) for w in caught])
-        if code == 2:
-            errors = [line for line in lines if "error:" in line]
-            assert errors == lines[-1:], (argv, lines)
-            assert all(line.startswith(("usage:", " ")) for line in lines[:-1]), (argv, lines)
-        else:
-            assert lines == [], (argv, lines)
+    def check(draw):
+        _check_exit_contract(*draw, exact=command[0][0] != "simulate")
 
     check()
+
+
+@pytest.mark.parametrize("index", range(len(_commands())), ids=COMMAND_IDS)
+def test_each_pool_value_keeps_the_exit_contract(functional_files, index):
+    command = _commands(functional_files)[index]
+    for argv, broken in _pool_values(*command):
+        _check_exit_contract(argv, broken, exact=command[0][0] != "simulate")

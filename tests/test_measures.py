@@ -225,18 +225,20 @@ def test_l2_residuals_vanish_on_all_of_nc6():
             assert main_theorem_residual(p, spec, "L2") == 0, (name, p)
 
 
-def test_limit_guard_holds_at_12_and_trips_at_13():
+def test_limit_guard_holds_at_16_and_trips_at_17():
+    # the full moment: Catalan(16) for free Poisson, Catalan(8) for the
+    # semicircle, whose only nonzero cumulant is the variance
     base = make_free_poisson(1)
-    spec12 = make_tuple(base, "identical", k=12)
-    assert limit_product_of_st([(Partition.zero_hat(12), "pr")], spec12) == catalan(12)
-    assert exact_moment(spec12) == catalan(12)
-    spec13 = make_tuple(base, "identical", k=13)
-    for factors in ([(Partition.zero_hat(13), "pr")],
-                    [(Partition.zero_hat(6), "st"), (Partition.one_hat(7), "pr")]):
+    spec16 = make_tuple(base, "identical", k=16)
+    assert limit_product_of_st([(Partition.zero_hat(16), "pr")], spec16) == catalan(16)
+    assert exact_moment(make_tuple(make_semicircular(), "identical", k=16)) == catalan(8)
+    spec17 = make_tuple(base, "identical", k=17)
+    for factors in ([(Partition.zero_hat(17), "pr")],
+                    [(Partition.zero_hat(8), "st"), (Partition.one_hat(9), "pr")]):
         with pytest.raises(SizeGuardError):
-            limit_product_of_st(factors, spec13)
+            limit_product_of_st(factors, spec17)
     with pytest.raises(SizeGuardError):
-        exact_moment(spec13)
+        exact_moment(spec17)
 
 
 def test_l2_residual_is_the_four_trace_expansion():
@@ -267,25 +269,75 @@ def _no_recursion(monkeypatch):
 def test_limit_product_guards_run_in_order_before_the_recursion(monkeypatch):
     _no_recursion(monkeypatch)
     base = make_free_poisson(1)
-    spec3, spec13 = make_tuple(base, "identical", k=3), make_tuple(base, "identical", k=13)
-    zero13, one2 = Partition.zero_hat(13), Partition.one_hat(2)
+    spec3, spec17 = make_tuple(base, "identical", k=3), make_tuple(base, "identical", k=17)
+    zero17, one2 = Partition.zero_hat(17), Partition.one_hat(2)
     # each case also breaks every later guard
     with pytest.raises(ValueError, match="kind"):
-        limit_product_of_st([(one2, "st"), (zero13, "diag")], spec3)
+        limit_product_of_st([(one2, "st"), (zero17, "diag")], spec3)
     with pytest.raises(DimensionError):
-        limit_product_of_st([(one2, "st"), (zero13, "pr")], spec3)
+        limit_product_of_st([(one2, "st"), (zero17, "pr")], spec3)
     with pytest.raises(SizeGuardError):
-        limit_product_of_st([(zero13, "pr")], spec13)
+        limit_product_of_st([(zero17, "pr")], spec17)
 
 
 def test_a_zero_scalar_word_keeps_the_arity_guard(monkeypatch):
     _no_recursion(monkeypatch)
-    spec7 = make_tuple(make_free_poisson(1), "identical", k=7)
-    zero = MeasureWord(Fraction(0), ((Partition.zero_hat(7), "st"),), spec7.words)
+    spec9 = make_tuple(make_free_poisson(1), "identical", k=9)  # arity 18 > 16
+    zero = MeasureWord(Fraction(0), ((Partition.zero_hat(9), "st"),), spec9.words)
     one = MeasureWord(Fraction(1), (), ())
     for a, b in ((zero, one), (one, zero)):
         with pytest.raises(SizeGuardError):
             l2_residual(a, b)
+
+
+def _shared_factor_pairs():
+    """Pairs a != b whose sides share their factors and word parts: a scaled
+    St word against itself, Pr factors (alone and after an St factor), and
+    a word against distinct but equal derived words, singletons and length
+    2, as the main theorem's 0-hat sides build them."""
+    spec = make_tuple(make_custom_process(CUSTOM_SEQ), "identical", k=4)
+    words, p = spec.words, Partition.parse("((1,4)(2)(3))")
+    zero4, zero2, one2 = Partition.zero_hat(4), Partition.zero_hat(2), Partition.one_hat(2)
+    singles = tuple(spec.subset_word((i,)) for i in range(1, 5))
+    pairs = (spec.subset_word((1, 2)), spec.subset_word((3, 4)))
+    for factors, a_words, b_words in (
+            (((p, "st"),), words, words),
+            (((p, "pr"),), words, words),
+            (((zero2, "st"), (one2, "pr")), words, words),
+            (((zero4, "st"),), words, singles),
+            (((zero2, "st"),), pairs, tuple(w[::-1] for w in pairs))):
+        yield (MeasureWord(Fraction(5, 3), factors, a_words),
+               MeasureWord(Fraction(-1, 2), factors, b_words))
+
+
+def test_shared_factor_residuals_take_one_limit_product(monkeypatch):
+    products = []
+    limit_product = measures._limit_product
+
+    def count(*args):
+        products.append(args)
+        return limit_product(*args)
+
+    monkeypatch.setattr(measures, "_limit_product", count)
+    for a, b in _shared_factor_pairs():
+        for t in (Fraction(1), Fraction(3, 2), Fraction(2, 7)):
+            products.clear()
+            residual = l2_residual(a, b, t)
+            assert len(products) == 1, (a, t)
+            assert residual == l2_residual_by_four_traces(a, b, t) != 0, (a, t)
+
+
+def test_equal_shared_factor_sides_run_no_recursion(monkeypatch):
+    _no_recursion(monkeypatch)
+    for a, b in _shared_factor_pairs():
+        assert l2_residual(a, MeasureWord(a.scalar, b.factors, b.words)) == 0
+    # the main theorem's 0-hat sides for free Poisson: no inner class, scalar 1
+    spec = make_tuple(make_free_poisson(1), "identical", k=4)
+    assert main_theorem_residual(Partition.zero_hat(4), spec, "L2") == 0
+    spec9 = make_tuple(make_free_poisson(1), "identical", k=9)  # arity 18 > 16
+    word = MeasureWord(Fraction(1), ((Partition.zero_hat(9), "st"),), spec9.words)
+    with pytest.raises(SizeGuardError):
+        l2_residual(word, word)
 
 
 def test_main_theorem_sides_for_a_known_case():
@@ -296,9 +348,9 @@ def test_main_theorem_sides_for_a_known_case():
 
 
 def test_main_theorem_guards():
-    spec7 = make_tuple(make_free_poisson(1), "identical", k=7)
+    spec9 = make_tuple(make_free_poisson(1), "identical", k=9)
     with pytest.raises(SizeGuardError):
-        main_theorem_residual(Partition.one_hat(7), spec7, "L2")
+        main_theorem_residual(Partition.one_hat(9), spec9, "L2")
     with pytest.raises(CrossingPartitionError):
         spec4 = make_tuple(make_free_poisson(1), "identical", k=4)
         main_theorem_residual(Partition.parse("((1,3)(2,4))"), spec4, "L1")
@@ -411,18 +463,22 @@ def test_engine_guards():
     assert expect_st(zero6, sub, spec6) == FiniteTraces(spec6, sub).st(zero6) == 0
     with pytest.raises(DimensionError):
         expect_st(Partition.zero_hat(3), Subdivision.uniform(4), spec)
-    spec13 = make_tuple(make_free_poisson(1), "identical", k=13)
+    spec17 = make_tuple(make_free_poisson(1), "identical", k=17)
     with pytest.raises(SizeGuardError):
-        limit_product_of_st([(Partition.zero_hat(13), "st")], spec13)
+        limit_product_of_st([(Partition.zero_hat(17), "st")], spec17)
 
 
 def test_st_arity_guard_holds_at_10_and_trips_at_11():
-    # one interval: St of 1-hat is the full moment, Catalan(k) for free Poisson
-    base = make_free_poisson(1)
+    # one interval: St of 1-hat is the full moment, Catalan(k) for free
+    # Poisson, and so is Pr of 1-hat, which walks all of NC(k) under the
+    # same guard
+    base, one = make_free_poisson(1), Subdivision.uniform(1)
     spec10 = make_tuple(base, "identical", k=10)
-    assert expect_st(Partition.one_hat(10), Subdivision.uniform(1), spec10) == catalan(10)
+    for expect in (expect_st, expect_pr):
+        assert expect(Partition.one_hat(10), one, spec10) == catalan(10)
     spec11 = make_tuple(base, "identical", k=11)
-    for call in (lambda: expect_st(Partition.one_hat(11), Subdivision.uniform(1), spec11),
+    for call in (lambda: expect_st(Partition.one_hat(11), one, spec11),
+                 lambda: expect_pr(Partition.one_hat(11), one, spec11),
                  lambda: st_uniform_formula(Partition.one_hat(11), spec11)):
         with pytest.raises(SizeGuardError, match="St arity 11 exceeds guard 10"):
             call()
