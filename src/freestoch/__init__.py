@@ -16,7 +16,6 @@ from .partitions import (
     ClassSplit,
     Partition,
     classify_classes,
-    concat,
     enumerate_noncrossing,
     enumerate_set_partitions,
     is_noncrossing,
@@ -44,7 +43,6 @@ from .measures import (
     UniformFormula,
     example_formulas_check,
     expect_pr,
-    expect_product_of_st,
     expect_st,
     identity_suite,
     limit_expect_st,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -122,6 +123,13 @@ def _moment_list(text: str) -> list[str]:
     values = text.split(",")
     _transform_order(str(len(values)))
     return values
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _positive_rational(text: str) -> Fraction:
@@ -443,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=40)
     sp.add_argument("--trials", type=int, default=3)
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--threshold", type=float, default=0.2)
+    sp.add_argument("--threshold", type=_finite_float, default=0.2)
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_simulate_main_theorem)
     sp = sim.add_parser("proj-decay", help="projection-sandwich norm decay")

@@ -30,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
-from .measures import MAX_PRODUCT_ARITY
 from .partitions import (
     Partition,
     classify_classes,
@@ -232,6 +231,7 @@ def derived_increments(inc: IncrementSet, groups) -> IncrementSet:
 # partition-indexed matrix sums
 
 MAX_MATMULS = 10_000_000
+MAX_PRODUCT_ARITY = 8
 
 
 def pr_matrix(p: Partition, inc: IncrementSet) -> np.ndarray:

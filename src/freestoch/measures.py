@@ -1,8 +1,8 @@
 """Exact expectations of partition-indexed Riemann sums and their limits.
 
-The engine evaluates the trace of St_p / Pr_p sums (and products of such
-factors) for a consistent tuple, at a finite subdivision and in the mesh
-limit, entirely in rational arithmetic.  Operator-level statements are
+The engine evaluates the trace of St_p / Pr_p sums for a consistent tuple,
+at a finite subdivision and in the mesh limit, and of their products in the
+mesh limit, entirely in rational arithmetic.  Operator-level statements are
 checked through the trace of (L - R)(L - R)*, which vanishes iff L = R
 because the state is faithful; that expansion is the only bridge between
 operator identities and computable numbers used here.
@@ -13,7 +13,6 @@ patterns contribute at any finite subdivision and only die in the limit.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from fractions import Fraction
@@ -24,7 +23,6 @@ from .partitions import (
     Partition,
     classify_classes,
     coarsenings,
-    concat,
     enumerate_noncrossing,
     enumerate_set_partitions,
     first_block_sum,
@@ -49,13 +47,10 @@ from .processes import (
 from .rational import format_rational
 
 # Arity guards; no trace depends on N beyond its k + 1 power sums.  An St
-# trace of arity k sums over the noncrossing refinements of its pattern,
-# a Pr trace over all of NC(k).  Product expansions cap the concatenated
-# arity: the finite ones walk every admissible coarsening, the limits run
-# the first-block recursion over at most 2^arity sets of blocks.  The
-# identity suite covers all of P(k) per k.
+# trace of arity k sums over the noncrossing refinements of its pattern, a
+# Pr trace over all of NC(k), and a limit product over at most 2^arity sets
+# of blocks.  The identity suite covers all of P(k) per k.
 MAX_ST_ARITY = 10
-MAX_PRODUCT_ARITY = 8
 MAX_LIMIT_ARITY = 16
 MAX_SUITE_K = 6
 
@@ -293,49 +288,16 @@ def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
 # products of St/Pr factors
 
 
-def _check_factors(factors, k: int, max_arity: int) -> None:
-    """The guards of a product expansion, in order: the factor kinds, the
-    total arity against the k components, the total arity against the cap."""
+def _check_factors(factors, k: int) -> None:
+    """The guards of a limit product, in order: the factor kinds, the total
+    arity against the k components, the total arity against the cap."""
     if any(kind not in ("st", "pr") for _, kind in factors):
         raise ValueError("factor kind must be 'st' or 'pr'")
     arity = sum(p.k for p, _ in factors)
     if arity != k:
         raise DimensionError(f"factors cover [{arity}] vs {k} components")
-    if arity > max_arity:
-        raise SizeGuardError(f"total arity {arity} exceeds guard {max_arity}")
-
-
-def _concatenated(factors, spec: ProcessSpec) -> tuple[Partition, Partition]:
-    """The concatenated pattern of the factors and the `apart` partition
-    whose blocks no coincidence pattern may merge within: each whole St
-    factor, since St pins its within-factor pattern exactly, and each block
-    of a Pr factor, which only bounds that pattern from below."""
-    _check_factors(factors, spec.k, MAX_PRODUCT_ARITY)
-    pi_total = functools.reduce(concat, (p for p, _ in factors))
-    apart = functools.reduce(concat, (Partition.one_hat(p.k) if kind == "st" else p
-                                      for p, kind in factors))
-    return pi_total, apart
-
-
-def _product_patterns(factors, spec: ProcessSpec) -> list[Partition]:
-    """Coincidence patterns sigma of the concatenated word whose restriction
-    to each factor matches it: the coarsenings of the concatenated pattern
-    that keep apart the blocks of `apart`."""
-    return coarsenings(*_concatenated(factors, spec))
-
-
-def expect_product_of_st(factors, spec: ProcessSpec, sub: Subdivision) -> Fraction:
-    """Trace of a product of St/Pr factors over consecutive component groups.
-
-    Expands over the coincidence patterns sigma of the concatenated word
-    that match each factor, then sums the St_sigma traces.
-    """
-    if not factors:
-        return Fraction(1)
-    patterns = _product_patterns(factors, spec)
-    table = TraceTable(spec)
-    value, scale = table.at(sub)
-    return Fraction(sum(value(table.st(sigma)) for sigma in patterns), scale)
+    if arity > MAX_LIMIT_ARITY:
+        raise SizeGuardError(f"total arity {arity} exceeds guard {MAX_LIMIT_ARITY}")
 
 
 def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
@@ -347,8 +309,8 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
     of sigma is a union of them that keeps apart the units of one group and
     weighs t times the unit cumulant of its word.  The units, their groups
     and their words are read off the factors at a running offset: a whole
-    St factor is one group and each block of a Pr factor its own, as in
-    `_concatenated`.
+    St factor is one group, since St pins its within-factor pattern exactly,
+    and each block of a Pr factor its own, since Pr only bounds it below.
 
     The sums run in integers.  With D = B t.denominator (B the tuple's
     cumulant scale), a block of n units weighs the integer t R D^n, so the
@@ -357,7 +319,7 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
     """
     if not factors:
         return Fraction(1)
-    _check_factors(factors, spec.k, MAX_LIMIT_ARITY)
+    _check_factors(factors, spec.k)
     table = ScaledCumulants(spec)
     return _limit_product(factors, table.parts, table, t)
 
@@ -425,7 +387,7 @@ def _pair_trace(a: MeasureWord, b: MeasureWord, t, table: ScaledCumulants, parts
     factors = a.factors + b.factors
     if not factors:
         return scalar
-    _check_factors(factors, len(parts), MAX_LIMIT_ARITY)
+    _check_factors(factors, len(parts))
     return scalar and scalar * _limit_product(factors, parts, table, t)
 
 

@@ -288,12 +288,6 @@ def opposite(p: Partition) -> Partition:
                                               for b in p.blocks)))
 
 
-def concat(p: Partition, s: Partition) -> Partition:
-    """Place s after p on a ground set of size p.k + s.k."""
-    shifted = [[i + p.k for i in b] for b in s.blocks]
-    return Partition.of(list(p.blocks) + shifted, p.k + s.k)
-
-
 def restrict(p: Partition, elements) -> Partition:
     """Partition induced on a subset, re-indexed to 1..len(elements)."""
     elems = sorted(elements)
@@ -321,45 +315,17 @@ def _span(mask: int) -> int:
     return (1 << (mask.bit_length() - 1)) - (mask & -mask)
 
 
-def coarsenings(p: Partition, apart: Partition | None = None) -> list[Partition]:
-    """All sigma >= p; with `apart` (p <= apart), only those whose meet with
-    `apart` is p, i.e. no block of sigma joins two blocks of p that lie in
-    one block of `apart`.
-
-    A backtracking walk assigns the blocks of p, in order, to an earlier
-    group or a new one and never makes a forbidden merge, so it visits only
-    the sigmas it returns, in the restricted-growth order of the grouping.
-    """
-    if apart is None:
-        tags = list(range(p.num_blocks))
-    else:
-        if not refines(p, apart):
-            raise ValueError(f"{p} does not refine {apart}")
-        labels = apart.rgs()
-        tags = [labels[block[0] - 1] for block in p.blocks]
-    out: list[Partition] = []
-    groups: list[list[int]] = []
-    group_tags: list[set[int]] = []
-
-    def walk(j: int) -> None:
-        if j == p.num_blocks:
-            out.append(Partition._trusted(p.k, tuple(tuple(sorted(g)) for g in groups)))
-            return
-        block, tag = p.blocks[j], tags[j]
-        for g, used in zip(groups, group_tags):
-            if tag not in used:
-                g.extend(block)
-                used.add(tag)
-                walk(j + 1)
-                del g[len(g) - len(block):]
-                used.discard(tag)
-        groups.append(list(block))
-        group_tags.append({tag})
-        walk(j + 1)
-        groups.pop()
-        group_tags.pop()
-
-    walk(0)
+def coarsenings(p: Partition) -> list[Partition]:
+    """All sigma >= p: each q in P(|p|), in restricted-growth order, merges
+    the blocks of p that it groups, since [p, 1-hat] is P(|p|) (Nica-Speicher,
+    Lectures on the Combinatorics of Free Probability, Lectures 9-10)."""
+    out = []
+    for q in enumerate_set_partitions(p.num_blocks):
+        merged = []
+        for group in q.blocks:
+            blocks = [p.blocks[i - 1] for i in group]
+            merged.append(blocks[0] if len(blocks) == 1 else tuple(sorted(sum(blocks, ()))))
+        out.append(Partition._trusted(p.k, tuple(merged)))
     return out
 
 

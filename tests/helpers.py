@@ -37,7 +37,6 @@ from freestoch.measures import (
 from freestoch.partitions import (
     Partition,
     coarsenings,
-    concat,
     enumerate_noncrossing,
     enumerate_set_partitions,
     interval_partition,
@@ -580,6 +579,22 @@ def product_patterns_by_filter(factors, noncrossing=False):
     tau = interval_partition([p.k for p in parts])
     lattice = enumerate_noncrossing(k) if noncrossing else enumerate_set_partitions(k)
     return [sigma for sigma in lattice if factor_match(sigma, tau, parts, kinds)]
+
+
+def expect_product_of_st(factors, spec, sub):
+    """Trace of a product of St/Pr factors over consecutive component groups
+    at a finite subdivision: the St traces of the coincidence patterns of
+    the concatenated word that match each factor, summed."""
+    if not factors:
+        return Fraction(1)
+    return sum((expect_st(sigma, sub, spec) for sigma in product_patterns_by_filter(factors)),
+               Fraction(0))
+
+
+def concat(p, s):
+    """Place s after p on a ground set of size p.k + s.k."""
+    shifted = [[i + p.k for i in b] for b in s.blocks]
+    return Partition.of(list(p.blocks) + shifted, p.k + s.k)
 
 
 def _span(mask):

@@ -224,6 +224,18 @@ def test_simulate_size_errors_exit_2_with_one_error_line(capsys, argv):
     assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("threshold", ["inf", "nan"])
+def test_non_finite_threshold_exits_2_before_any_draw(capsys, threshold):
+    # inf used to pass and nan to fail whatever the estimate
+    assert run(["simulate", "main-theorem", "--dim", "2", "--n", "1", "--trials", "1",
+                "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and errors == [
+        "freestoch simulate main-theorem: error: argument --threshold: "
+        f"expected a finite number, got {threshold!r}"]
+
+
 @pytest.mark.parametrize("meshes,error", [
     ("4", "error: need at least two meshes to compare"),
     ("8,4", "error: meshes must be strictly increasing, got [8, 4]"),

@@ -68,8 +68,9 @@ K_MAX = (("1", "2", "3"), ("0", "-1", "x", ""))
 SUITE_K_MAX = (K_MAX[0], ("7",) + K_MAX[1])
 MAIN_THEOREM_K_MAX = (K_MAX[0], ("11",) + K_MAX[1])
 EXAMPLES_K_MAX = (K_MAX[0], ("9",) + K_MAX[1])
-# No estimate beats a threshold of 0 or nan: the check runs and fails.
-THRESHOLDS = (("0.5", "0.9", "0", "nan"), ("x",))
+# No estimate beats a threshold of 0: the check runs and fails.  A
+# non-finite threshold would pass (inf) or fail (nan) whatever the estimate.
+THRESHOLDS = (("0.5", "0.9", "0"), ("x", "nan", "inf"))
 OUTPUT = {"--output": (("json", "csv"), ("xml",))}
 STRAY_TOKENS = ("--bogus", "extra", "--k", "--help", "--moments", "--functional")
 

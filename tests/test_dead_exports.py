@@ -1,6 +1,8 @@
 """Every public top-level function and class of a `freestoch` module is used
 elsewhere in `src/` or exported from `freestoch/__init__.py`.  A name that
-only the tests use belongs in `tests/helpers.py`."""
+only the tests use belongs in `tests/helpers.py`.  Every name a module other
+than `__init__` imports is read in that module, so a deletion leaves no
+import behind."""
 
 import ast
 import pathlib
@@ -45,3 +47,39 @@ def test_an_unused_definition_is_reported(tmp_path):
                                    "def recursive(n):\n    return recursive(n - 1)\n")
     (tmp_path / "b.py").write_text("from . import a\n\n\nclass Unused:\n    x = a.helper\n")
     assert dead_definitions(tmp_path) == ["a.recursive", "b.Unused"]
+
+
+def unused_imports(src: pathlib.Path) -> list[str]:
+    """module.name for each name a module other than `__init__` imports and
+    never reads; `from __future__` imports are directives, not names."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_import_is_read():
+    assert unused_imports(SRC) == []
+
+
+def test_an_unused_import_is_reported(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\nimport functools\nimport math\n"
+        "import os.path\nfrom .b import concat, merge as joined\n\n\n"
+        "def exported(x):\n    functools = math.pi  # a store is no read\n"
+        "    return os.path.join(x)\n\n\n"
+        "def later():\n    from .b import unused_inside\n    return joined\n")
+    assert unused_imports(tmp_path) == ["a.functools", "a.concat", "a.unused_inside"]

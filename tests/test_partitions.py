@@ -8,7 +8,6 @@ from freestoch.partitions import (
     Partition,
     classify_classes,
     coarsenings,
-    concat,
     enumerate_noncrossing,
     enumerate_set_partitions,
     interval_partition,
@@ -201,14 +200,12 @@ def test_kreweras_block_count_and_double_complement():
 
 def test_opposite_concat_examples():
     assert opposite(Partition.parse("((1,2)(3))")) == Partition.parse("((1)(2,3))")
-    assert concat(Partition.one_hat(2), Partition.one_hat(2)) == Partition.parse("((1,2)(3,4))")
     for k in range(1, 7):
         for p in enumerate_set_partitions(k):
             assert opposite(opposite(p)) == p
     for k in range(1, 6):
         for p in enumerate_noncrossing(k):
             assert is_noncrossing(opposite(p))
-            assert is_noncrossing(concat(p, Partition.one_hat(2)))
 
 
 def test_classify_paper_example():
@@ -326,20 +323,10 @@ def test_coarsenings():
         cs = coarsenings(q)
         assert all(refines(q, c) for c in cs)
         assert len(cs) == len([c for c in enumerate_set_partitions(4) if refines(q, c)])
-
-
-
-def test_coarsenings_keep_blocks_apart():
-    zero = Partition.zero_hat(3)
-    apart = Partition.parse("((1,2)(3))")
-    assert set(coarsenings(zero, apart)) == {
-        zero, Partition.parse("((1,3)(2))"), Partition.parse("((1)(2,3))")}
-    # apart = p itself forbids nothing, apart = 1-hat forbids every merge
-    for q in enumerate_set_partitions(4):
-        assert coarsenings(q, q) == coarsenings(q)
-        assert coarsenings(q, Partition.one_hat(4)) == [q]
-    with pytest.raises(ValueError):
-        coarsenings(Partition.one_hat(3), zero)
+    # [p, 1-hat] is P(|p|), so the enumeration guard bounds the blocks of p
+    assert len(coarsenings(Partition.one_hat(12))) == 1
+    with pytest.raises(SizeGuardError):
+        coarsenings(Partition.zero_hat(11))
 
 
 def test_interval_partition():

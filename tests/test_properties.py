@@ -5,7 +5,7 @@ oracles; partitions built without the constructor's checks against the
 validating constructor.
 
 Sizes are bounded so that the worst drawn case (the recursion over all of
-NC(8), or a product expansion over all of P(8)) stays near a second.
+NC(8), or the coarsenings of a 0-hat_8) stays near a second.
 """
 
 import math
@@ -24,10 +24,7 @@ from freestoch.cumulants import (
 from freestoch.measures import (
     MeasureWord,
     TraceTable,
-    _product_patterns,
     exact_moment,
-    expect_product_of_st,
-    expect_st,
     identity_suite,
     limit_expect_st,
     limit_product_of_st,
@@ -58,6 +55,7 @@ from freestoch.processes import (
 from helpers import (
     CUSTOM_SEQ,
     FiniteTraces,
+    all_rgs_strings,
     brute_expect_pr,
     brute_expect_st,
     cumulant_functional_by_subsets,
@@ -147,30 +145,13 @@ def test_limit_product_walk_matches_lattice_filter(factors):
     st.sampled_from(enumerate_set_partitions(k)),
     st.one_of(st.none(), st.sampled_from(enumerate_set_partitions(k))))))
 def test_noncrossing_walk_is_the_filtered_walk(drawn):
+    # a coarsening keeps apart the blocks of p in one block of `apart` iff
+    # its meet with `apart` is p
     p, other = drawn
     apart = None if other is None else join(p, other)
     walked = noncrossing_coarsenings(p, apart)
-    assert walked == [s for s in coarsenings(p, apart) if is_noncrossing(s)]
-
-
-@settings(PROPERTY_SETTINGS, max_examples=60)
-@given(factor_lists(8))
-def test_product_pattern_walk_matches_lattice_filter(factors):
-    spec = make_tuple(CUSTOM, "identical", k=sum(p.k for p, _ in factors))
-    walked = _product_patterns(factors, spec)
-    assert len(set(walked)) == len(walked)
-    assert set(walked) == set(product_patterns_by_filter(factors))
-
-
-@settings(PROPERTY_SETTINGS, max_examples=30)
-@given(factor_lists(5))
-def test_finite_product_walk_matches_lattice_filter(factors):
-    k = sum(p.k for p, _ in factors)
-    spec = make_tuple(CUSTOM, "identical", k=k)
-    sub = Subdivision.of((Fraction(1, 3), Fraction(2, 3)))
-    oracle = sum((expect_st(sigma, sub, spec)
-                  for sigma in product_patterns_by_filter(factors)), Fraction(0))
-    assert expect_product_of_st(factors, spec, sub) == oracle
+    assert walked == [s for s in coarsenings(p) if is_noncrossing(s)
+                      and (apart is None or meet(s, apart) == p)]
 
 
 @settings(PROPERTY_SETTINGS, max_examples=12)
@@ -257,14 +238,23 @@ def test_enumerations_build_valid_partitions(k):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
-@given(st.integers(1, 7).flatmap(lambda k: st.tuples(
-    st.sampled_from(enumerate_set_partitions(k)),
-    st.one_of(st.none(), st.sampled_from(enumerate_set_partitions(k))))))
-def test_coarsenings_build_valid_partitions(drawn):
-    p, other = drawn
-    apart = None if other is None else join(p, other)
-    for sigma in coarsenings(p, apart):
+@given(partitions(7))
+def test_coarsenings_build_valid_partitions(p):
+    for sigma in coarsenings(p):
         assert sigma == _validated(sigma) and refines(p, sigma)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(partitions(8))
+def test_coarsenings_are_the_merges_in_restricted_growth_order(p):
+    # the order is part of the contract: the matrix St sums add floats in it
+    merges = []
+    for rgs in all_rgs_strings(p.num_blocks):
+        groups = [[] for _ in range(max(rgs) + 1)]
+        for block, label in zip(p.blocks, rgs):
+            groups[label].extend(block)
+        merges.append(Partition.of(groups, p.k))
+    assert coarsenings(p) == merges
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
