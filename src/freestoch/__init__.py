@@ -45,6 +45,8 @@ from .measures import (
     expect_pr,
     expect_st,
     identity_suite,
+    inner_peeling_residual,
+    l2_residual,
     limit_expect_st,
     main_theorem_residual,
     st_uniform_formula,

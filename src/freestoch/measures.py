@@ -81,6 +81,7 @@ class TraceTable:
         self._weights: dict[tuple[int, ...], Poly] = {}
         self._st: dict[Partition, Poly] = {}
         self._pr: dict[Partition, Poly] = {}
+        self._nonzero: list[tuple[tuple, int]] | None = None  # (blocks, B^k R_rho), R_rho != 0
 
     def _cumulant(self, rho: Partition) -> int:
         """B^k R_rho: each of the |rho| block cumulants times B, and B for
@@ -143,27 +144,30 @@ class TraceTable:
         """Trace polynomial of Pr_p: indices merely constant on the blocks of p.
 
         Free maps factor over the groups into which the blocks of rho
-        collapse the blocks of p (a union-find over the p-labels each block
-        of rho touches), each group giving the plain power sum of its
-        number of rho blocks.
+        collapse the blocks of p, each giving the plain power sum of its
+        number of rho blocks.  The rho in NC(k) with R_rho != 0 are listed
+        once per table; each of their blocks, as the bitmask of the p-labels
+        it touches, merges the groups it meets.
         """
         if p not in self._pr:
-            labels = p.rgs()
+            if self._nonzero is None:
+                self._nonzero = [(rho.blocks, r) for rho in enumerate_noncrossing(self.spec.k)
+                              if (r := self._cumulant(rho))]
+            bits = [1 << label for label in p.rgs()]
             poly: Poly = {}
-            for rho in enumerate_noncrossing(p.k):
-                r = self._cumulant(rho)
-                if r == 0:
-                    continue
-                group = list(range(p.num_blocks))
-                for block in rho.blocks:
-                    roots = {group[labels[el - 1]] for el in block}
-                    if len(roots) > 1:
-                        root = min(roots)
-                        group = [root if g in roots else g for g in group]
-                counts = [0] * p.num_blocks
-                for block in rho.blocks:
-                    counts[group[labels[block[0] - 1]]] += 1
-                mono = tuple(sorted(c for c in counts if c))
+            for blocks, r in self._nonzero:
+                groups: list[tuple[int, int]] = []  # (mask of p-labels, rho blocks)
+                for block in blocks:
+                    mask, count, kept = 0, 1, []
+                    for el in block:
+                        mask |= bits[el - 1]
+                    for g in groups:
+                        if g[0] & mask:
+                            mask, count = mask | g[0], count + g[1]
+                        else:
+                            kept.append(g)
+                    groups = kept + [(mask, count)]
+                mono = tuple(sorted(count for _, count in groups))
                 poly[mono] = poly.get(mono, 0) + r
             self._pr[p] = {m: c for m, c in poly.items() if c}
         return self._pr[p]
@@ -399,7 +403,11 @@ def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
     cumulant table.  Sides that share their factors and parts need one:
     A - B = (a - b) W, so the residual is (a - b)^2 tau(W W*).
     """
-    table = ScaledCumulants(ProcessSpec(a.words + b.words))
+    return _l2(a, b, t, ScaledCumulants(ProcessSpec(a.words + b.words)))
+
+
+def _l2(a: MeasureWord, b: MeasureWord, t, table: ScaledCumulants) -> Fraction:
+    """l2_residual on a table that holds every atom of both words."""
     pa, pb = ([table.part(w) for w in x.words] for x in (a, b))  # an adjoint's: reversed
     if a.factors == b.factors and pa == pb:
         diff = MeasureWord(a.scalar - b.scalar, a.factors, a.words)
@@ -418,13 +426,12 @@ def _trace(word: MeasureWord, t, table: ScaledCumulants) -> Fraction:
     return word.scalar * _limit_weight(p.blocks, table, t, [table.part(w) for w in word.words])
 
 
-def _residual(p: Partition, spec: ProcessSpec, sides, order: str, t) -> Fraction:
-    """Residual of the St_p word L against the right side R of sides(p, spec,
-    t, table), once p is checked noncrossing and then against the tuple's
-    size; one cumulant table over the tuple's atoms serves the inner scalars
-    and the L1 traces.
-
-    L1 compares tau(L) with tau(R); L2 expands the trace of (L - R)(L - R)*
+def _residuals(p: Partition, spec: ProcessSpec, sides, orders, t) -> list[Fraction]:
+    """The residual for each order asked for of the St_p word L against the
+    right side R of sides(p, spec, t, table), once p is checked noncrossing
+    and then against the tuple's size.  One cumulant table over the tuple's
+    atoms, which every word of either side is over, serves all of them.  L1
+    compares tau(L) with tau(R); L2 expands the trace of (L - R)(L - R)*
     over the concatenated word and must also vanish.
     """
     if not is_noncrossing(p):
@@ -433,11 +440,12 @@ def _residual(p: Partition, spec: ProcessSpec, sides, order: str, t) -> Fraction
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
     table = ScaledCumulants(spec)
     lhs, rhs = sides(p, spec, t, table)
-    if order == "L1":
-        return _trace(lhs, t, table) - _trace(rhs, t, table)
-    if order == "L2":
-        return l2_residual(lhs, rhs, t)
-    raise ValueError(f"unknown order {order!r}")
+    residual = {"L1": lambda: _trace(lhs, t, table) - _trace(rhs, t, table),
+                "L2": lambda: _l2(lhs, rhs, t, table)}
+    for order in orders:
+        if order not in residual:
+            raise ValueError(f"unknown order {order!r}")
+    return [residual[order]() for order in orders]
 
 
 def _st_word(p: Partition, spec: ProcessSpec) -> MeasureWord:
@@ -454,7 +462,7 @@ def _main_theorem_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulan
 
 def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
     """Residual of St_p against the inner-scalar times off-diagonal form."""
-    return _residual(p, spec, _main_theorem_sides, order, t)
+    return _residuals(p, spec, _main_theorem_sides, (order,), t)[0]
 
 
 def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulants):
@@ -468,7 +476,7 @@ def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumula
 def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
     """Residual of St_p against peeling all inner classes off as scalars,
     keeping St of the outer blocks on their own positions."""
-    return _residual(p, spec, _inner_peeling_sides, order, t)
+    return _residuals(p, spec, _inner_peeling_sides, (order,), t)[0]
 
 
 def diagonal_nesting_residual(spec: ProcessSpec, interval_blocks, t=1) -> Fraction:
@@ -540,7 +548,7 @@ def example_formulas_check(which: str, p: Partition, t=1) -> tuple[Fraction, Fra
     else:
         raise ValueError(f"unknown example {which!r}")
     sides = (_st_word(p, spec), rhs)
-    return tuple(_residual(p, spec, lambda *_: sides, order, t) for order in ("L1", "L2"))
+    return tuple(_residuals(p, spec, lambda *_: sides, ("L1", "L2"), t))
 
 
 SUBDIVISION_BATTERY = (
@@ -554,7 +562,7 @@ SUBDIVISION_BATTERY = (
 )
 
 
-def _record(check: str, partition, process: str, subdivision: str, residual: Fraction) -> dict:
+def _record(check: str, partition, process: str, subdivision: str, residual) -> dict:
     return {
         "check": check,
         "partition": str(partition) if partition is not None else "",
@@ -571,35 +579,40 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
 
     Covers finite St/Pr inversion over the full lattice, inner-class
     peeling in L1 and L2, diagonal nesting, and the free-sandwich limit;
-    every residual must be 0.
+    every residual must be 0.  The inversions are checked on the trace
+    polynomials Pr_p - sum of St_sigma and St_p - sum of mu(p, sigma) Pr_sigma
+    over sigma >= p, built once per p in P(k): evaluation is linear, so a
+    record's residual is their value at its subdivision, 0 when one is empty.
     """
     if base.k != 1:
         raise DimensionError("identity_suite takes a single-component process")
+    if type(k_max) is not int or k_max < 1:  # a float or bool k_max included
+        raise ValueError(f"identity suite needs an integer k_max >= 1, got {k_max!r}")
     if k_max > MAX_SUITE_K:
         raise SizeGuardError(f"identity suite capped at k_max = {MAX_SUITE_K}")
     records = []
     for k in range(1, k_max + 1):
         spec = make_tuple(base, "identical", k=k)
-        lattice = enumerate_set_partitions(k)
-        above = [(p, [(s, mobius(p, s, "full")) for s in coarsenings(p)])
-                 for p in lattice]
-        table = TraceTable(spec)
+        table, checks = TraceTable(spec), []
+        for p in enumerate_set_partitions(k):
+            via_st, back, text = dict(table.pr(p)), dict(table.st(p)), str(p)
+            for s in coarsenings(p):
+                mu = mobius(p, s, "full")
+                for mono, c in table.st(s).items():
+                    via_st[mono] = via_st.get(mono, 0) - c
+                for mono, c in table.pr(s).items():
+                    back[mono] = back.get(mono, 0) - mu * c
+            for check, delta in (("st_pr_inversion", via_st), ("mobius_inversion", back)):
+                checks.append((check, text, {m: c for m, c in delta.items() if c}))
         for sub in battery:
             (value, scale), where = table.at(sub), sub.describe()
-            st = {p: value(table.st(p)) for p in lattice}
-            pr = {p: value(table.pr(p)) for p in lattice}
-            for p, coarser in above:
-                via_st = sum(st[s] for s, _ in coarser)
-                records.append(_record("st_pr_inversion", p, process_name, where,
-                                       Fraction(pr[p] - via_st, scale)))
-                back = sum(mu * pr[s] for s, mu in coarser)
-                records.append(_record("mobius_inversion", p, process_name, where,
-                                       Fraction(st[p] - back, scale)))
+            for check, text, delta in checks:
+                residual = Fraction(value(delta), scale) if delta else 0
+                records.append(_record(check, text, process_name, where, residual))
         for p in enumerate_noncrossing(k):
-            records.append(_record("inner_peeling_l1", p, process_name, "limit",
-                                   inner_peeling_residual(p, spec, "L1")))
-            records.append(_record("inner_peeling_l2", p, process_name, "limit",
-                                   inner_peeling_residual(p, spec, "L2")))
+            l1, l2 = _residuals(p, spec, _inner_peeling_sides, ("L1", "L2"), 1)
+            records.append(_record("inner_peeling_l1", p, process_name, "limit", l1))
+            records.append(_record("inner_peeling_l2", p, process_name, "limit", l2))
         for sizes in _compositions(k):
             nesting = interval_partition(sizes)
             records.append(_record("diagonal_nesting", nesting, process_name, "limit",

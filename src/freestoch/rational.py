@@ -13,5 +13,5 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value) -> str:
     """Render as "p/q", keeping an explicit denominator even for integers."""
-    f = Fraction(value)
+    f = value if type(value) in (int, Fraction) else Fraction(value)  # ints have the parts too
     return f"{f.numerator}/{f.denominator}"

@@ -377,6 +377,30 @@ class FiniteTraces:
         return total
 
 
+def pr_by_union_find(table, p):
+    """Trace polynomial of Pr_p, one pass over all of NC(k) per p: the
+    groups into which the blocks of rho collapse the blocks of p come from
+    a union-find over the p-labels each block of rho touches."""
+    labels = p.rgs()
+    poly = {}
+    for rho in enumerate_noncrossing(p.k):
+        r = table._cumulant(rho)
+        if r == 0:
+            continue
+        group = list(range(p.num_blocks))
+        for block in rho.blocks:
+            roots = {group[labels[el - 1]] for el in block}
+            if len(roots) > 1:
+                root = min(roots)
+                group = [root if g in roots else g for g in group]
+        counts = [0] * p.num_blocks
+        for block in rho.blocks:
+            counts[group[labels[block[0] - 1]]] += 1
+        mono = tuple(sorted(c for c in counts if c))
+        poly[mono] = poly.get(mono, 0) + r
+    return {m: c for m, c in poly.items() if c}
+
+
 @dataclass(frozen=True)
 class ExpectationReport:
     finite_value: Fraction

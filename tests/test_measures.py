@@ -349,9 +349,10 @@ def test_main_theorem_guards():
 
 
 @pytest.mark.parametrize("residual", [main_theorem_residual, inner_peeling_residual])
-@pytest.mark.parametrize("order", ["L1", "L2"])
+@pytest.mark.parametrize("order", ["L1", "L2", "L3"])
 def test_residuals_refuse_a_tuple_of_another_size(residual, order):
-    # checked after the crossing test and before either side is built
+    # checked after the crossing test and before either side is built or
+    # the order is read
     p = Partition.parse("((1,4)(2,3))")
     for k in (2, 6):
         spec = make_tuple(make_free_poisson(1), "identical", k=k)

@@ -1,0 +1,150 @@
+"""The identity suite's inversions on trace polynomials, Pr by its rho-outer
+pass, and the residual path that takes several orders from one set of sides.
+
+Each is checked against the path it replaced: the per-p union-find Pr, the
+suite summed from fresh finite traces pair by pair, and one residual call
+per order.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from freestoch.measures import (
+    MeasureWord,
+    TraceTable,
+    _inner_peeling_sides,
+    _residuals,
+    example_formulas_check,
+    identity_suite,
+    inner_peeling_residual,
+    l2_residual,
+    main_theorem_residual,
+)
+from freestoch.partitions import (
+    Partition,
+    enumerate_noncrossing,
+    enumerate_set_partitions,
+    refines,
+)
+from freestoch.processes import (
+    ScaledCumulants,
+    make_custom_process,
+    make_free_poisson,
+    make_semicircular,
+    make_tuple,
+)
+from freestoch.rational import format_rational
+
+from helpers import identity_suite_by_pairs, pr_by_union_find
+
+# twelve cumulants of both signs, four of them zero, so that some R_rho
+# vanish on a process that is neither free Poisson nor semicircular
+SIGNED_ZEROS = make_custom_process([Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(3, 5),
+                                    Fraction(-1, 7), Fraction(0), Fraction(5, 3), Fraction(-4, 5),
+                                    Fraction(0), Fraction(2, 7), Fraction(0), Fraction(-1, 3)])
+# (process, largest k): the oracle takes about 2 s over P(7) for free
+# Poisson, where no R_rho vanishes, so that process stops at P(6)
+PR_PROCESSES = {"poisson_3/2": (make_free_poisson(Fraction(3, 2)), 6),
+                "semicircular": (make_semicircular(), 7), "signed_zeros": (SIGNED_ZEROS, 7)}
+
+
+@pytest.mark.parametrize("name", PR_PROCESSES)
+def test_pr_equals_the_union_find_oracle(name):
+    base, k_max = PR_PROCESSES[name]
+    for k in range(1, k_max + 1):
+        spec = make_tuple(base, "identical", k=k)
+        table, oracle = TraceTable(spec), TraceTable(spec)
+        for p in enumerate_set_partitions(k):
+            assert table.pr(p) == pr_by_union_find(oracle, p), (name, p)
+
+
+def _perturb(monkeypatch, kind, target, change):
+    """Make TraceTable.<kind> return target's polynomial plus `change`."""
+    original = getattr(TraceTable, kind)
+
+    def perturbed(self, p):
+        poly = original(self, p)
+        if p != target:
+            return poly
+        poly = dict(poly)
+        for mono, c in change.items():
+            poly[mono] = poly.get(mono, 0) + c
+        return poly
+
+    monkeypatch.setattr(TraceTable, kind, perturbed)
+
+
+@pytest.mark.parametrize("kind", ["st", "pr"])
+@pytest.mark.parametrize("change", [{(1, 1): 1}, {(2,): 1, (1, 1): -1}],
+                         ids=["one_coefficient", "zero_at_one_interval"])
+def test_a_wrong_table_fails_the_suite_where_its_differences_move(monkeypatch, kind, change):
+    # Pr_p - sum St_sigma (sigma >= p) holds St_target for p <= target and
+    # Pr_p only for p = target; St_p - sum mu(p, sigma) Pr_sigma the other
+    # way round.  P[2] - P[1]^2 vanishes on the one interval of uniform(N=1).
+    base, target = make_free_poisson(1), Partition.parse("((1,2)(3))")
+    below = {str(p) for p in enumerate_set_partitions(3) if refines(p, target)}
+    moved = {"st": ("st_pr_inversion", "mobius_inversion"),
+             "pr": ("mobius_inversion", "st_pr_inversion")}[kind]
+    touched = {(moved[0], p) for p in below} | {(moved[1], str(target))}
+    _perturb(monkeypatch, kind, target, change)
+    records = identity_suite(base, 3)
+    assert records == identity_suite_by_pairs(base, 3)
+    failing = [r for r in records if not r["pass"]]
+    assert {(r["check"], r["partition"]) for r in failing} == touched
+    vanishing = {"uniform(N=1,t=1/1)"} if len(change) == 2 else set()
+    wheres = {r["subdivision"] for r in records if r["check"] == "st_pr_inversion"}
+    assert len(failing) == len(touched) * len(wheres - vanishing)
+    assert not any(r["subdivision"] in vanishing for r in failing)
+
+
+@pytest.mark.parametrize("name,which", [("free_poisson", "free_poisson"),
+                                        ("semicircular", "brownian")])
+def test_both_orders_equal_the_one_order_calls(name, which):
+    base = make_free_poisson(1) if name == "free_poisson" else make_semicircular()
+    peeled = {(r["check"], r["partition"]): r["residual"]
+              for r in identity_suite(base, 6) if r["check"].startswith("inner_peeling")}
+    assert len(peeled) == 2 * sum(len(enumerate_noncrossing(k)) for k in range(1, 7))
+    for k in range(1, 7):
+        spec = make_tuple(base, "identical", k=k)
+        for p in enumerate_noncrossing(k):
+            for order in ("L1", "L2"):
+                one = inner_peeling_residual(p, spec, order)
+                assert peeled["inner_peeling_" + order.lower(), str(p)] == format_rational(one)
+            assert example_formulas_check(which, p) == (main_theorem_residual(p, spec, "L1"),
+                                                        main_theorem_residual(p, spec, "L2"))
+
+
+def test_both_orders_of_a_wrong_side_keep_their_values_and_order():
+    # a doubled inner scalar gives nonzero residuals in both orders
+    def doubled(p, spec, t, table):
+        lhs, rhs = _inner_peeling_sides(p, spec, t, table)
+        return lhs, MeasureWord(2 * rhs.scalar, rhs.factors, rhs.words)
+
+    t = Fraction(3, 2)
+    for base in (make_free_poisson(Fraction(3, 2)), SIGNED_ZEROS):
+        spec = make_tuple(base, "identical", k=4)
+        for p in (Partition.parse("((1,4)(2,3))"), Partition.parse("((1,2)(3,4))")):
+            l1, l2 = _residuals(p, spec, doubled, ("L1", "L2"), t)
+            assert l1 and l2, p
+            assert _residuals(p, spec, doubled, ("L2", "L1"), t) == [l2, l1]
+            assert _residuals(p, spec, doubled, ("L1",), t) == [l1]
+            # the public L2 builds its own table over the sides' words
+            assert l2_residual(*doubled(p, spec, t, ScaledCumulants(spec)), t) == l2
+
+
+@pytest.mark.parametrize("residual", [main_theorem_residual, inner_peeling_residual])
+def test_an_unknown_order_on_a_valid_partition_is_a_value_error(residual):
+    # a crossing p and a tuple of another size are refused first
+    # (test_residuals_refuse_a_tuple_of_another_size[...-L3])
+    spec = make_tuple(make_free_poisson(1), "identical", k=4)
+    with pytest.raises(ValueError, match="unknown order 'L3'") as refused:
+        residual(Partition.parse("((1,4)(2,3))"), spec, "L3")
+    assert type(refused.value) is ValueError
+
+
+@pytest.mark.parametrize("k_max", [0, -3, True, 2.0, "2", None])
+def test_identity_suite_refuses_a_k_max_that_is_not_an_integer_of_at_least_one(k_max):
+    with pytest.raises(ValueError, match="integer k_max >= 1") as refused:
+        identity_suite(make_free_poisson(1), k_max)
+    assert type(refused.value) is ValueError
