@@ -31,10 +31,11 @@ from .errors import CrossingPartitionError, DimensionError, SizeGuardError
 from .measures import (
     MAX_LIMIT_ARITY,
     MAX_ST_ARITY,
+    _main_theorem_sides,
+    _residuals,
     exact_moment,
     example_formulas_check,
     identity_suite,
-    main_theorem_residual,
     st_uniform_formula,
 )
 from .partitions import (
@@ -265,8 +266,8 @@ def _cmd_verify_main_theorem(args) -> int:
     for k in range(1, args.k_max + 1):
         spec = make_tuple(base, "identical", k=k)
         for p in enumerate_noncrossing(k):
-            for order in orders:
-                res = main_theorem_residual(p, spec, order, args.t)
+            residuals = _residuals(p, spec, _main_theorem_sides, orders, args.t)
+            for order, res in zip(orders, residuals):
                 records.append({
                     "check": f"main_theorem_{order.lower()}",
                     "partition": str(p), "process": args.process,

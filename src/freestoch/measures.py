@@ -348,8 +348,7 @@ def _limit_product(factors, parts, table: ScaledCumulants, t) -> Fraction:
         """The part of a set of units: its top unit's merged with the rest's."""
         if v not in merged:
             top = 1 << (v.bit_length() - 1)
-            (atom, n), (top_atom, m) = part(v ^ top), merged[top]
-            merged[v] = (atom if atom == top_atom else None, n + m)
+            merged[v] = table.merge((part(v ^ top), merged[top]))
         return merged[v]
 
     def weight(v: int) -> int:
@@ -403,12 +402,12 @@ def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
     cumulant table.  Sides that share their factors and parts need one:
     A - B = (a - b) W, so the residual is (a - b)^2 tau(W W*).
     """
-    return _l2(a, b, t, ScaledCumulants(ProcessSpec(a.words + b.words)))
+    table = ScaledCumulants(ProcessSpec(a.words + b.words))
+    return _l2(a, b, t, table, table.parts[:len(a.words)], table.parts[len(a.words):])
 
 
-def _l2(a: MeasureWord, b: MeasureWord, t, table: ScaledCumulants) -> Fraction:
-    """l2_residual on a table that holds every atom of both words."""
-    pa, pb = ([table.part(w) for w in x.words] for x in (a, b))  # an adjoint's: reversed
+def _l2(a: MeasureWord, b: MeasureWord, t, table: ScaledCumulants, pa, pb) -> Fraction:
+    """l2_residual on a table that holds both words' atoms; pa, pb: their parts."""
     if a.factors == b.factors and pa == pb:
         diff = MeasureWord(a.scalar - b.scalar, a.factors, a.words)
         return _pair_trace(diff, diff.adjoint(), t, table, pa + pa[::-1])
@@ -417,47 +416,37 @@ def _l2(a: MeasureWord, b: MeasureWord, t, table: ScaledCumulants) -> Fraction:
             + _pair_trace(b, b.adjoint(), t, table, pb + pb[::-1]))
 
 
-def _trace(word: MeasureWord, t, table: ScaledCumulants) -> Fraction:
-    """tau(W) for a word of at most one St factor, whose pattern a residual
-    keeps noncrossing: its scalar times the closed-form limit t^|p| R_p."""
-    if not word.factors:
-        return word.scalar
-    ((p, _),) = word.factors
-    return word.scalar * _limit_weight(p.blocks, table, t, [table.part(w) for w in word.words])
-
-
 def _residuals(p: Partition, spec: ProcessSpec, sides, orders, t) -> list[Fraction]:
     """The residual for each order asked for of the St_p word L against the
-    right side R of sides(p, spec, t, table), once p is checked noncrossing
+    right side R = sides(p, spec, t, table), once p is checked noncrossing
     and then against the tuple's size.  One cumulant table over the tuple's
-    atoms, which every word of either side is over, serves all of them.  L1
-    compares tau(L) with tau(R); L2 expands the trace of (L - R)(L - R)*
-    over the concatenated word and must also vanish.
+    atoms serves all of them: L's parts are its own and R's are read once.
+    L1 compares t^|p| R_p with R's scalar times the closed form of its one
+    St factor, if any; L2 expands the trace of (L - R)(L - R)*.
     """
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
     if p.k != spec.k:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
     table = ScaledCumulants(spec)
-    lhs, rhs = sides(p, spec, t, table)
-    residual = {"L1": lambda: _trace(lhs, t, table) - _trace(rhs, t, table),
-                "L2": lambda: _l2(lhs, rhs, t, table)}
+    rhs = sides(p, spec, t, table)
+    lhs = MeasureWord(Fraction(1), ((p, "st"),), spec.words)
+    rhs_parts = [table.part(w) for w in rhs.words]
+    q_blocks = rhs.factors[0][0].blocks if rhs.factors else ()
+    residual = {"L1": lambda: (_limit_weight(p.blocks, table, t)
+                               - rhs.scalar * _limit_weight(q_blocks, table, t, rhs_parts)),
+                "L2": lambda: _l2(lhs, rhs, t, table, table.parts, rhs_parts)}
     for order in orders:
         if order not in residual:
             raise ValueError(f"unknown order {order!r}")
     return [residual[order]() for order in orders]
 
 
-def _st_word(p: Partition, spec: ProcessSpec) -> MeasureWord:
-    return MeasureWord(Fraction(1), ((p, "st"),), spec.words)
-
-
 def _main_theorem_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulants):
     split = classify_classes(p)
     scalar = _limit_weight(split.inner, table, t)
     derived_words = tuple(spec.subset_word(b) for b in split.outer)
-    rhs = MeasureWord(scalar, ((Partition.zero_hat(split.outer_count), "st"),), derived_words)
-    return _st_word(p, spec), rhs
+    return MeasureWord(scalar, ((Partition.zero_hat(split.outer_count), "st"),), derived_words)
 
 
 def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
@@ -469,8 +458,7 @@ def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumula
     split = classify_classes(p)
     scalar = _limit_weight(split.inner, table, t)
     support = sorted(el for b in split.outer for el in b)
-    rhs = MeasureWord(scalar, ((restrict(p, support), "st"),), spec.restrict(support).words)
-    return _st_word(p, spec), rhs
+    return MeasureWord(scalar, ((restrict(p, support), "st"),), spec.restrict(support).words)
 
 
 def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
@@ -501,14 +489,12 @@ def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:
     if base.k != 1:
         raise DimensionError("the sandwich check takes a single-component process")
     z_spec = make_custom_process(z_cumulants)
-    sandwich = ScaledCumulants(ProcessSpec((base.words[0], z_spec.words[0], base.words[0])))
-    scale = sandwich.scale
+    table = TraceTable(ProcessSpec((base.words[0], z_spec.words[0], base.words[0])))
     # B^3 times the sum of R_rho, and B^3 times tau(Z) R(X X)
-    total = sum(scale ** (3 - rho.num_blocks) * sandwich.product(rho.blocks)
-                for rho in enumerate_noncrossing(3)
+    total = sum(table._cumulant(rho) for rho in enumerate_noncrossing(3)
                 if sum(1 for b in rho.blocks if 1 in b or 3 in b) == 1)
-    tau_delta2 = scale * sandwich.product(((2,), (1, 3)))
-    return Fraction(t) * Fraction(total - tau_delta2, scale**3)
+    tau_delta2 = table._cumulant(Partition(3, ((1, 3), (2,))))
+    return Fraction(t) * Fraction(total - tau_delta2, table.scale**3)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +533,7 @@ def example_formulas_check(which: str, p: Partition, t=1) -> tuple[Fraction, Fra
                 rhs = MeasureWord(t**pairs, (), ())
     else:
         raise ValueError(f"unknown example {which!r}")
-    sides = (_st_word(p, spec), rhs)
-    return tuple(_residuals(p, spec, lambda *_: sides, ("L1", "L2"), t))
+    return tuple(_residuals(p, spec, lambda *_: rhs, ("L1", "L2"), t))
 
 
 SUBDIVISION_BATTERY = (

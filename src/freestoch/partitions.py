@@ -350,17 +350,17 @@ def first_block_sum(units: int, bits, weight, value, tags=None):
         unit, points, tag = 1 << i, bits[i], 1 << tags[i]
         blocks += [(v | unit, pts | points, used | tag)
                    for v, pts, used in blocks if not used & tag]
+    spans = [(i, bits[i], _span(bits[i])) for i in rest]
     total = 0
     for v, points, _ in blocks:
         term = weight(v)
         if not term:
             continue
         gaps: dict[int, int] = {}  # keyed by the points of V below the gap
-        for i in rest:
+        for i, b, span in spans:
             if v >> i & 1:
                 continue
-            b = bits[i]
-            if points & _span(b):
+            if points & span:
                 break
             below = points & ((b & -b) - 1)
             gaps[below] = gaps.get(below, 0) | 1 << i

@@ -1,8 +1,8 @@
-"""Every public top-level function and class of a `freestoch` module is used
-elsewhere in `src/` or exported from `freestoch/__init__.py`.  A name that
-only the tests use belongs in `tests/helpers.py`.  Every name a module other
-than `__init__` imports is read in that module, so a deletion leaves no
-import behind."""
+"""Every top-level function and class of a `freestoch` module, private ones
+included, is used elsewhere in `src/` or exported from `freestoch/__init__.py`,
+so a helper cannot outlive its last caller.  A name that only the tests use
+belongs in `tests/helpers.py`.  Every name a module other than `__init__`
+imports is read in that module, so a deletion leaves no import behind."""
 
 import ast
 import pathlib
@@ -28,8 +28,7 @@ def dead_definitions(src: pathlib.Path) -> list[str]:
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in exported):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
                 continue
             if not any(node.name in used for _, other, used in statements if other is not node):
                 dead.append(f"{module}.{node.name}")
@@ -42,11 +41,13 @@ def test_every_public_definition_is_used_or_exported():
 
 def test_an_unused_definition_is_reported(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import exported\n")
-    (tmp_path / "a.py").write_text("def exported():\n    return helper()\n\n\n"
+    (tmp_path / "a.py").write_text("def exported():\n    return helper() + _used()\n\n\n"
                                    "def helper():\n    return 1\n\n\n"
+                                   "def _used():\n    return 2\n\n\n"
+                                   "def _stale():\n    return helper()\n\n\n"
                                    "def recursive(n):\n    return recursive(n - 1)\n")
     (tmp_path / "b.py").write_text("from . import a\n\n\nclass Unused:\n    x = a.helper\n")
-    assert dead_definitions(tmp_path) == ["a.recursive", "b.Unused"]
+    assert dead_definitions(tmp_path) == ["a._stale", "a.recursive", "b.Unused"]
 
 
 def unused_imports(src: pathlib.Path) -> list[str]:

@@ -244,9 +244,9 @@ def test_l2_residual_is_the_four_trace_expansion():
             for k in range(1, 6):
                 spec = make_tuple(base, "identical", k=k)
                 for p in enumerate_noncrossing(k):
+                    lhs = MeasureWord(Fraction(1), ((p, "st"),), spec.words)
                     for sides in (_main_theorem_sides, _inner_peeling_sides):
-                        table = ScaledCumulants(spec)
-                        lhs, rhs = sides(p, spec, t, table)
+                        rhs = sides(p, spec, t, ScaledCumulants(spec))
                         assert l2_residual(lhs, rhs, t) == \
                             l2_residual_by_four_traces(lhs, rhs, t), (name, p, t)
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from freestoch.cli import run
 from freestoch.measures import (
     MeasureWord,
     TraceTable,
@@ -23,6 +24,7 @@ from freestoch.measures import (
 )
 from freestoch.partitions import (
     Partition,
+    classify_classes,
     enumerate_noncrossing,
     enumerate_set_partitions,
     refines,
@@ -118,8 +120,8 @@ def test_both_orders_equal_the_one_order_calls(name, which):
 def test_both_orders_of_a_wrong_side_keep_their_values_and_order():
     # a doubled inner scalar gives nonzero residuals in both orders
     def doubled(p, spec, t, table):
-        lhs, rhs = _inner_peeling_sides(p, spec, t, table)
-        return lhs, MeasureWord(2 * rhs.scalar, rhs.factors, rhs.words)
+        rhs = _inner_peeling_sides(p, spec, t, table)
+        return MeasureWord(2 * rhs.scalar, rhs.factors, rhs.words)
 
     t = Fraction(3, 2)
     for base in (make_free_poisson(Fraction(3, 2)), SIGNED_ZEROS):
@@ -130,7 +132,43 @@ def test_both_orders_of_a_wrong_side_keep_their_values_and_order():
             assert _residuals(p, spec, doubled, ("L2", "L1"), t) == [l2, l1]
             assert _residuals(p, spec, doubled, ("L1",), t) == [l1]
             # the public L2 builds its own table over the sides' words
-            assert l2_residual(*doubled(p, spec, t, ScaledCumulants(spec)), t) == l2
+            lhs = MeasureWord(Fraction(1), ((p, "st"),), spec.words)
+            assert l2_residual(lhs, doubled(p, spec, t, ScaledCumulants(spec)), t) == l2
+
+
+def test_a_residual_reads_each_right_side_word_once_and_no_left_side_word(monkeypatch, capsys):
+    # The St_p side's parts are its table's own: outside the table's
+    # construction, one residual call per p reduces each word of the right
+    # side to its part once, whatever the orders asked for.
+    tables, reads, building = [], [], []
+    init, part = ScaledCumulants.__init__, ScaledCumulants.part
+
+    def counted_init(self, spec):
+        tables.append(spec)
+        building.append(spec)
+        init(self, spec)
+        building.pop()
+
+    def counted_part(self, word):
+        if not building:
+            reads.append(word)
+        return part(self, word)
+
+    monkeypatch.setattr(ScaledCumulants, "__init__", counted_init)
+    monkeypatch.setattr(ScaledCumulants, "part", counted_part)
+    assert run(["verify", "main-theorem", "--process", "free_poisson", "--order", "both",
+                "--k-max", "5", "--t", "3/2"]) == 0
+    capsys.readouterr()
+    ps = [p for k in range(1, 6) for p in enumerate_noncrossing(k)]
+    assert [spec.k for spec in tables] == [p.k for p in ps]  # one table per p
+    assert reads == [spec.subset_word(b) for spec, p in zip(tables, ps)
+                     for b in classify_classes(p).outer]
+    for which, p, right_words in (("free_poisson", "((1,4)(2,3)(5))", 2),
+                                  ("brownian", "((1,2,3)(4))", 0)):  # a factorless side
+        tables.clear()
+        reads.clear()
+        assert example_formulas_check(which, Partition.parse(p)) == (0, 0)
+        assert len(tables) == 1 and len(reads) == right_words, (which, reads)
 
 
 @pytest.mark.parametrize("residual", [main_theorem_residual, inner_peeling_residual])
