@@ -201,21 +201,21 @@ def _single_variable_cumulants(spec, order: int) -> CumulantFunctional:
     return CumulantFunctional.from_single_variable(order, seq)
 
 
+def _functional_record(f, name: str) -> list[dict]:
+    """The record of a transform: f as JSON and, as `name`, its values on [n]."""
+    values = (format_rational(f.values[tuple(range(1, n + 1))]) for n in range(1, f.k + 1))
+    return [{"functional": json.dumps(functional_to_json(f)), name: ",".join(values),
+             "pass": True}]
+
+
 def _cmd_cumulants_to_moments(args) -> int:
     if args.functional:
         with open(args.functional) as fh:
             r = cumulant_functional_from_json(json.load(fh))
     else:
         r = _single_variable_cumulants(_parse_process(args.process), args.order)
-    m = moment_functional(r)
-    records = [{
-        "functional": json.dumps(functional_to_json(m)),
-        "moments": ",".join(
-            format_rational(m.values[tuple(range(1, n + 1))]) for n in range(1, m.k + 1)
-        ),
-        "pass": True,
-    }]
-    _write_report(args, "cumulants to-moments", records)
+    _write_report(args, "cumulants to-moments",
+                  _functional_record(moment_functional(r), "moments"))
     return 0
 
 
@@ -226,15 +226,8 @@ def _cmd_cumulants_from_moments(args) -> int:
     else:
         seq = [parse_rational(x) for x in args.moments]
         m = MomentFunctional.from_single_variable(len(seq), seq)
-    r = cumulant_functional(m)
-    records = [{
-        "functional": json.dumps(functional_to_json(r)),
-        "cumulants": ",".join(
-            format_rational(r.values[tuple(range(1, n + 1))]) for n in range(1, r.k + 1)
-        ),
-        "pass": True,
-    }]
-    _write_report(args, "cumulants from-moments", records)
+    _write_report(args, "cumulants from-moments",
+                  _functional_record(cumulant_functional(m), "cumulants"))
     return 0
 
 

@@ -25,7 +25,8 @@ from .partitions import (
     coarsenings,
     enumerate_noncrossing,
     enumerate_set_partitions,
-    first_block_sum,
+    first_block_plan,
+    first_block_sums,
     interval_partition,
     is_noncrossing,
     mobius,
@@ -308,18 +309,19 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
     """Mesh limit of the product trace: the sum of t^|sigma| R_sigma over the
     noncrossing coincidence patterns sigma that the factors admit.
 
-    The patterns are never listed.  The first-block recursion runs over
-    sets of blocks of the concatenated pattern (units), as bitmasks: a block
-    of sigma is a union of them that keeps apart the units of one group and
-    weighs t times the unit cumulant of its word.  The units, their groups
-    and their words are read off the factors at a running offset: a whole
-    St factor is one group, since St pins its within-factor pattern exactly,
-    and each block of a Pr factor its own, since Pr only bounds it below.
+    The patterns are never listed.  The first-block plan of the layout runs
+    over sets of blocks of the concatenated pattern (units), as bitmasks: a
+    block of sigma is a union of them that keeps apart the units of one
+    group and weighs t times the unit cumulant of its word.  The units,
+    their groups and their words are read off the factors at a running
+    offset: a whole St factor is one group, since St pins its within-factor
+    pattern exactly, and each block of a Pr factor its own, since Pr only
+    bounds it below.
 
     The sums run in integers.  With D = B t.denominator (B the tuple's
     cumulant scale), a block of n units weighs the integer t R D^n, so the
     sum over m units is D^m times its value, and one Fraction is formed at
-    the end.  The part and sum tables live for one call.
+    the end.  The part, weight and sum tables live for one call.
     """
     if not factors:
         return Fraction(1)
@@ -332,34 +334,29 @@ def _limit_product(factors, parts, table: ScaledCumulants, t) -> Fraction:
     """limit_product_of_st, guards passed, on components with these parts."""
     t = Fraction(t)
     scale = table.scale * t.denominator
-    bits, tags, merged = [], [], {}  # merged: the part of each set of units
+    n = sum(p.num_blocks for p, _ in factors)
+    bits, tags, merged = [], [], [None] * (1 << n)  # merged: the part of each set of units
     offset = group = 0
     for p, kind in factors:
         for j, block in enumerate(p.blocks):
+            merged[1 << len(bits)] = table.merge(parts[offset + el - 1] for el in block)
             bits.append(sum(1 << (offset + el) for el in block))
             tags.append(group if kind == "st" else group + j)
-            merged[1 << len(merged)] = table.merge(parts[offset + el - 1] for el in block)
         offset += p.k
         group += 1 if kind == "st" else p.num_blocks
-    powers = [t.numerator * scale**n for n in range(len(bits))]  # t R D^n = (B R) powers[n - 1]
+    powers = [t.numerator * scale**m for m in range(n)]  # t R D^m = (B R) powers[m - 1]
+    blocks, sets = first_block_plan(tuple(bits), tuple(tags))
+    weights, merge, value = [0] * (1 << n), table.merge, table.value
+    for v in blocks:  # each after itself less its top unit
+        top = 1 << (v.bit_length() - 1)
+        if v != top:
+            merged[v] = merge((merged[v ^ top], merged[top]))
+        if w := value(merged[v]):
+            weights[v] = w * powers[v.bit_count() - 1]
     sums: dict[int, int] = {}
-
-    def part(v: int):
-        """The part of a set of units: its top unit's merged with the rest's."""
-        if v not in merged:
-            top = 1 << (v.bit_length() - 1)
-            merged[v] = table.merge((part(v ^ top), merged[top]))
-        return merged[v]
-
-    def weight(v: int) -> int:
-        return table.value(part(v)) * powers[v.bit_count() - 1]
-
-    def total(units: int) -> int:
-        if units not in sums:
-            sums[units] = first_block_sum(units, bits, weight, total, tags)
-        return sums[units]
-
-    return Fraction(total((1 << len(bits)) - 1), scale ** len(bits))
+    for s, total in first_block_sums(sets, weights, sums):
+        sums[s] = total
+    return Fraction(sums[(1 << n) - 1], scale**n)
 
 
 # ---------------------------------------------------------------------------

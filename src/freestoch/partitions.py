@@ -11,6 +11,7 @@ enumeration order is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -310,67 +311,104 @@ def interval_partition(sizes) -> Partition:
     return Partition(pos, tuple(blocks))
 
 
-def _span(mask: int) -> int:
-    """The bits from the lowest set bit of mask up to, not including, its highest."""
-    return (1 << (mask.bit_length() - 1)) - (mask & -mask)
-
-
-def coarsenings(p: Partition) -> list[Partition]:
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def coarsenings(p: Partition) -> tuple[Partition, ...]:
     """All sigma >= p: each q in P(|p|), in restricted-growth order, merges
     the blocks of p that it groups, since [p, 1-hat] is P(|p|) (Nica-Speicher,
     Lectures on the Combinatorics of Free Probability, Lectures 9-10)."""
     out = []
     for q in enumerate_set_partitions(p.num_blocks):
-        merged = []
-        for group in q.blocks:
-            blocks = [p.blocks[i - 1] for i in group]
-            merged.append(blocks[0] if len(blocks) == 1 else tuple(sorted(sum(blocks, ()))))
+        merged = (tuple(sorted(sum((p.blocks[i - 1] for i in group), ()))) for group in q.blocks)
         out.append(Partition._trusted(p.k, tuple(merged)))
-    return out
+    return tuple(out)
 
 
-def first_block_sum(units: int, bits, weight, value, tags=None):
-    """F(units) = sum over first blocks V of weight(V) * prod of value(gap).
+def _grown(states: list[tuple], mark: tuple) -> list[tuple]:
+    """The first-block states of a set of units from those of the set less
+    its last unit: (V, its points, what it forbids a new unit, the closed
+    gaps, the open gap or 0, the points of V below the open gap), in
+    increasing order of V, the order in which Fraction sums stay small."""
+    unit, points, need, span, below = mark
+    grown, joined = [], []
+    for v, pts, forbid, closed, gap, key in states:
+        if not need & forbid:  # the unit joins V
+            joined.append((v | unit, pts | points, forbid | need, closed, gap, key))
+        if not pts & span:  # the unit is left out, in a new gap past a point of V
+            if (low := pts & below) == key or not gap:
+                grown.append((v, pts, forbid | span, closed, gap | unit, low))
+            else:
+                grown.append((v, pts, forbid | span, closed + (gap,), unit, low))
+    return grown + joined
 
-    F sums the product of block weights over the noncrossing groupings of
-    the units (the set bits of `units`; unit i covers the points bits[i]
-    and lies in group tags[i], its own if tags is None) whose blocks take
-    at most one unit per group.  V holds the lowest unit; the gaps are the
-    units between consecutive points of V or after its last one, and none
-    may straddle a point of V (Nica-Speicher, Lectures on the
-    Combinatorics of Free Probability, Lecture 11).  value(gap) is F(gap),
-    supplied by the caller.  A V of weight 0 is skipped unsplit.  The sum
-    starts from the integer 0, so it keeps the type of the weights.
+
+def _planned(bits, tags, every: bool):
+    """(set, its states) for every nonempty set of units if `every`, else for
+    every run of consecutive units, each grown from the set less its last unit."""
+    shift = max(bits).bit_length()  # group marks sit above every point
+    marks = [(1 << i, b, b | 1 << (shift + tag), (1 << (b.bit_length() - 1)) - (b & -b),
+              (b & -b) - 1) for i, (b, tag) in enumerate(zip(bits, tags))]  # span, points below
+    n = len(marks)
+
+    def visit(units, states, last):
+        yield units, states
+        for i in range(n - 1, last, -1) if every else range(last + 1, min(last + 2, n)):
+            yield from visit(units | 1 << i, _grown(states, marks[i]), i)
+
+    for first in range(n - 1, -1, -1):
+        unit, points, need, _, _ = marks[first]
+        yield from visit(unit, [(unit, points, need, (), 0, 0)], first)
+
+
+_plans: dict[tuple, tuple] = {}  # layout -> (first blocks, blocks, sets), oldest use first
+_stored = 0  # first blocks held in _plans
+
+
+def first_block_plan(bits: tuple[int, ...], tags: tuple[int, ...], every: bool = False):
+    """The first-block recursion of a layout, as (blocks, sets).
+
+    Unit i covers the points bits[i] and lies in group tags[i], units in
+    order of their lowest point.  F(S), the sum over the noncrossing
+    groupings of S with at most one unit per group in a block of the
+    product of block weights, is the sum over the first blocks V of S of
+    weight(V) times F of each gap (Nica-Speicher, Lectures on the
+    Combinatorics of Free Probability, Lecture 11).  V holds the lowest
+    unit and no point in the span of a unit left out; a gap is a run of
+    units left out with no point of V between them.  So `sets` holds every
+    run of units, or with `every` every set, after its gaps and first
+    blocks, and `blocks` every first block after itself less its last unit.
+    Kept plans hold at most CACHE_MAXSIZE first blocks, the least recently
+    used dropped first; a larger plan streams, with all sets as blocks.
     """
-    order = [i for i in range(units.bit_length()) if units >> i & 1]
-    first, rest = order[0], order[1:]
-    tags = range(len(bits)) if tags is None else tags
-    blocks = [(1 << first, bits[first], 1 << tags[first])]
-    for i in rest:
-        unit, points, tag = 1 << i, bits[i], 1 << tags[i]
-        blocks += [(v | unit, pts | points, used | tag)
-                   for v, pts, used in blocks if not used & tag]
-    spans = [(i, bits[i], _span(bits[i])) for i in rest]
-    total = 0
-    for v, points, _ in blocks:
-        term = weight(v)
-        if not term:
-            continue
-        gaps: dict[int, int] = {}  # keyed by the points of V below the gap
-        for i, b, span in spans:
-            if v >> i & 1:
-                continue
-            if points & span:
-                break
-            below = points & ((b & -b) - 1)
-            gaps[below] = gaps.get(below, 0) | 1 << i
-        else:
-            for gap in gaps.values():
-                term *= value(gap)
-                if not term:
-                    break
-            total += term
-    return total
+    global _stored
+    key = bits, tags, every
+    if key in _plans:
+        _plans[key] = _plans.pop(key)
+        return _plans[key][1:]
+    sets, kept, terms = _planned(bits, tags, every), [], 0
+    for item in sets:
+        kept.append(item)
+        terms += len(item[1])
+        if terms > CACHE_MAXSIZE:
+            return range(1, 1 << len(bits)), itertools.chain(kept, sets)
+    while _stored + terms > CACHE_MAXSIZE:
+        _stored -= _plans.pop(next(iter(_plans)))[0]
+    _stored += terms
+    _plans[key] = terms, sorted({state[0] for _, states in kept for state in states}), kept
+    return _plans[key][1:]
+
+
+def first_block_sums(sets, weights, values):
+    """(S, F(S)) for each set of a plan, in order, as the caller stores F(S) in values[S]; a V of
+    weight 0 is skipped unsplit, and a sum from the integer 0 keeps the weights' type."""
+    for units, states in sets:
+        total = 0
+        for v, _, _, closed, gap, _ in states:
+            term = weights[v]
+            if term:
+                for g in closed:
+                    term *= values[g]
+                total += term * values[gap] if gap else term
+        yield units, total
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -433,6 +471,7 @@ def _mu_noncrossing(n: int) -> int:
     return (-1) ** (n - 1) * (math.comb(2 * n - 2, n - 1) // n)
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def mobius(s: Partition, p: Partition, lattice: str = "full") -> int:
     """Mobius function of the interval [s, p] in P(k) or NC(k), in closed form.
 

@@ -141,7 +141,10 @@ class ScaledCumulants:
 
     @staticmethod
     def merge(parts) -> Part:
-        """The part of the concatenated word."""
+        """The part of the concatenated word; a pair of parts in one step."""
+        if type(parts) is tuple and len(parts) == 2:
+            (a, m), (b, n) = parts
+            return (a if a == b else None), m + n
         rest = iter(parts)
         atom, length = next(rest)
         for a, n in rest:

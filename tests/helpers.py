@@ -17,6 +17,8 @@ import numpy as np
 from freestoch.cumulants import (
     CumulantFunctional,
     MomentFunctional,
+    _scaled,
+    _unscaled,
     nonempty_subsets,
 )
 from freestoch.errors import CrossingPartitionError, DimensionError, SizeGuardError
@@ -47,6 +49,7 @@ from freestoch.partitions import (
 )
 from freestoch.processes import (
     ProcessSpec,
+    ScaledCumulants,
     derived_diagonal_tuple,
     make_custom_process,
     make_free_poisson,
@@ -701,3 +704,103 @@ def l2_residual_by_four_traces(a, b, t=1):
     a_star, b_star = a.adjoint(), b.adjoint()
     return (pair_trace(a, a_star, t) - pair_trace(a, b_star, t)
             - pair_trace(b, a_star, t) + pair_trace(b, b_star, t))
+
+
+def first_block_sum(units: int, bits, weight, value, tags=None):
+    """F(units) = sum over first blocks V of weight(V) * prod of value(gap),
+    by the callback recursion: each first block is listed and its gaps are
+    found by a scan over the later units.
+
+    F sums the product of block weights over the noncrossing groupings of
+    the units (the set bits of `units`; unit i covers the points bits[i]
+    and lies in group tags[i], its own if tags is None) whose blocks take
+    at most one unit per group.  V holds the lowest unit; the gaps are the
+    units between consecutive points of V or after its last one, and none
+    may straddle a point of V.  value(gap) is F(gap), supplied by the
+    caller.  A V of weight 0 is skipped unsplit.
+    """
+    order = [i for i in range(units.bit_length()) if units >> i & 1]
+    first, rest = order[0], order[1:]
+    tags = range(len(bits)) if tags is None else tags
+    blocks = [(1 << first, bits[first], 1 << tags[first])]
+    for i in rest:
+        unit, points, tag = 1 << i, bits[i], 1 << tags[i]
+        blocks += [(v | unit, pts | points, used | tag)
+                   for v, pts, used in blocks if not used & tag]
+    spans = [(i, bits[i], _span(bits[i])) for i in rest]
+    total = 0
+    for v, points, _ in blocks:
+        term = weight(v)
+        if not term:
+            continue
+        gaps: dict[int, int] = {}  # keyed by the points of V below the gap
+        for i, b, span in spans:
+            if v >> i & 1:
+                continue
+            if points & span:
+                break
+            below = points & ((b & -b) - 1)
+            gaps[below] = gaps.get(below, 0) | 1 << i
+        else:
+            for gap in gaps.values():
+                term *= value(gap)
+                if not term:
+                    break
+            total += term
+    return total
+
+
+def moment_functional_by_recursion(r):
+    """moment_functional by the callback recursion, on the same scaled values."""
+    cumulants, powers = _scaled(r)
+    bits, moments = [1 << i for i in range(r.k)], {}
+    for s in sorted(cumulants, key=int.bit_count):
+        moments[s] = first_block_sum(s, bits, cumulants.__getitem__, moments.__getitem__)
+    return MomentFunctional(r.k, _unscaled(r.k, moments, powers))
+
+
+def cumulant_functional_by_recursion(m):
+    """cumulant_functional by the callback recursion, on the same scaled values."""
+    moments, powers = _scaled(m)
+    bits, cumulants = [1 << i for i in range(m.k)], {}
+    for s in sorted(moments, key=int.bit_count):
+        cumulants[s] = 0  # drops the V = S term from the sum
+        cumulants[s] = moments[s] - first_block_sum(s, bits, cumulants.__getitem__,
+                                                    moments.__getitem__)
+    return CumulantFunctional(m.k, _unscaled(m.k, cumulants, powers))
+
+
+def limit_product_by_recursion(factors, spec, t=1):
+    """limit_product_of_st by the callback recursion over sets of units,
+    each set's sum memoized for the one call."""
+    if not factors:
+        return Fraction(1)
+    t, table = Fraction(t), ScaledCumulants(spec)
+    scale = table.scale * t.denominator
+    bits, tags, merged = [], [], {}
+    offset = group = 0
+    for p, kind in factors:
+        for j, block in enumerate(p.blocks):
+            bits.append(sum(1 << (offset + el) for el in block))
+            tags.append(group if kind == "st" else group + j)
+            merged[1 << len(merged)] = table.merge([table.parts[offset + el - 1] for el in block])
+        offset += p.k
+        group += 1 if kind == "st" else p.num_blocks
+    powers = [t.numerator * scale**n for n in range(len(bits))]
+    sums = {}
+
+    def part(v):
+        if v not in merged:
+            top = 1 << (v.bit_length() - 1)
+            merged[v] = table.merge((part(v ^ top), merged[top]))
+        return merged[v]
+
+    def weight(v):
+        return table.value(part(v)) * powers[v.bit_count() - 1]
+
+    def total(units):
+        if units not in sums:
+            sums[units] = first_block_sum(units, bits, weight, total, tags)
+        return sums[units]
+
+    return Fraction(total((1 << len(bits)) - 1), scale ** len(bits))

@@ -253,9 +253,9 @@ def test_l2_residual_is_the_four_trace_expansion():
 
 def _no_recursion(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the first-block recursion ran")
+        raise AssertionError("a first-block plan was asked for")
 
-    monkeypatch.setattr(measures, "first_block_sum", refuse)
+    monkeypatch.setattr(measures, "first_block_plan", refuse)
 
 
 def test_limit_product_guards_run_in_order_before_the_recursion(monkeypatch):

@@ -335,15 +335,22 @@ def test_interval_partition():
 
 
 def test_lattice_caches_are_bounded():
-    unbounded = set()
+    unbounded, bounds = set(), set()
     for name, obj in vars(partitions_module).items():
         info = getattr(obj, "cache_parameters", None)
-        if callable(info) and info()["maxsize"] is None:
-            unbounded.add(name)
+        if callable(info):
+            if info()["maxsize"] is None:
+                unbounded.add(name)
+            else:
+                bounds.add(info()["maxsize"])
     # keyed by k alone and bounded by the enumeration guards
     assert unbounded == {"_all_set_partitions", "_all_noncrossing"}
-    assert partitions_module.is_noncrossing.cache_parameters()["maxsize"] == \
-        partitions_module.CACHE_MAXSIZE
+    assert bounds == {partitions_module.CACHE_MAXSIZE}
+    assert partitions_module.coarsenings.cache_parameters()["maxsize"] == \
+        partitions_module.mobius.cache_parameters()["maxsize"] == partitions_module.CACHE_MAXSIZE
+    # the first-block plans: one cache, bounded by the first blocks it holds
+    # (tests/test_first_block_plans.py fills and evicts it)
+    assert partitions_module._stored <= partitions_module.CACHE_MAXSIZE
 
 def test_text_syntax():
     p = Partition.parse(" ( (1, 6,7) (2,5)(3)(4)(8)(9,10) ) ")

@@ -254,7 +254,7 @@ def test_coarsenings_are_the_merges_in_restricted_growth_order(p):
         for block, label in zip(p.blocks, rgs):
             groups[label].extend(block)
         merges.append(Partition.of(groups, p.k))
-    assert coarsenings(p) == merges
+    assert coarsenings(p) == tuple(merges)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
