@@ -47,14 +47,22 @@ from .partitions import (
     kreweras,
     mobius,
 )
-from .processes import ScaledCumulants, Subdivision, make_tuple, spec_from_descriptor
+from .processes import Subdivision, make_tuple, spec_from_descriptor
 from .rational import format_rational, parse_rational
 
 
-def _bounded_copies(obj: dict) -> dict:
-    """JSON object hook: refuse an identical tuple of more copies than the
-    largest arity any command takes, the St arity guard, before
-    spec_from_descriptor builds a word per copy."""
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: refuse a key named twice, of which json keeps the last."""
+    if len({key for key, _ in pairs}) < len(pairs):
+        raise ValueError("a JSON object names one key twice")
+    return dict(pairs)
+
+
+def _bounded_copies(pairs: list) -> dict:
+    """JSON object hook: refuse a repeated key, and an identical tuple of more
+    copies than the largest arity any command takes, the St arity guard,
+    before spec_from_descriptor builds a word per copy."""
+    obj = _unique_keys(pairs)
     if obj.get("type") == "tuple" and obj.get("mode") == "identical":
         try:
             k = int(obj.get("k"))  # an infinite k overflows: a malformed descriptor
@@ -68,7 +76,7 @@ def _bounded_copies(obj: dict) -> dict:
 def _parse_process(text: str):
     text = text.strip()
     try:
-        obj = json.loads(text, object_hook=_bounded_copies) if text.startswith("{") else text
+        obj = json.loads(text, object_pairs_hook=_bounded_copies) if text.startswith("{") else text
         return spec_from_descriptor(obj)
     except (TypeError, AttributeError, OverflowError) as exc:  # a JSON value of the wrong shape
         raise ValueError(f"malformed process descriptor: {exc}") from exc
@@ -181,8 +189,8 @@ def _cmd_partitions_classify(args) -> int:
         "partition": str(p),
         "outer": "".join(map(_block_text, split.outer)),
         "inner": "".join(map(_block_text, split.inner)),
-        "outer_count": split.outer_count,
-        "inner_count": split.inner_count,
+        "outer_count": len(split.outer),
+        "inner_count": len(split.inner),
         "pass": True,
     }])
     return 0
@@ -195,9 +203,8 @@ def _cmd_partitions_classify(args) -> int:
 def _single_variable_cumulants(spec, order: int) -> CumulantFunctional:
     if spec.k != 1:
         raise DimensionError("--process must describe a single-component process")
-    scaled = ScaledCumulants(spec)
-    seq = [Fraction(scaled.value(scaled.merge([scaled.parts[0]] * n)), scaled.scale)
-           for n in range(1, order + 1)]
+    (atom,) = spec.words[0]  # every descriptor's word is one atom
+    seq = [atom.cumulant(n) for n in range(1, order + 1)]
     return CumulantFunctional.from_single_variable(order, seq)
 
 
@@ -211,7 +218,7 @@ def _functional_record(f, name: str) -> list[dict]:
 def _cmd_cumulants_to_moments(args) -> int:
     if args.functional:
         with open(args.functional) as fh:
-            r = cumulant_functional_from_json(json.load(fh))
+            r = cumulant_functional_from_json(json.load(fh, object_pairs_hook=_unique_keys))
     else:
         r = _single_variable_cumulants(_parse_process(args.process), args.order)
     _write_report(args, "cumulants to-moments",
@@ -222,7 +229,7 @@ def _cmd_cumulants_to_moments(args) -> int:
 def _cmd_cumulants_from_moments(args) -> int:
     if args.functional:
         with open(args.functional) as fh:
-            m = moment_functional_from_json(json.load(fh))
+            m = moment_functional_from_json(json.load(fh, object_pairs_hook=_unique_keys))
     else:
         seq = [parse_rational(x) for x in args.moments]
         m = MomentFunctional.from_single_variable(len(seq), seq)
@@ -310,8 +317,7 @@ def _cmd_simulate_calibrate(args) -> int:
     from .matrixsim import MatrixEnsembleConfig, calibrate
 
     cfg = MatrixEnsembleConfig(args.dim, args.trials, args.seed, args.model)
-    spec = (spec_from_descriptor("free_poisson") if args.model == "poisson_sps"
-            else spec_from_descriptor("semicircular"))
+    spec = spec_from_descriptor("free_poisson" if args.model == "poisson_sps" else "semicircular")
     sub = Subdivision.uniform(args.n)
     orders = [1, 2, 3, 4]
     refs = {
@@ -347,9 +353,11 @@ def _cmd_simulate_proj_decay(args) -> int:
 # parser
 
 
-def _add_output_flags(sub) -> None:
-    sub.add_argument("--output", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="write the report here instead of stdout")
+def _subcommand(group, name: str, func, help: str):
+    """Declare one subcommand and set its handler."""
+    sp = group.add_parser(name, help=help)
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,101 +370,83 @@ def build_parser() -> argparse.ArgumentParser:
 
     parts = top.add_parser("partitions", help="lattice utilities").add_subparsers(
         dest="command", required=True)
-    sp = parts.add_parser("enumerate", help="list P(k) or NC(k)")
+    sp = _subcommand(parts, "enumerate", _cmd_partitions_enumerate, "list P(k) or NC(k)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--noncrossing", action="store_true")
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_partitions_enumerate)
-    sp = parts.add_parser("mobius", help="Mobius function of an interval")
+    sp = _subcommand(parts, "mobius", _cmd_partitions_mobius, "Mobius function of an interval")
     sp.add_argument("--lower", required=True)
     sp.add_argument("--upper", required=True)
     sp.add_argument("--lattice", choices=("full", "noncrossing"), default="full")
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_partitions_mobius)
-    sp = parts.add_parser("kreweras", help="Kreweras complement")
+    sp = _subcommand(parts, "kreweras", _cmd_partitions_kreweras, "Kreweras complement")
     sp.add_argument("--partition", required=True)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_partitions_kreweras)
-    sp = parts.add_parser("classify", help="inner/outer classes")
+    sp = _subcommand(parts, "classify", _cmd_partitions_classify, "inner/outer classes")
     sp.add_argument("--partition", required=True)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_partitions_classify)
 
     cums = top.add_parser("cumulants", help="moment/cumulant transforms").add_subparsers(
         dest="command", required=True)
-    sp = cums.add_parser("to-moments", help="moments from cumulants")
+    sp = _subcommand(cums, "to-moments", _cmd_cumulants_to_moments, "moments from cumulants")
     sp.add_argument("--process", default="free_poisson",
                     help="process name or JSON descriptor")
     sp.add_argument("--order", type=_transform_order, default=4)
     sp.add_argument("--functional", default=None,
                     help="path to a cumulant-functional JSON file")
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_cumulants_to_moments)
-    sp = cums.add_parser("from-moments", help="cumulants from moments")
+    sp = _subcommand(cums, "from-moments", _cmd_cumulants_from_moments, "cumulants from moments")
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--moments", type=_moment_list, default=None,
                         help="comma-separated rationals m_1..m_k")
     source.add_argument("--functional", default=None,
                         help="path to a moment-functional JSON file")
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_cumulants_from_moments)
 
     ver = top.add_parser("verify", help="exact identity checks").add_subparsers(
         dest="command", required=True)
-    sp = ver.add_parser("suite", help="the full finite/limit identity battery")
+    sp = _subcommand(ver, "suite", _cmd_verify_suite, "the full finite/limit identity battery")
     sp.add_argument("--process", default="free_poisson")
     sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_verify_suite)
-    sp = ver.add_parser("main-theorem", help="inner-scalar factorization residuals")
+    sp = _subcommand(ver, "main-theorem", _cmd_verify_main_theorem,
+                     "inner-scalar factorization residuals")
     sp.add_argument("--process", default="free_poisson")
     sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
     sp.add_argument("--order", choices=("L1", "L2", "both"), default="both")
     sp.add_argument("--t", type=_positive_rational, default="1")
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_verify_main_theorem)
-    sp = ver.add_parser("examples", help="worked closed-form residuals")
+    sp = _subcommand(ver, "examples", _cmd_verify_examples, "worked closed-form residuals")
     sp.add_argument("--which", choices=("free_poisson", "brownian"), required=True)
     sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
     sp.add_argument("--t", type=_positive_rational, default="1")
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_verify_examples)
-    sp = ver.add_parser("formula", help="uniform closed form as a 1/N coefficient table")
+    sp = _subcommand(ver, "formula", _cmd_verify_formula,
+                     "uniform closed form as a 1/N coefficient table")
     sp.add_argument("--partition", required=True)
     sp.add_argument("--process", default="free_poisson")
     sp.add_argument("--t", type=_positive_rational, default="1")
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_verify_formula)
 
     sim = top.add_parser("simulate", help="Monte Carlo matrix checks").add_subparsers(
         dest="command", required=True)
-    sp = sim.add_parser("calibrate", help="trace moments vs exact references")
+    sp = _subcommand(sim, "calibrate", _cmd_simulate_calibrate,
+                     "trace moments vs exact references")
     sp.add_argument("--model", choices=("poisson_sps", "gaussian_increments"),
                     default="poisson_sps")
     sp.add_argument("--dim", type=int, default=400)
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--n", type=int, default=16)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_simulate_calibrate)
-    sp = sim.add_parser("main-theorem", help="relative Frobenius residual")
+    sp = _subcommand(sim, "main-theorem", _cmd_simulate_main_theorem,
+                     "relative Frobenius residual")
     sp.add_argument("--partition", default="((1,3)(2))")
     sp.add_argument("--dim", type=int, default=300)
     sp.add_argument("--n", type=int, default=40)
     sp.add_argument("--trials", type=int, default=3)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--threshold", type=_finite_float, default=0.2)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_simulate_main_theorem)
-    sp = sim.add_parser("proj-decay", help="projection-sandwich norm decay")
+    sp = _subcommand(sim, "proj-decay", _cmd_simulate_proj_decay, "projection-sandwich norm decay")
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--dim", type=int, default=200)
     sp.add_argument("--meshes", default="4,8,16")
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--seed", type=int, default=1)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_simulate_proj_decay)
 
+    for group in (parts, cums, ver, sim):
+        for sp in group.choices.values():
+            sp.add_argument("--output", choices=("json", "csv"), default="json")
+            sp.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser
 
 

@@ -147,12 +147,13 @@ def _values_from_json(obj) -> tuple[int, dict]:
     if not (isinstance(obj, dict) and type(obj.get("k")) is int
             and isinstance(obj.get("values"), dict)):
         raise ValueError('a functional is a JSON object {"k": <int>, "values": {...}}')
-    k = obj["k"]
-    values = {
-        tuple(int(x) for x in key.split(",")): parse_rational(val)
-        for key, val in obj["values"].items()
-    }
-    return k, values
+    values = {}
+    for key, val in obj["values"].items():
+        subset = tuple(int(x) for x in key.split(","))
+        if subset in values:  # "01,2" names the subset of "1,2"
+            raise ValueError(f"functional names subset {','.join(map(str, subset))} twice")
+        values[subset] = parse_rational(val)
+    return obj["k"], values
 
 
 def moment_functional_from_json(obj: dict) -> MomentFunctional:

@@ -438,20 +438,20 @@ def main_theorem_matrix_residual(p: Partition, cfg: MatrixEnsembleConfig,
     if p.k > MAX_PRODUCT_ARITY:
         raise SizeGuardError(f"matrix St arity {p.k} exceeds guard {MAX_PRODUCT_ARITY}")
     split = classify_classes(p)
-    sides = (p, Partition.zero_hat(split.outer_count))
+    sides = (p, Partition.zero_hat(len(split.outer)))
     matmuls = sum(sub.n**sigma.num_blocks * q.k for q in sides
                   for sigma in coarsenings(q) if not is_noncrossing(sigma))
     if matmuls > MAX_MATMULS:
         raise SizeGuardError(f"brute-force Pr sums need {matmuls} matmuls per trial "
                              f"> {MAX_MATMULS}")
-    scalar = float(sub.t) ** split.inner_count
+    scalar = float(sub.t) ** len(split.inner)
     spec = make_tuple(make_free_poisson(1), "identical", k=p.k)
     rels, traces = [], []
     for trial in range(cfg.trials):
         inc = sample_increments(spec, sub, cfg, trial)
         left = st_matrix(p, inc)
         derived = derived_increments(inc, split.outer)
-        right = scalar * st_matrix(Partition.zero_hat(split.outer_count), derived)
+        right = scalar * st_matrix(Partition.zero_hat(len(split.outer)), derived)
         denom = np.linalg.norm(left, "fro")
         rels.append(float(np.linalg.norm(left - right, "fro") / denom))
         traces.append(normalized_trace(left))

@@ -250,7 +250,8 @@ def exact_moment(spec: ProcessSpec, t=1) -> Fraction:
 class UniformFormula(Frozen):
     """Exact value of a trace at uniform subdivisions, as a polynomial in 1/N.
 
-    coeffs[j] multiplies N^(-j); the constant term is the mesh limit.
+    coeffs[j] multiplies N^(-j); the constant term is the mesh limit.  The
+    rows list the nonzero coefficients, or the constant 0 of a zero trace.
     """
 
     __slots__ = ("coeffs",)
@@ -266,7 +267,7 @@ class UniformFormula(Frozen):
         return self.coeffs.get(0, Fraction(0))
 
     def rows(self):
-        return [(j, self.coeffs[j]) for j in sorted(self.coeffs)]
+        return [(j, self.coeffs[j]) for j in sorted(self.coeffs)] or [(0, Fraction(0))]
 
 
 def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
@@ -443,7 +444,7 @@ def _main_theorem_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulan
     split = classify_classes(p)
     scalar = _limit_weight(split.inner, table, t)
     derived_words = tuple(spec.subset_word(b) for b in split.outer)
-    return MeasureWord(scalar, ((Partition.zero_hat(split.outer_count), "st"),), derived_words)
+    return MeasureWord(scalar, ((Partition.zero_hat(len(split.outer)), "st"),), derived_words)
 
 
 def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
@@ -486,12 +487,11 @@ def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:
     if base.k != 1:
         raise DimensionError("the sandwich check takes a single-component process")
     z_spec = make_custom_process(z_cumulants)
-    table = TraceTable(ProcessSpec((base.words[0], z_spec.words[0], base.words[0])))
-    # B^3 times the sum of R_rho, and B^3 times tau(Z) R(X X)
-    total = sum(table._cumulant(rho) for rho in enumerate_noncrossing(3)
+    table = ScaledCumulants(ProcessSpec((base.words[0], z_spec.words[0], base.words[0])))
+    # the sum of R_rho, less tau(Z) R(X X)
+    total = sum(_limit_weight(rho.blocks, table, 1) for rho in enumerate_noncrossing(3)
                 if sum(1 for b in rho.blocks if 1 in b or 3 in b) == 1)
-    tau_delta2 = table._cumulant(Partition(3, ((1, 3), (2,))))
-    return Fraction(t) * Fraction(total - tau_delta2, table.scale**3)
+    return Fraction(t) * (total - _limit_weight(((1, 3), (2,)), table, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +511,8 @@ def example_formulas_check(which: str, p: Partition, t=1) -> tuple[Fraction, Fra
     split = classify_classes(p)  # refuses a crossing p first
     if which == "free_poisson":
         spec = make_tuple(make_free_poisson(1), "identical", k=p.k)
-        o = split.outer_count
-        rhs = MeasureWord(t**split.inner_count, ((Partition.zero_hat(o), "st"),),
+        o = len(split.outer)
+        rhs = MeasureWord(t**len(split.inner), ((Partition.zero_hat(o), "st"),),
                           (spec.words[0],) * o)
     elif which == "brownian":
         spec = make_tuple(make_semicircular(), "identical", k=p.k)

@@ -143,11 +143,6 @@ def _block_text(block: Block) -> str:
     return "(" + ",".join(map(str, block)) + ")"
 
 
-def _check_same_k(a: Partition, b: Partition) -> None:
-    if a.k != b.k:
-        raise DimensionError(f"ground sets differ: {a.k} vs {b.k}")
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -215,33 +210,40 @@ def enumerate_noncrossing(k: int) -> list[Partition]:
 # order and lattice operations
 
 
+def _complement_cycles(p: Partition) -> list[list[int]]:
+    """The cycles of alpha^-1 gamma, alpha the blocks of p read as increasing
+    cycles and gamma the long cycle (1 2 ... k), each from its least point,
+    in increasing order of it (Nica-Speicher, Lectures on the Combinatorics
+    of Free Probability, Lectures 9-10)."""
+    k = p.k
+    before = [0] * (k + 1)  # alpha^-1
+    for block in p.blocks:
+        for a, b in zip(block[-1:] + block, block):
+            before[b] = a
+    cycles, seen = [], set()
+    for start in range(1, k + 1):
+        if start not in seen:
+            cycle = [start]
+            while (i := before[cycle[-1] % k + 1]) != start:
+                cycle.append(i)
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def is_noncrossing(p: Partition) -> bool:
-    """True iff no a < b < c < d has a, c and b, d in two distinct blocks."""
-    labels = p.rgs()
-    last = {}
-    for pos, lab in enumerate(labels):
-        last[lab] = pos
-    stack: list[int] = []
-    open_set = set()
-    for pos, lab in enumerate(labels):
-        if lab in open_set:
-            if stack[-1] != lab:
-                return False
-        else:
-            stack.append(lab)
-            open_set.add(lab)
-        if pos == last[lab]:
-            if stack[-1] != lab:
-                return False
-            stack.pop()
-            open_set.remove(lab)
-    return True
+    """True iff no a < b < c < d has a, c and b, d in two distinct blocks: iff
+    the blocks and the cycles of alpha^-1 gamma number k + 1 together, the
+    most they can (Biane, Some properties of crossings and partitions,
+    Discrete Math. 175, 1997)."""
+    return p.num_blocks + len(_complement_cycles(p)) == p.k + 1
 
 
 def refines(s: Partition, p: Partition) -> bool:
     """The lattice order s <= p: every block of s sits inside a block of p."""
-    _check_same_k(s, p)
+    if s.k != p.k:
+        raise DimensionError(f"ground sets differ: {s.k} vs {p.k}")
     plabels = p.rgs()
     for block in s.blocks:
         lab = plabels[block[0] - 1]
@@ -251,33 +253,11 @@ def refines(s: Partition, p: Partition) -> bool:
 
 
 def kreweras(p: Partition) -> Partition:
-    """Kreweras complement on the interleaved ground set 1, 1', ..., k, k'.
-
-    Computed through the permutation model of NC(k): the blocks, read as
-    increasing cycles, compose against the long cycle (1 2 ... k).
-    """
+    """Kreweras complement on the interleaved ground set 1, 1', ..., k, k':
+    the cycles of alpha^-1 gamma, as blocks."""
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
-    k = p.k
-    alpha = {}
-    for block in p.blocks:
-        for a, b in zip(block, block[1:]):
-            alpha[a] = b
-        alpha[block[-1]] = block[0]
-    alpha_inv = {v: u for u, v in alpha.items()}
-    beta = {i: alpha_inv[i % k + 1] for i in range(1, k + 1)}
-    blocks = []
-    remaining = set(range(1, k + 1))
-    while remaining:
-        start = min(remaining)
-        cycle = [start]
-        nxt = beta[start]
-        while nxt != start:
-            cycle.append(nxt)
-            nxt = beta[nxt]
-        remaining.difference_update(cycle)
-        blocks.append(cycle)
-    return Partition.of(blocks, k)
+    return Partition.of(_complement_cycles(p), p.k)
 
 
 def opposite(p: Partition) -> Partition:
@@ -375,7 +355,8 @@ def first_block_plan(bits: tuple[int, ...], tags: tuple[int, ...], every: bool =
     unit and no point in the span of a unit left out; a gap is a run of
     units left out with no point of V between them.  So `sets` holds every
     run of units, or with `every` every set, after its gaps and first
-    blocks, and `blocks` every first block after itself less its last unit.
+    blocks, and `blocks` every first block after itself less its last unit,
+    or None in a kept plan with `every`, whose sets are all its callers read.
     Kept plans hold at most CACHE_MAXSIZE first blocks, the least recently
     used dropped first; a larger plan streams, with all sets as blocks.
     """
@@ -393,7 +374,8 @@ def first_block_plan(bits: tuple[int, ...], tags: tuple[int, ...], every: bool =
     while _stored + terms > CACHE_MAXSIZE:
         _stored -= _plans.pop(next(iter(_plans)))[0]
     _stored += terms
-    _plans[key] = terms, sorted({state[0] for _, states in kept for state in states}), kept
+    blocks = None if every else sorted({state[0] for _, states in kept for state in states})
+    _plans[key] = terms, blocks, kept
     return _plans[key][1:]
 
 
@@ -431,14 +413,6 @@ class ClassSplit(Frozen):
     def __init__(self, outer: tuple[Block, ...], inner: tuple[Block, ...]):
         _set(self, "outer", outer)
         _set(self, "inner", inner)
-
-    @property
-    def outer_count(self) -> int:
-        return len(self.outer)
-
-    @property
-    def inner_count(self) -> int:
-        return len(self.inner)
 
 
 def classify_classes(p: Partition) -> ClassSplit:
@@ -494,8 +468,8 @@ def mobius(s: Partition, p: Partition, lattice: str = "full") -> int:
     out = 1
     if nc:
         for w in p.blocks:
-            for v in kreweras(restrict(s, w)).blocks:
-                out *= _mu_noncrossing(len(v))
+            for cycle in _complement_cycles(restrict(s, w)):
+                out *= _mu_noncrossing(len(cycle))
     else:
         plabels = p.rgs()
         for n in Counter(plabels[block[0] - 1] for block in s.blocks).values():

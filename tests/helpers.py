@@ -162,6 +162,14 @@ def from_rgs(rgs):
     return Partition._trusted(sum(map(len, blocks)), tuple(tuple(b) for b in blocks))
 
 
+def has_crossing(p):
+    """The definition of a crossing, point by point: some a < b < c < d with
+    a, c in one block and b, d in another."""
+    labels = p.rgs()
+    return any(labels[a] == labels[c] != labels[b] == labels[d]
+               for a, b, c, d in itertools.combinations(range(p.k), 4))
+
+
 def joined_text(p):
     """The text of a partition, joined block by block without a cache."""
     return "(" + "".join("(" + ",".join(map(str, b)) + ")" for b in p.blocks) + ")"

@@ -135,6 +135,14 @@ def test_verify_formula_coefficient_table(capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert all(row["inv_n_power"] != "0" for row in rows)  # crossing: no constant term
+    # the semicircular St of one point is 0: its table is the constant 0, never empty
+    argv = ["verify", "formula", "--partition", "((1))", "--process", "semicircular"]
+    code, rep = _run_json(capsys, argv)
+    assert code == 0
+    assert [(r["inv_n_power"], r["coefficient"]) for r in rep["records"]] == [(0, "0/1")]
+    assert run(argv + ["--output", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(r["inv_n_power"], r["coefficient"]) for r in rows] == [("0", "0/1")]
 
 
 def test_csv_output_and_out_file(tmp_path):
@@ -256,6 +264,10 @@ def test_proj_decay_refuses_meshes_it_cannot_compare(capsys, meshes, error):
     ["cumulants", "to-moments", "--functional", "{no_values}"],
     ["cumulants", "to-moments", "--functional", "{bool_k}"],
     ["cumulants", "from-moments", "--functional", "{bool_k}"],
+    ["cumulants", "from-moments", "--functional", "{repeated}"],
+    ["cumulants", "to-moments", "--functional", "{repeated}"],
+    ["cumulants", "from-moments", "--functional", "{repeated_key}"],
+    ["cumulants", "to-moments", "--process", "{repeated_process_key}"],
 ])
 def test_cumulant_sources_exit_2_with_one_error_line(tmp_path, capsys, argv):
     array = tmp_path / "array.json"
@@ -264,7 +276,14 @@ def test_cumulant_sources_exit_2_with_one_error_line(tmp_path, capsys, argv):
     no_values.write_text('{"k": 2, "values": [1, 2]}')
     bool_k = tmp_path / "bool_k.json"  # true is a JSON boolean, not the integer 1
     bool_k.write_text('{"k": true, "values": {"1": "2"}}')
-    argv = [a.format(array=array, no_values=no_values, bool_k=bool_k) for a in argv]
+    repeated = tmp_path / "repeated.json"  # "01,2" names the subset of "1,2" again
+    repeated.write_text('{"k": 2, "values": {"1": "1", "2": "1", "1,2": "2", "01,2": "7"}}')
+    repeated_key = tmp_path / "repeated_key.json"  # json alone would keep the last "1,2"
+    repeated_key.write_text('{"k": 2, "values": {"1": "1", "2": "1", "1,2": "2", "1,2": "7"}}')
+    repeated_process_key = '{"type": "custom", "cumulants": {"1": "1/2", "1": "1/3"}}'
+    argv = [a.format(array=array, no_values=no_values, bool_k=bool_k, repeated=repeated,
+                     repeated_key=repeated_key, repeated_process_key=repeated_process_key)
+            for a in argv]
     assert run(argv) == 2
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if "error:" in line]

@@ -83,6 +83,7 @@ FUNCTIONALS = {
     "huge_k.json": {"k": 4096, "values": {"1": "1"}},
     "short.json": {"k": 3, "values": {"1": "1"}},
     "bool_k.json": {"k": True, "values": {"1": "2"}},
+    "repeated.json": {"k": 2, "values": {"1": "1", "2": "1", "1,2": "2", "01,2": "7"}},
 }
 
 

@@ -164,5 +164,6 @@ def test_stored_terms_stay_within_the_bound_and_evicted_plans_rebuild(monkeypatc
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_a_transform_plan_covers_every_subset_once(k):
     blocks, sets = first_block_plan(tuple(1 << i for i in range(k)), tuple(range(k)), every=True)
+    assert blocks is None  # a kept transform plan stores no blocks: the transforms read sets only
     assert sorted(s for s, _ in sets) == list(range(1, 1 << k))
     assert sum(len(states) for _, states in sets) == (3**k - 1) // 2  # S with V in S holding min S

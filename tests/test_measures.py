@@ -368,7 +368,7 @@ def test_one_outer_class_shape():
     spec = make_tuple(make_custom_process(CENTERED_SEQ), "identical", k=4)
     for text in ("((1,4)(2,3))", "((1,4)(2)(3))", "((1,2,4)(3))"):
         p = Partition.parse(text)
-        assert classify_classes(p).outer_count == 1
+        assert len(classify_classes(p).outer) == 1
         assert main_theorem_residual(p, spec, "L1") == 0
         assert main_theorem_residual(p, spec, "L2") == 0
         assert inner_peeling_residual(p, spec, "L2") == 0

@@ -24,6 +24,7 @@ from helpers import (
     bell_numbers,
     catalan,
     from_rgs,
+    has_crossing,
     iter_exact_index_tuples,
     iter_geq_index_tuples,
     join,
@@ -104,6 +105,17 @@ def test_is_noncrossing_examples():
         assert is_noncrossing(Partition.one_hat(k))
 
 
+def test_is_noncrossing_is_the_four_point_definition_on_all_of_p10():
+    # every partition of k <= 10 from an independent generator, past the cache
+    count = 0
+    for k in range(1, 11):
+        for rgs in all_rgs_strings(k):
+            p = from_rgs(rgs)
+            assert is_noncrossing.__wrapped__(p) is not has_crossing(p), p
+            count += 1
+    assert count == 142_417
+
+
 def test_refines_examples():
     for p in enumerate_set_partitions(4):
         assert refines(Partition.zero_hat(4), p)
@@ -166,7 +178,7 @@ def test_meet_of_noncrossing_is_noncrossing():
 def _interleave_noncrossing(p, sigma):
     blocks = [[2 * i - 1 for i in b] for b in p.blocks]
     blocks += [[2 * i for i in b] for b in sigma.blocks]
-    return is_noncrossing(Partition.of(blocks, 2 * p.k))
+    return not has_crossing(Partition.of(blocks, 2 * p.k))
 
 
 def test_kreweras_examples():
@@ -212,13 +224,13 @@ def test_classify_paper_example():
     split = classify_classes(Partition.parse(PAPER_EXAMPLE))
     assert split.inner == ((2, 5), (3,), (4,))
     assert split.outer == ((1, 6, 7), (8,), (9, 10))
-    assert split.outer_count == 3 and split.inner_count == 3
+    assert len(split.outer) == 3 and len(split.inner) == 3
 
 
 def test_classify_simple_cases():
     for k in range(1, 6):
         split = classify_classes(Partition.one_hat(k))
-        assert split.outer_count == 1 and split.inner_count == 0
+        assert len(split.outer) == 1 and len(split.inner) == 0
     split = classify_classes(Partition.parse("((1,3)(2))"))
     assert split.outer == ((1, 3),)
     assert split.inner == ((2,),)

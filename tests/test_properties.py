@@ -60,6 +60,7 @@ from helpers import (
     brute_expect_st,
     cumulant_functional_by_subsets,
     from_rgs,
+    has_crossing,
     identity_suite_by_pairs,
     join,
     limit_product_by_patterns,
@@ -318,6 +319,13 @@ def test_kreweras_double_complement_is_a_rotation(p):
     kkp = kreweras(kreweras(p))
     assert kkp == rotate(p, -1)
     assert p.num_blocks + kreweras(p).num_blocks == p.k + 1
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(st.one_of(partitions(20), noncrossing_partitions(1, 20)))
+def test_is_noncrossing_is_the_four_point_definition(p):
+    # the exhaustive test in test_partitions stops at k = 10
+    assert is_noncrossing.__wrapped__(p) is not has_crossing(p)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
