@@ -33,7 +33,6 @@ from .cumulants import (
 from .processes import (
     ProcessSpec,
     Subdivision,
-    derived_diagonal_tuple,
     make_custom_process,
     make_free_poisson,
     make_semicircular,
@@ -41,6 +40,7 @@ from .processes import (
 )
 from .measures import (
     UniformFormula,
+    diagonal_nesting_residual,
     example_formulas_check,
     expect_pr,
     expect_st,

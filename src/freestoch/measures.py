@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import CrossingPartitionError, DimensionError, SizeGuardError
 from .partitions import (
+    CACHE_MAXSIZE,
     Frozen,
     Partition,
     classify_classes,
@@ -39,7 +41,6 @@ from .processes import (
     ProcessSpec,
     ScaledCumulants,
     Subdivision,
-    derived_diagonal_tuple,
     make_custom_process,
     make_free_poisson,
     make_semicircular,
@@ -314,40 +315,49 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
     over sets of blocks of the concatenated pattern (units), as bitmasks: a
     block of sigma is a union of them that keeps apart the units of one
     group and weighs t times the unit cumulant of its word.  The units,
-    their groups and their words are read off the factors at a running
-    offset: a whole St factor is one group, since St pins its within-factor
-    pattern exactly, and each block of a Pr factor its own, since Pr only
-    bounds it below.
+    their groups and their components are read off the factors at a running
+    offset, once per factor tuple (`_layout`): a whole St factor is one
+    group, since St pins its within-factor pattern exactly, and each block
+    of a Pr factor its own, since Pr only bounds it below.
 
-    The sums run in integers.  With D = B t.denominator (B the tuple's
-    cumulant scale), a block of n units weighs the integer t R D^n, so the
-    sum over m units is D^m times its value, and one Fraction is formed at
-    the end.  The part, weight and sum tables live for one call.
+    The sums run in integers (`_limit_sum`): with D = B t.denominator (B the
+    tuple's cumulant scale), a block of n units weighs the integer t R D^n,
+    and one Fraction N / D^m is formed at the end of a sum over m units.
     """
     if not factors:
         return Fraction(1)
     _check_factors(factors, spec.k)
-    table = ScaledCumulants(spec)
-    return _limit_product(factors, table.parts, table, t)
+    table, t = ScaledCumulants(spec), Fraction(t)
+    total, n = _limit_sum(tuple(factors), (), table.parts, table, t)
+    return Fraction(total, (table.scale * t.denominator) ** n)
 
 
-def _limit_product(factors, parts, table: ScaledCumulants, t) -> Fraction:
-    """limit_product_of_st, guards passed, on components with these parts."""
-    t = Fraction(t)
-    scale = table.scale * t.denominator
-    n = sum(p.num_blocks for p, _ in factors)
-    bits, tags, merged = [], [], [None] * (1 << n)  # merged: the part of each set of units
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _layout(factors: tuple[Factor, ...], adjoint: tuple[Factor, ...]):
+    """(bits, tags, 0-based components) of the units of the factors followed
+    by the adjoint's: those factors reversed, each pattern opposite."""
+    bits, tags, units = [], [], []
     offset = group = 0
-    for p, kind in factors:
+    for p, kind in factors + tuple((opposite(p), kind) for p, kind in reversed(adjoint)):
         for j, block in enumerate(p.blocks):
-            merged[1 << len(bits)] = table.merge(parts[offset + el - 1] for el in block)
+            units.append(tuple(offset + el - 1 for el in block))
             bits.append(sum(1 << (offset + el) for el in block))
             tags.append(group if kind == "st" else group + j)
         offset += p.k
         group += 1 if kind == "st" else p.num_blocks
-    powers = [t.numerator * scale**m for m in range(n)]  # t R D^m = (B R) powers[m - 1]
-    blocks, sets = first_block_plan(tuple(bits), tuple(tags))
+    return tuple(bits), tuple(tags), tuple(units)
+
+
+def _limit_sum(factors, adjoint, parts, table: ScaledCumulants, t: Fraction) -> tuple[int, int]:
+    """limit_product_of_st of the factors and the adjoint's (`_layout`), guards
+    passed, on components with these parts, as (N, n): the product is N / D^n
+    over the n units, D = B t.denominator."""
+    bits, tags, units = _layout(factors, adjoint)
+    n, scale = len(bits), table.scale * t.denominator
     weights, merge, value = [0] * (1 << n), table.merge, table.value
+    merged = {1 << i: merge([parts[c] for c in unit]) for i, unit in enumerate(units)}
+    powers = [t.numerator * scale**m for m in range(n)]  # t R D^m = (B R) powers[m - 1]
+    blocks, sets = first_block_plan(bits, tags)
     for v in blocks:  # each after itself less its top unit
         top = 1 << (v.bit_length() - 1)
         if v != top:
@@ -357,7 +367,7 @@ def _limit_product(factors, parts, table: ScaledCumulants, t) -> Fraction:
     sums: dict[int, int] = {}
     for s, total in first_block_sums(sets, weights, sums):
         sums[s] = total
-    return Fraction(sums[(1 << n) - 1], scale**n)
+    return sums[(1 << n) - 1], n
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +385,6 @@ class MeasureWord(Frozen):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "words", words)
 
-    def adjoint(self) -> "MeasureWord":
-        factors = tuple((opposite(p), kind) for p, kind in reversed(self.factors))
-        words = tuple(w[::-1] for w in reversed(self.words))
-        return MeasureWord(self.scalar, factors, words)
-
-
-def _pair_trace(a: MeasureWord, b: MeasureWord, t, table: ScaledCumulants, parts) -> Fraction:
-    """tau(A B) for the words A and B, whose parts in the table are given; 0
-    without a limit product when a scalar is 0, once its guards have passed."""
-    scalar = a.scalar * b.scalar
-    factors = a.factors + b.factors
-    if not factors:
-        return scalar
-    _check_factors(factors, len(parts))
-    return scalar and scalar * _limit_product(factors, parts, table, t)
-
 
 def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
     """Trace of (A - B)(A - B)*; zero iff A = B by faithfulness.
@@ -398,46 +392,69 @@ def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
     Every trace here is a real rational and tau(X*) is the conjugate of
     tau(X), so tau(B A*) = tau(A B*): three pair traces, not four, on one
     cumulant table.  Sides that share their factors and parts need one:
-    A - B = (a - b) W, so the residual is (a - b)^2 tau(W W*).
+    A - B = (a - b) W, so the residual is (a - b)^2 tau(W W*).  The traces
+    with nonzero scalars are summed in integers over one denominator.
     """
     table = ScaledCumulants(ProcessSpec(a.words + b.words))
-    return _l2(a, b, t, table, table.parts[:len(a.words)], table.parts[len(a.words):])
+    return _l2(a, b, Fraction(t), table, table.parts[:len(a.words)], table.parts[len(a.words):])
 
 
-def _l2(a: MeasureWord, b: MeasureWord, t, table: ScaledCumulants, pa, pb) -> Fraction:
-    """l2_residual on a table that holds both words' atoms; pa, pb: their parts."""
-    if a.factors == b.factors and pa == pb:
-        diff = MeasureWord(a.scalar - b.scalar, a.factors, a.words)
-        return _pair_trace(diff, diff.adjoint(), t, table, pa + pa[::-1])
-    return (_pair_trace(a, a.adjoint(), t, table, pa + pa[::-1])
-            - 2 * _pair_trace(a, b.adjoint(), t, table, pa + pb[::-1])
-            + _pair_trace(b, b.adjoint(), t, table, pb + pb[::-1]))
+def _l2(a: MeasureWord, b: MeasureWord, t: Fraction, table: ScaledCumulants, pa, pb) -> Fraction:
+    """l2_residual on a table that holds both words' atoms; pa, pb: their
+    parts, reversed for the adjoints.  With scalars u / (d_a d_b) and
+    v / (d_a d_b), the traces carry u^2, -2uv and v^2 over (d_a d_b)^2."""
+    sa, sb = a.scalar, b.scalar
+    u, v = sa.numerator * sb.denominator, sb.numerator * sa.denominator
+    pairs = ((u * u, a, a, pa, pa), (-2 * u * v, a, b, pa, pb), (v * v, b, b, pb, pb))
+    if a.factors == b.factors and pa == pb:  # three equal traces
+        pairs = (((u - v) ** 2, a, a, pa, pa),)
+    den = (sa.denominator * sb.denominator) ** 2
+    scale, total, power = table.scale * t.denominator, 0, 0  # the sum is total / (den D^power)
+    for c, x, y, px, py in pairs:  # the guards of x y*: y* has y's kinds and arities
+        _check_factors(x.factors + y.factors, len(px) + len(py))
+        if not c:
+            continue
+        num, n = (_limit_sum(x.factors, y.factors, px + py[::-1], table, t)
+                  if x.factors or y.factors else (1, 0))
+        if n > power:
+            total, power = total * scale ** (n - power), n
+        total += c * num * scale ** (power - n)
+    return Fraction(total, den * scale**power)
 
 
-def _residuals(p: Partition, spec: ProcessSpec, sides, orders, t) -> list[Fraction]:
+def _residuals(p: Partition, spec: ProcessSpec, sides, orders, t,
+               table: ScaledCumulants | None = None) -> list[Fraction]:
     """The residual for each order asked for of the St_p word L against the
     right side R = sides(p, spec, t, table), once p is checked noncrossing
     and then against the tuple's size.  One cumulant table over the tuple's
-    atoms serves all of them: L's parts are its own and R's are read once.
-    L1 compares t^|p| R_p with R's scalar times the closed form of its one
-    St factor, if any; L2 expands the trace of (L - R)(L - R)*.
+    atoms (the caller's, if given) serves all of them: L's parts are its own
+    and R's are read once.  L1 compares t^|p| R_p with R's scalar times the
+    closed form of its one St factor, if any; L2 expands (L - R)(L - R)*.
     """
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
     if p.k != spec.k:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
-    table = ScaledCumulants(spec)
+    t, table = Fraction(t), ScaledCumulants(spec) if table is None else table
     rhs = sides(p, spec, t, table)
     lhs = MeasureWord(Fraction(1), ((p, "st"),), spec.words)
     rhs_parts = [table.part(w) for w in rhs.words]
     q_blocks = rhs.factors[0][0].blocks if rhs.factors else ()
-    residual = {"L1": lambda: (_limit_weight(p.blocks, table, t)
-                               - rhs.scalar * _limit_weight(q_blocks, table, t, rhs_parts)),
+    residual = {"L1": lambda: _l1(p.blocks, rhs.scalar, q_blocks, rhs_parts, table, t),
                 "L2": lambda: _l2(lhs, rhs, t, table, table.parts, rhs_parts)}
     for order in orders:
         if order not in residual:
             raise ValueError(f"unknown order {order!r}")
     return [residual[order]() for order in orders]
+
+
+def _l1(p_blocks, s, q_blocks, q_parts, table: ScaledCumulants, t: Fraction) -> Fraction:
+    """t^|p| R_p less s t^|q| R_q, q over q_parts, as one integer difference:
+    t^m R is t.numerator^m B^m prod R over D^m, D = B t.denominator."""
+    d, m, n = table.scale * t.denominator, len(p_blocks), len(q_blocks)
+    left = s.denominator * t.numerator**m * table.product(p_blocks) * d ** max(n - m, 0)
+    right = s.numerator * t.numerator**n * table.product(q_blocks, q_parts) * d ** max(m - n, 0)
+    return Fraction(left - right, s.denominator * d ** max(m, n))
 
 
 def _main_theorem_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulants):
@@ -452,11 +469,17 @@ def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=
     return _residuals(p, spec, _main_theorem_sides, (order,), t)[0]
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _outer_pattern(p: Partition) -> tuple[tuple[int, ...], Partition]:
+    """The points of a noncrossing p's outer blocks, and p restricted to them."""
+    support = tuple(sorted(el for b in classify_classes(p).outer for el in b))
+    return support, restrict(p, support)
+
+
 def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulants):
-    split = classify_classes(p)
-    scalar = _limit_weight(split.inner, table, t)
-    support = sorted(el for b in split.outer for el in b)
-    return MeasureWord(scalar, ((restrict(p, support), "st"),), spec.restrict(support).words)
+    support, outer = _outer_pattern(p)
+    scalar = _limit_weight(classify_classes(p).inner, table, t)
+    return MeasureWord(scalar, ((outer, "st"),), tuple(spec.words[i - 1] for i in support))
 
 
 def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
@@ -468,13 +491,16 @@ def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t
 def diagonal_nesting_residual(spec: ProcessSpec, interval_blocks, t=1) -> Fraction:
     """Trace residual of the diagonal of diagonals against the flat diagonal."""
     blocks = [tuple(sorted(b)) for b in interval_blocks]
-    flat = [i for b in blocks for i in b]
-    if flat != list(range(1, spec.k + 1)):
+    if not all(blocks) or [i for b in blocks for i in b] != list(range(1, spec.k + 1)):
         raise ValueError("blocks must form an interval partition of the components")
-    derived = derived_diagonal_tuple(spec, blocks)
-    lhs = limit_expect_st(Partition.one_hat(derived.k), derived, t)
-    rhs = limit_expect_st(Partition.one_hat(spec.k), spec, t)
-    return lhs - rhs
+    table = ScaledCumulants(spec)
+    return _nesting(blocks, table, Fraction(t), table.value(table.merge(table.parts)))
+
+
+def _nesting(blocks, table: ScaledCumulants, t: Fraction, flat: int) -> Fraction:
+    """t R of the diagonal of the blocks' diagonals (merged parts) less flat t / B."""
+    whole = table.merge([table.merge([table.parts[i - 1] for i in b]) for b in blocks])
+    return Fraction(t.numerator * (table.value(whole) - flat), t.denominator * table.scale)
 
 
 def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:
@@ -572,7 +598,7 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
         raise ValueError(f"identity suite needs an integer k_max >= 1, got {k_max!r}")
     if k_max > MAX_SUITE_K:
         raise SizeGuardError(f"identity suite capped at k_max = {MAX_SUITE_K}")
-    records = []
+    records, wheres = [], [sub.describe() for sub in battery]
     for k in range(1, k_max + 1):
         spec = make_tuple(base, "identical", k=k)
         table, checks = TraceTable(spec), []
@@ -586,19 +612,21 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
                     back[mono] = back.get(mono, 0) - mu * c
             for check, delta in (("st_pr_inversion", via_st), ("mobius_inversion", back)):
                 checks.append((check, text, {m: c for m, c in delta.items() if c}))
-        for sub in battery:
-            (value, scale), where = table.at(sub), sub.describe()
+        for sub, where in zip(battery, wheres):
+            value, scale = table.at(sub)
             for check, text, delta in checks:
                 residual = Fraction(value(delta), scale) if delta else 0
                 records.append(_record(check, text, process_name, where, residual))
+        scaled = table._scaled
         for p in enumerate_noncrossing(k):
-            l1, l2 = _residuals(p, spec, _inner_peeling_sides, ("L1", "L2"), 1)
+            l1, l2 = _residuals(p, spec, _inner_peeling_sides, ("L1", "L2"), 1, scaled)
             records.append(_record("inner_peeling_l1", p, process_name, "limit", l1))
             records.append(_record("inner_peeling_l2", p, process_name, "limit", l2))
+        flat = scaled.value(scaled.merge(scaled.parts))
         for sizes in _compositions(k):
             nesting = interval_partition(sizes)
             records.append(_record("diagonal_nesting", nesting, process_name, "limit",
-                                   diagonal_nesting_residual(spec, nesting.blocks)))
+                                   _nesting(nesting.blocks, scaled, Fraction(1), flat)))
     for t in (Fraction(1), Fraction(3, 2)):
         records.append(_record("free_sandwich_limit", None, process_name,
                                f"t={format_rational(t)}",

@@ -273,10 +273,9 @@ def restrict(p: Partition, elements) -> Partition:
     """Partition induced on a subset, re-indexed to 1..len(elements)."""
     elems = sorted(elements)
     index = {el: i + 1 for i, el in enumerate(elems)}
-    chosen = set(elems)
     blocks = []
     for block in p.blocks:
-        hit = [index[el] for el in block if el in chosen]
+        hit = [index[el] for el in block if el in index]
         if hit:
             blocks.append(hit)
     return Partition.of(blocks, len(elems))
@@ -415,6 +414,7 @@ class ClassSplit(Frozen):
         _set(self, "inner", inner)
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def classify_classes(p: Partition) -> ClassSplit:
     """Split blocks into inner (strictly enclosed by another block's span)
     and outer."""

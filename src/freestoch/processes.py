@@ -225,23 +225,6 @@ def free_family(specs: list[ProcessSpec]) -> ProcessSpec:
     return ProcessSpec(tuple(words))
 
 
-def derived_diagonal_tuple(spec: ProcessSpec, groups) -> ProcessSpec:
-    """The tuple of diagonal measures over the given index groups.
-
-    Component j stands for the diagonal measure of the sub-tuple over
-    G_j, and its cumulants are those of the concatenated underlying word.
-    That substitution rule is validated against an independent expansion
-    by the substitution oracle of the tests.
-    """
-    groups = [tuple(g) for g in groups]
-    if any(not g for g in groups):
-        raise ValueError("empty group")
-    for g in groups:
-        if any(not 1 <= i <= spec.k for i in g):
-            raise DimensionError(f"group {g} outside [1, {spec.k}]")
-    return ProcessSpec(tuple(spec.subset_word(sorted(g)) for g in groups))
-
-
 # ---------------------------------------------------------------------------
 # subdivisions
 
@@ -312,8 +295,12 @@ def spec_from_descriptor(obj) -> ProcessSpec:
         return make_semicircular()
     if kind == "custom":
         cum = obj["cumulants"]
-        seq = [parse_rational(cum[str(i)]) for i in range(1, len(cum) + 1)]
-        return make_custom_process(seq)
+        orders = [str(i) for i in range(1, len(cum) + 1)]
+        if missing := [o for o in orders if o not in cum.keys()]:  # .keys(): a list is malformed
+            given = ", ".join(repr(key) for key in cum if key not in orders)
+            raise ValueError(f"cumulants need the orders 1..{len(cum)} as keys: "
+                             f"order {missing[0]} is missing, {given} given")
+        return make_custom_process([parse_rational(cum[o]) for o in orders])
     if kind == "tuple":
         mode = obj["mode"]
         if mode == "identical":

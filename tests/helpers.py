@@ -24,8 +24,10 @@ from freestoch.cumulants import (
 from freestoch.errors import CrossingPartitionError, DimensionError, SizeGuardError
 from freestoch.measures import (
     SUBDIVISION_BATTERY,
+    MeasureWord,
     UniformFormula,
     _compositions,
+    _limit_sum,
     _record,
     diagonal_nesting_residual,
     expect_pr,
@@ -44,13 +46,13 @@ from freestoch.partitions import (
     interval_partition,
     is_noncrossing,
     mobius,
+    opposite,
     refines,
     restrict,
 )
 from freestoch.processes import (
     ProcessSpec,
     ScaledCumulants,
-    derived_diagonal_tuple,
     make_custom_process,
     make_free_poisson,
     make_semicircular,
@@ -291,6 +293,24 @@ def cumulant_functional_by_subsets(m):
             total += term
         values[b] = total
     return CumulantFunctional(m.k, values)
+
+
+def derived_diagonal_tuple(spec, groups):
+    """The tuple of diagonal measures over the given index groups.
+
+    Component j stands for the diagonal measure of the sub-tuple over
+    G_j, and its cumulants are those of the concatenated underlying word.
+    That substitution rule is validated against an independent expansion
+    by diagonal_substitution_residual; the engine applies it to the merged
+    parts of a cumulant table.
+    """
+    groups = [tuple(g) for g in groups]
+    if any(not g for g in groups):
+        raise ValueError("empty group")
+    for g in groups:
+        if any(not 1 <= i <= spec.k for i in g):
+            raise DimensionError(f"group {g} outside [1, {spec.k}]")
+    return ProcessSpec(tuple(spec.subset_word(sorted(g)) for g in groups))
 
 
 def diagonal_substitution_residual(spec, groups):
@@ -698,6 +718,13 @@ def limit_product_by_patterns(factors, spec, t=1):
     return total
 
 
+def adjoint(word):
+    """The measure word of the adjoint: the factors reversed, each pattern
+    opposite, and the words reversed in order and each read backwards."""
+    factors = tuple((opposite(p), kind) for p, kind in reversed(word.factors))
+    return MeasureWord(word.scalar, factors, tuple(w[::-1] for w in reversed(word.words)))
+
+
 def pair_trace(a, b, t=1):
     """tau(A B) for two measure words by one limit product, run whatever
     the scalars."""
@@ -707,9 +734,19 @@ def pair_trace(a, b, t=1):
     return a.scalar * b.scalar * limit_product_of_st(factors, ProcessSpec(a.words + b.words), t)
 
 
+def pair_trace_on_table(a, b, t, table, parts):
+    """tau(A B) by the engine's integer limit sum on a shared cumulant table,
+    given the parts of A's and B's words in it."""
+    t, factors = Fraction(t), tuple(a.factors + b.factors)
+    if not factors:
+        return a.scalar * b.scalar
+    total, n = _limit_sum(factors, (), parts, table, t)
+    return a.scalar * b.scalar * Fraction(total, (table.scale * t.denominator) ** n)
+
+
 def l2_residual_by_four_traces(a, b, t=1):
     """tau((A - B)(A - B)*) expanded into all four pair traces."""
-    a_star, b_star = a.adjoint(), b.adjoint()
+    a_star, b_star = adjoint(a), adjoint(b)
     return (pair_trace(a, a_star, t) - pair_trace(a, b_star, t)
             - pair_trace(b, a_star, t) + pair_trace(b, b_star, t))
 

@@ -77,6 +77,21 @@ def test_to_moments_refuses_an_order_the_process_does_not_declare(capsys):
         "error: custom process declares cumulants up to order 1, order 2 requested"]
 
 
+@pytest.mark.parametrize("cumulants, error", [
+    ({"1": "1/2", "3": "1"},  # a gap
+     "cumulants need the orders 1..2 as keys: order 2 is missing, '3' given"),
+    ({"1": "1", "2": "1", "02": "1"},  # a leading zero
+     "cumulants need the orders 1..3 as keys: order 3 is missing, '02' given"),
+    (["1/2", "1"], "malformed process descriptor: 'list' object has no attribute 'keys'"),
+])
+def test_custom_cumulant_keys_must_be_the_orders_one_to_n(capsys, cumulants, error):
+    process = json.dumps({"type": "custom", "cumulants": cumulants})
+    assert run(["cumulants", "to-moments", "--process", process, "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [f"error: {error}"]
+
+
 def test_from_moments(capsys):
     code, rep = _run_json(capsys, [
         "cumulants", "from-moments", "--moments", "1,2,5,14"])

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freestoch import partitions
+from freestoch import measures, partitions
 from freestoch.cumulants import (
     MAX_SCALED_BITS,
     CumulantFunctional,
@@ -22,7 +22,12 @@ from freestoch.cumulants import (
     nonempty_subsets,
 )
 from freestoch.measures import exact_moment, limit_product_of_st
-from freestoch.partitions import Partition, enumerate_set_partitions, first_block_plan
+from freestoch.partitions import (
+    Partition,
+    enumerate_noncrossing,
+    enumerate_set_partitions,
+    first_block_plan,
+)
 from freestoch.processes import free_family, make_custom_process, make_semicircular, make_tuple
 
 from helpers import (
@@ -159,6 +164,33 @@ def test_stored_terms_stay_within_the_bound_and_evicted_plans_rebuild(monkeypatc
     assert exact_moment(spec) == before == \
         limit_product_by_recursion([(Partition.zero_hat(6), "pr")], spec)
     assert partitions._stored == _stored_terms() <= 120
+
+
+def _structural_keys(cache: str):
+    """More than CACHE_MAXSIZE distinct keys of one structural cache: pairs
+    of one-factor tuples for the layouts, noncrossing partitions of 9 and 10
+    points for the class splits and outer patterns."""
+    if cache == "_layout":
+        singles = [((p, kind),) for k in range(1, 6) for p in enumerate_set_partitions(k)
+                   for kind in ("st", "pr")]
+        return [(f, g) for f in singles for g in singles]
+    return [(p,) for k in (9, 10) for p in enumerate_noncrossing(k)]
+
+
+@pytest.mark.parametrize("module, cache", [(measures, "_layout"), (measures, "_outer_pattern"),
+                                           (partitions, "classify_classes")])
+def test_structural_caches_stay_within_the_bound(module, cache):
+    cached, keys = getattr(module, cache), _structural_keys(cache)
+    assert cached.cache_parameters()["maxsize"] == partitions.CACHE_MAXSIZE < len(keys)
+    for key in keys:
+        cached(*key)
+    assert cached.cache_info().currsize <= partitions.CACHE_MAXSIZE
+    misses = cached.cache_info().misses
+    rebuilt, fresh = cached(*keys[0]), cached.__wrapped__(*keys[0])
+    assert cached.cache_info().misses == misses + 1  # the first key was evicted
+    if cache == "classify_classes":  # a ClassSplit compares by identity
+        rebuilt, fresh = (rebuilt.outer, rebuilt.inner), (fresh.outer, fresh.inner)
+    assert rebuilt == fresh
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])

@@ -304,13 +304,13 @@ def _shared_factor_pairs():
 
 def test_shared_factor_residuals_take_one_limit_product(monkeypatch):
     products = []
-    limit_product = measures._limit_product
+    limit_sum = measures._limit_sum  # the integer core of every limit product
 
     def count(*args):
         products.append(args)
-        return limit_product(*args)
+        return limit_sum(*args)
 
-    monkeypatch.setattr(measures, "_limit_product", count)
+    monkeypatch.setattr(measures, "_limit_sum", count)
     for a, b in _shared_factor_pairs():
         for t in (Fraction(1), Fraction(3, 2), Fraction(2, 7)):
             products.clear()

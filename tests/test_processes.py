@@ -12,7 +12,6 @@ from freestoch.processes import (
     Atom,
     ProcessSpec,
     Subdivision,
-    derived_diagonal_tuple,
     free_family,
     make_custom_process,
     make_free_poisson,
@@ -24,6 +23,7 @@ from freestoch.measures import exact_moment, limit_expect_st
 
 from helpers import (
     CUSTOM_SEQ,
+    derived_diagonal_tuple,
     diagonal_substitution_residual,
     increment_cumulant,
     process_fixtures,

@@ -26,6 +26,7 @@ from freestoch.measures import (
     TraceTable,
     exact_moment,
     identity_suite,
+    l2_residual,
     limit_expect_st,
     limit_product_of_st,
     st_uniform_formula,
@@ -55,6 +56,7 @@ from freestoch.processes import (
 from helpers import (
     CUSTOM_SEQ,
     FiniteTraces,
+    adjoint,
     all_rgs_strings,
     brute_expect_pr,
     brute_expect_st,
@@ -63,6 +65,7 @@ from helpers import (
     has_crossing,
     identity_suite_by_pairs,
     join,
+    l2_residual_by_four_traces,
     limit_product_by_patterns,
     meet,
     moment_functional_by_subsets,
@@ -392,7 +395,37 @@ def test_limit_products_of_a_word_and_an_adjoint_are_symmetric(a_case, b_case, t
     pair trace: every limit trace is a real rational."""
     a, b = (MeasureWord(Fraction(1), tuple(factors), spec.words)
             for factors, spec in (a_case, b_case))
-    assert pair_trace(a, b.adjoint(), t) == pair_trace(b, a.adjoint(), t)
+    assert pair_trace(a, adjoint(b), t) == pair_trace(b, adjoint(a), t)
+
+
+@st.composite
+def l2_pairs(draw):
+    """Two measure words of arity at most 6, each scalar possibly 0: b shares
+    a's factors and words, only its factors (on freshly drawn words), or
+    neither; b may be a scalar with no factors."""
+    scalars = st.sampled_from((Fraction(0), Fraction(1), Fraction(5, 3), Fraction(-1, 2)))
+    factors, spec = draw(limit_products(6))
+    a = MeasureWord(draw(scalars), tuple(factors), spec.words)
+    shared = draw(st.sampled_from(("factors and words", "factors", "neither", "scalar")))
+    if shared == "factors and words":
+        b_factors, b_words = a.factors, a.words
+    elif shared == "factors":
+        b_factors, b_words = a.factors, draw(specs(len(a.words))).words
+    elif shared == "scalar":
+        b_factors, b_words = (), ()
+    else:
+        b_factors, b_spec = draw(limit_products(6))
+        b_factors, b_words = tuple(b_factors), b_spec.words
+    return a, MeasureWord(draw(scalars), b_factors, b_words)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(l2_pairs(), st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2, 7))))
+def test_integer_l2_matches_the_four_trace_expansion(pair, t):
+    """The L2 residual summed in integers over one denominator, with two
+    traces merged by symmetry, equals all four pair traces in Fractions."""
+    a, b = pair
+    assert l2_residual(a, b, t) == l2_residual_by_four_traces(a, b, t)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)

@@ -25,7 +25,6 @@ from freestoch.measures import (
     TraceTable,
     _inner_peeling_sides,
     _main_theorem_sides,
-    _pair_trace,
     example_formulas_check,
     exact_moment,
     expect_pr,
@@ -52,7 +51,6 @@ from freestoch.processes import (
     ProcessSpec,
     ScaledCumulants,
     Subdivision,
-    derived_diagonal_tuple,
     free_family,
     make_custom_process,
     make_free_poisson,
@@ -63,9 +61,12 @@ from freestoch.rational import format_rational
 
 from helpers import (
     FiniteTraces,
+    adjoint,
+    derived_diagonal_tuple,
     identity_suite_by_pairs,
     limit_product_by_patterns,
     pair_trace,
+    pair_trace_on_table,
     partition_cumulant,
     unit_cumulant,
     word_cumulant,
@@ -222,9 +223,9 @@ def test_one_table_per_residual_keeps_the_atoms_apart():
                                         for b in classify_classes(p).inner), start=Fraction(1))
                     assert rhs.scalar == scalar, (name, p)
                     traces = []
-                    for a, b in ((lhs, lhs.adjoint()), (lhs, rhs.adjoint()), (rhs, rhs.adjoint())):
+                    for a, b in ((lhs, adjoint(lhs)), (lhs, adjoint(rhs)), (rhs, adjoint(rhs))):
                         parts = [table.part(w) for w in a.words + b.words]
-                        shared = _pair_trace(a, b, T, table, parts)
+                        shared = pair_trace_on_table(a, b, T, table, parts)
                         oracle = a.scalar * b.scalar * limit_product_by_patterns(
                             a.factors + b.factors, ProcessSpec(a.words + b.words), T)
                         assert shared == pair_trace(a, b, T) == oracle, (name, p, a, b)

@@ -12,6 +12,7 @@ import pytest
 
 from freestoch.cli import run
 from freestoch.measures import (
+    SUBDIVISION_BATTERY,
     MeasureWord,
     TraceTable,
     _inner_peeling_sides,
@@ -31,6 +32,7 @@ from freestoch.partitions import (
 )
 from freestoch.processes import (
     ScaledCumulants,
+    Subdivision,
     make_custom_process,
     make_free_poisson,
     make_semicircular,
@@ -98,6 +100,25 @@ def test_a_wrong_table_fails_the_suite_where_its_differences_move(monkeypatch, k
     wheres = {r["subdivision"] for r in records if r["check"] == "st_pr_inversion"}
     assert len(failing) == len(touched) * len(wheres - vanishing)
     assert not any(r["subdivision"] in vanishing for r in failing)
+
+
+# an 8-cumulant process and a 3-piece subdivision with small rational entries
+EIGHT_CUMULANTS = make_custom_process([Fraction(2, 3), Fraction(-1, 5), Fraction(3, 4), Fraction(1),
+                                       Fraction(-3, 2), Fraction(1, 3), Fraction(2, 5),
+                                       Fraction(-1, 4)])
+THREE_PIECES = Subdivision.of((Fraction(3, 11), Fraction(5, 11), Fraction(3, 11)))
+
+
+@pytest.mark.parametrize("name", ["free_poisson", "semicircular", "eight_cumulants"])
+def test_the_suite_matches_the_pair_oracle_at_k_max_4(name):
+    # six patterns in NC(4) have an inner block, against one in NC(3)
+    base = {"free_poisson": make_free_poisson(1), "semicircular": make_semicircular(),
+            "eight_cumulants": EIGHT_CUMULANTS}[name]
+    battery = SUBDIVISION_BATTERY + (THREE_PIECES,)
+    assert sum(1 for p in enumerate_noncrossing(4) if classify_classes(p).inner) == 6
+    records = identity_suite(base, 4, battery=battery, process_name=name)
+    assert records == identity_suite_by_pairs(base, 4, battery=battery, process_name=name)
+    assert all(r["pass"] for r in records)
 
 
 @pytest.mark.parametrize("name,which", [("free_poisson", "free_poisson"),
