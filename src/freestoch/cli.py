@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands cover lattice utilities, the moment/cumulant transforms, the
-exact identity suites, and the Monte Carlo sweeps.  Reports are JSON
-(default) or CSV; exit status is 0 when every record passes, 1 when a
-check fails, and 2 on usage errors.
+exact identity suites, and the Monte Carlo sweeps.  Each handler maps the
+parsed arguments to its list of records; `run` hands them to the one report
+writer.  Reports are JSON (default) or CSV; exit status is 0 when every
+record passes, 1 when a check fails, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from .cumulants import (
     moment_functional,
     moment_functional_from_json,
 )
-from .errors import CrossingPartitionError, DimensionError, SizeGuardError
+from .errors import DimensionError, SizeGuardError
 from .measures import (
     MAX_LIMIT_ARITY,
     MAX_ST_ARITY,
     _main_theorem_sides,
+    _record,
     _residuals,
     exact_moment,
     example_formulas_check,
@@ -82,7 +84,10 @@ def _parse_process(text: str):
         raise ValueError(f"malformed process descriptor: {exc}") from exc
 
 
-def _write_report(args, command: str, records: list[dict], seed=None) -> None:
+def _write_report(args, records: list[dict]) -> int:
+    """Write the report of a subcommand's records and return its exit status:
+    0 when there are records and every one passes, else 1.  The header names
+    the subcommand and the seed, None for the exact commands, which take none."""
     if args.output == "csv":
         buf = io.StringIO()
         if records:
@@ -93,8 +98,8 @@ def _write_report(args, command: str, records: list[dict], seed=None) -> None:
     else:
         report = {
             "tool_version": __version__,
-            "command": command,
-            "seed": seed,
+            "command": f"{args.group} {args.command}",
+            "seed": getattr(args, "seed", None),
             "records": records,
         }
         text = json.dumps(report, indent=2, default=str) + "\n"
@@ -103,6 +108,7 @@ def _write_report(args, command: str, records: list[dict], seed=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if _passed(records) else 1
 
 
 def _passed(records: list[dict]) -> bool:
@@ -155,45 +161,35 @@ def _positive_rational(text: str) -> Fraction:
 # partitions
 
 
-def _cmd_partitions_enumerate(args) -> int:
+def _cmd_partitions_enumerate(args) -> list[dict]:
     enum = enumerate_noncrossing if args.noncrossing else enumerate_set_partitions
-    records = [{"partition": str(p), "blocks": p.num_blocks, "pass": True}
-               for p in enum(args.k)]
-    _write_report(args, "partitions enumerate", records)
-    return 0
+    return [{"partition": str(p), "blocks": p.num_blocks, "pass": True} for p in enum(args.k)]
 
 
-def _cmd_partitions_mobius(args) -> int:
+def _cmd_partitions_mobius(args) -> list[dict]:
     lower = Partition.parse(args.lower)
     upper = Partition.parse(args.upper)
     value = mobius(lower, upper, args.lattice)
-    _write_report(args, "partitions mobius", [{
-        "lower": str(lower), "upper": str(upper), "lattice": args.lattice,
-        "mobius": format_rational(value), "pass": True,
-    }])
-    return 0
+    return [{"lower": str(lower), "upper": str(upper), "lattice": args.lattice,
+             "mobius": format_rational(value), "pass": True}]
 
 
-def _cmd_partitions_kreweras(args) -> int:
+def _cmd_partitions_kreweras(args) -> list[dict]:
     p = Partition.parse(args.partition)
-    _write_report(args, "partitions kreweras", [{
-        "partition": str(p), "kreweras": str(kreweras(p)), "pass": True,
-    }])
-    return 0
+    return [{"partition": str(p), "kreweras": str(kreweras(p)), "pass": True}]
 
 
-def _cmd_partitions_classify(args) -> int:
+def _cmd_partitions_classify(args) -> list[dict]:
     p = Partition.parse(args.partition)
     split = classify_classes(p)
-    _write_report(args, "partitions classify", [{
+    return [{
         "partition": str(p),
         "outer": "".join(map(_block_text, split.outer)),
         "inner": "".join(map(_block_text, split.inner)),
         "outer_count": len(split.outer),
         "inner_count": len(split.inner),
         "pass": True,
-    }])
-    return 0
+    }]
 
 
 # ---------------------------------------------------------------------------
@@ -215,38 +211,31 @@ def _functional_record(f, name: str) -> list[dict]:
              "pass": True}]
 
 
-def _cmd_cumulants_to_moments(args) -> int:
+def _cmd_cumulants_to_moments(args) -> list[dict]:
     if args.functional:
         with open(args.functional) as fh:
             r = cumulant_functional_from_json(json.load(fh, object_pairs_hook=_unique_keys))
     else:
         r = _single_variable_cumulants(_parse_process(args.process), args.order)
-    _write_report(args, "cumulants to-moments",
-                  _functional_record(moment_functional(r), "moments"))
-    return 0
+    return _functional_record(moment_functional(r), "moments")
 
 
-def _cmd_cumulants_from_moments(args) -> int:
+def _cmd_cumulants_from_moments(args) -> list[dict]:
     if args.functional:
         with open(args.functional) as fh:
             m = moment_functional_from_json(json.load(fh, object_pairs_hook=_unique_keys))
     else:
         seq = [parse_rational(x) for x in args.moments]
         m = MomentFunctional.from_single_variable(len(seq), seq)
-    _write_report(args, "cumulants from-moments",
-                  _functional_record(cumulant_functional(m), "cumulants"))
-    return 0
+    return _functional_record(cumulant_functional(m), "cumulants")
 
 
 # ---------------------------------------------------------------------------
 # verify (exact engine)
 
 
-def _cmd_verify_suite(args) -> int:
-    base = _parse_process(args.process)
-    records = identity_suite(base, args.k_max, process_name=args.process)
-    _write_report(args, "verify suite", records)
-    return 0 if _passed(records) else 1
+def _cmd_verify_suite(args) -> list[dict]:
+    return identity_suite(_parse_process(args.process), args.k_max, process_name=args.process)
 
 
 def _check_l2_k_max(k_max: int) -> None:
@@ -255,44 +244,37 @@ def _check_l2_k_max(k_max: int) -> None:
         raise SizeGuardError(f"L2 at k={k_max} needs arity {2 * k_max} > {MAX_LIMIT_ARITY}")
 
 
-def _cmd_verify_main_theorem(args) -> int:
+def _cmd_verify_main_theorem(args) -> list[dict]:
     base = _parse_process(args.process)
     orders = ["L1", "L2"] if args.order == "both" else [args.order]
     if "L2" in orders:
         _check_l2_k_max(args.k_max)
     elif args.k_max > MAX_ST_ARITY:  # L1 alone: St limits of arity k
         raise SizeGuardError(f"L1 at k={args.k_max} exceeds St arity guard {MAX_ST_ARITY}")
+    subdivision = f"limit,t={format_rational(args.t)}"
     records = []
     for k in range(1, args.k_max + 1):
         spec = make_tuple(base, "identical", k=k)
         for p in enumerate_noncrossing(k):
             residuals = _residuals(p, spec, _main_theorem_sides, orders, args.t)
-            for order, res in zip(orders, residuals):
-                records.append({
-                    "check": f"main_theorem_{order.lower()}",
-                    "partition": str(p), "process": args.process,
-                    "subdivision": f"limit,t={format_rational(args.t)}",
-                    "residual": format_rational(res), "pass": res == 0,
-                })
-    _write_report(args, "verify main-theorem", records)
-    return 0 if _passed(records) else 1
+            records += [_record(f"main_theorem_{order.lower()}", p, args.process, subdivision,
+                                res) for order, res in zip(orders, residuals)]
+    return records
 
 
-def _cmd_verify_formula(args) -> int:
+def _cmd_verify_formula(args) -> list[dict]:
     """Coefficient table of the uniform-subdivision trace in powers of 1/N."""
     p = Partition.parse(args.partition)
     base = _parse_process(args.process)
     spec = make_tuple(base, "identical", k=p.k) if base.k == 1 else base
     formula = st_uniform_formula(p, spec, args.t)
-    records = [{
+    return [{
         "partition": str(p), "process": args.process,
         "inv_n_power": j, "coefficient": format_rational(c), "pass": True,
     } for j, c in formula.rows()]
-    _write_report(args, "verify formula", records)
-    return 0
 
 
-def _cmd_verify_examples(args) -> int:
+def _cmd_verify_examples(args) -> list[dict]:
     _check_l2_k_max(args.k_max)
     records = []
     for k in range(1, args.k_max + 1):
@@ -305,15 +287,14 @@ def _cmd_verify_examples(args) -> int:
                 "residual": format_rational(l1), "residual_l2": format_rational(l2),
                 "pass": l1 == 0 and l2 == 0,
             })
-    _write_report(args, "verify examples", records)
-    return 0 if _passed(records) else 1
+    return records
 
 
 # ---------------------------------------------------------------------------
 # simulate (matrix engine; numpy loads here and for no exact command)
 
 
-def _cmd_simulate_calibrate(args) -> int:
+def _cmd_simulate_calibrate(args) -> list[dict]:
     from .matrixsim import MatrixEnsembleConfig, calibrate
 
     cfg = MatrixEnsembleConfig(args.dim, args.trials, args.seed, args.model)
@@ -323,30 +304,25 @@ def _cmd_simulate_calibrate(args) -> int:
     refs = {
         n: exact_moment(make_tuple(spec, "identical", k=n), 1) for n in orders
     }
-    records = calibrate(spec, sub, cfg, orders, refs)
-    _write_report(args, "simulate calibrate", records, seed=args.seed)
-    return 0 if _passed(records) else 1
+    return calibrate(spec, sub, cfg, orders, refs)
 
 
-def _cmd_simulate_main_theorem(args) -> int:
+def _cmd_simulate_main_theorem(args) -> list[dict]:
     from .matrixsim import MatrixEnsembleConfig, main_theorem_matrix_residual
 
     p = Partition.parse(args.partition)
     cfg = MatrixEnsembleConfig(args.dim, args.trials, args.seed, "poisson_sps")
     record = main_theorem_matrix_residual(p, cfg, Subdivision.uniform(args.n))
     record["pass"] = record["estimate"] < args.threshold
-    _write_report(args, "simulate main-theorem", [record], seed=args.seed)
-    return 0 if record["pass"] else 1
+    return [record]
 
 
-def _cmd_simulate_proj_decay(args) -> int:
+def _cmd_simulate_proj_decay(args) -> list[dict]:
     from .matrixsim import MatrixEnsembleConfig, lem_proj_decay
 
     meshes = [int(x) for x in args.meshes.split(",")]
     cfg = MatrixEnsembleConfig(args.dim, args.trials, args.seed, "poisson_sps")
-    records = lem_proj_decay(cfg, meshes, args.k)
-    _write_report(args, "simulate proj-decay", records, seed=args.seed)
-    return 0 if _passed(records) else 1
+    return lem_proj_decay(cfg, meshes, args.k)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +433,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ValueError, DimensionError, SizeGuardError, CrossingPartitionError,
-            OSError, KeyError, MemoryError, json.JSONDecodeError) as exc:
+        return _write_report(args, args.func(args))
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

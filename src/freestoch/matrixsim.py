@@ -37,7 +37,7 @@ from .partitions import (
     is_noncrossing,
     mobius,
 )
-from .processes import ProcessSpec, Subdivision
+from .processes import ProcessSpec, Subdivision, make_free_poisson, make_tuple
 
 MODELS = ("poisson_sps", "gaussian_increments")
 
@@ -427,14 +427,14 @@ def main_theorem_matrix_residual(p: Partition, cfg: MatrixEnsembleConfig,
     Only the rate-1 constant-cumulant model has the exact matrix form, so
     the inner-class scalars are all |[0,t)| = t.  Both St sums walk every
     coarsening of their pattern, so p's arity and the brute-force work of
-    the crossing ones are bounded before the first draw.
+    the crossing ones are bounded before the first draw.  So is a St_p that
+    is identically 0, whose relative residual would be rounding noise over
+    rounding noise: p with more blocks than intervals of nonzero rank.
     """
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
     if cfg.model != "poisson_sps":
         raise ValueError("the matrix main-theorem check runs on poisson_sps")
-    from .processes import make_free_poisson, make_tuple
-
     if p.k > MAX_PRODUCT_ARITY:
         raise SizeGuardError(f"matrix St arity {p.k} exceeds guard {MAX_PRODUCT_ARITY}")
     split = classify_classes(p)
@@ -444,6 +444,10 @@ def main_theorem_matrix_residual(p: Partition, cfg: MatrixEnsembleConfig,
     if matmuls > MAX_MATMULS:
         raise SizeGuardError(f"brute-force Pr sums need {matmuls} matmuls per trial "
                              f"> {MAX_MATMULS}")
+    intervals = sum(1 for r in projection_ranks(sub, cfg.dim) if r)
+    if p.num_blocks > intervals:  # no tuple puts the blocks on distinct intervals
+        raise ValueError(f"St_p of {p} is identically 0: {p.num_blocks} blocks, more than "
+                         f"the {intervals} of {sub.n} intervals with nonzero rank")
     scalar = float(sub.t) ** len(split.inner)
     spec = make_tuple(make_free_poisson(1), "identical", k=p.k)
     rels, traces = [], []

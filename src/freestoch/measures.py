@@ -220,12 +220,12 @@ def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
     return Fraction(value(table.pr(p)), scale)
 
 
-def _limit_weight(blocks, table: ScaledCumulants, t, parts=None) -> Fraction:
+def _limit_weight(blocks, table: ScaledCumulants, t) -> Fraction:
     """t^|blocks| times the product of the unit cumulants of the blocks (sets
     of components, as in `table.product`): the integer t.numerator^m B^m
     prod R over (t.denominator B)^m, for m blocks and B the table's scale."""
     t, m = Fraction(t), len(blocks)
-    return Fraction(t.numerator**m * table.product(blocks, parts),
+    return Fraction(t.numerator**m * table.product(blocks),
                     (t.denominator * table.scale) ** m)
 
 

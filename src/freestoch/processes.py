@@ -94,10 +94,6 @@ class ProcessSpec(Frozen):
         """Concatenated word of the components in an increasing subset."""
         return tuple(a for i in subset for a in self.words[i - 1])
 
-    def restrict(self, indices) -> "ProcessSpec":
-        """Sub-tuple of the chosen components, in the given order."""
-        return ProcessSpec(tuple(self.words[i - 1] for i in indices))
-
     def atoms(self) -> tuple[Atom, ...]:
         seen: dict[Atom, None] = {}
         for w in self.words:

@@ -295,6 +295,11 @@ def cumulant_functional_by_subsets(m):
     return CumulantFunctional(m.k, values)
 
 
+def restrict_spec(spec, indices):
+    """Sub-tuple of the chosen components of spec, in the given order."""
+    return ProcessSpec(tuple(spec.words[i - 1] for i in indices))
+
+
 def derived_diagonal_tuple(spec, groups):
     """The tuple of diagonal measures over the given index groups.
 
@@ -324,7 +329,7 @@ def diagonal_substitution_residual(spec, groups):
     """
     groups = [tuple(sorted(g)) for g in groups]
     flat = [i for g in groups for i in g]
-    flattened = spec.restrict(flat)
+    flattened = restrict_spec(spec, flat)
     sigma = interval_partition([len(g) for g in groups])
 
     poly_a = {}

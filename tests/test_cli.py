@@ -355,6 +355,28 @@ def test_matrix_main_theorem_arity_cap_exits_2_before_any_draw(capsys, monkeypat
     assert captured.err.startswith("error: brute-force Pr sums need ")
 
 
+@pytest.mark.parametrize("partition, dim, n, error", [
+    # three blocks on two intervals: no tuple puts them on distinct ones
+    ("((1)(2)(3))", "8", "2", "3 blocks, more than the 2 of 2 intervals with nonzero rank"),
+    ("((1,3)(2)(4))", "8", "2", "3 blocks, more than the 2 of 2 intervals with nonzero rank"),
+    # d = 2 split over 40 intervals leaves 38 of them rank 0
+    ("((1,3)(2)(4))", "2", "40", "3 blocks, more than the 2 of 40 intervals with nonzero rank"),
+])
+def test_matrix_main_theorem_refuses_an_identically_zero_st_before_any_draw(
+        capsys, monkeypatch, partition, dim, n, error):
+    # the relative residual of St_p = 0 is rounding noise over rounding noise:
+    # it used to pass (estimate 0.0) or fail (about 1e15) by chance
+    def no_draw(*args):
+        raise AssertionError("sampled increments before checking the ranks")
+
+    monkeypatch.setattr("freestoch.matrixsim.sample_increments", no_draw)
+    assert run(["simulate", "main-theorem", "--partition", partition, "--dim", dim,
+                "--n", n, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"error: St_p of {partition} is identically 0: {error}"]
+
+
 def test_unallocatable_dim_exits_2(capsys):
     # numpy refuses the 10^7 x 10^7 draw before touching any memory
     assert run(["simulate", "calibrate", "--dim", "10000000", "--trials", "1", "--n", "4"]) == 2
@@ -517,3 +539,46 @@ def test_failing_check_exits_1(capsys, monkeypatch):
                                    "--meshes", "4,8", "--trials", "2", "--seed", "2"])
     assert code == 1
     assert [r["pass"] for r in rep["records"]] == [True, False]
+
+
+# One minimal argv per subcommand: the report header is derived from the
+# parsed command, and only the simulate commands record a seed.
+SUBCOMMANDS = [
+    ["partitions", "enumerate", "--k", "2"],
+    ["partitions", "mobius", "--lower", "((1)(2))", "--upper", "((1,2))"],
+    ["partitions", "kreweras", "--partition", "((1,2))"],
+    ["partitions", "classify", "--partition", "((1,3)(2))"],
+    ["cumulants", "to-moments", "--order", "2"],
+    ["cumulants", "from-moments", "--moments", "1,2"],
+    ["verify", "suite", "--k-max", "1"],
+    ["verify", "main-theorem", "--k-max", "1"],
+    ["verify", "examples", "--which", "brownian", "--k-max", "1"],
+    ["verify", "formula", "--partition", "((1,2))"],
+    ["simulate", "calibrate", "--dim", "20", "--trials", "2", "--n", "2", "--seed", "5"],
+    ["simulate", "main-theorem", "--dim", "6", "--n", "3", "--trials", "1", "--seed", "6"],
+    ["simulate", "proj-decay", "--dim", "8", "--meshes", "2,4", "--trials", "1", "--seed", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[" ".join(a[:2]) for a in SUBCOMMANDS])
+def test_report_header_is_the_subcommand_and_its_seed(capsys, argv):
+    code, rep = _run_json(capsys, argv)
+    assert code in ((0, 1) if argv[0] == "simulate" else (0,)) and rep["records"]
+    assert rep["command"] == " ".join(argv[:2])
+    assert rep["seed"] == (int(argv[-1]) if argv[0] == "simulate" else None)
+
+
+def test_subcommand_list_covers_every_handler():
+    import freestoch.cli as cli
+
+    parser = cli.build_parser()
+    assert {parser.parse_args(argv).func for argv in SUBCOMMANDS} == {
+        getattr(cli, name) for name in dir(cli) if name.startswith("_cmd_")}
+
+
+def test_a_handler_without_records_exits_1(capsys, monkeypatch):
+    # no records is no pass, whichever handler returns them
+    monkeypatch.setattr("freestoch.cli._cmd_partitions_enumerate", lambda args: [])
+    assert run(["partitions", "enumerate", "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert '"records": []' in captured.out and captured.err == ""

@@ -60,6 +60,13 @@ FORMULA_PARTITIONS = (PARTITIONS[0] + ("((1,3)(2,4))", "((1,2,3,4,5,6))"),
 # derandomized draws cover: a 0-hat one point above the guard, a crossing
 # pattern and a syntax error.
 SIMULATE_PARTITIONS = (PARTITIONS[0], ("((1)(2)(3)(4)(5)(6)(7)(8)(9))", "((1,3)(2,4))", "((1,2)"))
+# St_p is identically 0 when p has more blocks than there are intervals of
+# nonzero rank, and simulate main-theorem refuses it: at --n 1 every
+# multi-block partition is broken and the one-block ones are valid.  The
+# sizes pool keeps --n at 3 or more, where every valid (two-block at most)
+# partition fits, since --dim >= 2 gives at least two nonzero ranks.
+ONE_INTERVAL_PARTITIONS = (("((1,2))", "((1))", "((1,2,3))"),
+                           ("((1)(2))", "((1,3)(2))", "((2)(1))", "((1,2)(3))"))
 RATIONALS = (("1", "3/2", "1/3"), ("0", "-1", "1/0", "x", ""))
 K_MAX = (("1", "2", "3"), ("0", "-1", "x", ""))
 # One above each command's cap, checked before any work: the suite's, the
@@ -130,11 +137,13 @@ def _commands(files=((), ())):
          ("--dim", "--trials", "--n"), ()),
         (["simulate", "main-theorem"], {
             "--partition": PARTITIONS, "--dim": (("2", "6", "12"), ("1",)),
-            "--n": (("1", "3", "5"), ("0",)), "--trials": (("1", "2"), ("0", "-1")),
+            "--n": (("3", "5"), ("0",)), "--trials": (("1", "2"), ("0", "-1")),
             "--seed": (("1", "7"), ("-1",)), "--threshold": THRESHOLDS, **OUTPUT},
          ("--dim", "--n", "--trials"), ()),
         (["simulate", "main-theorem", "--dim", "6", "--n", "3", "--trials", "1"],
          {"--partition": SIMULATE_PARTITIONS}, ("--partition",), ()),
+        (["simulate", "main-theorem", "--dim", "6", "--n", "1", "--trials", "1"],
+         {"--partition": ONE_INTERVAL_PARTITIONS}, ("--partition",), ()),
         (["simulate", "proj-decay"], {
             "--k": (("1", "2"), ("0", "x")), "--dim": (("2", "48", "64"), ("1",)),
             "--meshes": (("2,4", "1,2,3"), ("4", "0,4", "", "a", "4,-2", "8,4")),

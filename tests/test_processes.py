@@ -27,6 +27,7 @@ from helpers import (
     diagonal_substitution_residual,
     increment_cumulant,
     process_fixtures,
+    restrict_spec,
     unit_cumulant,
     word_cumulant,
 )
@@ -195,10 +196,10 @@ def test_subdivision_validation():
 
 def test_restrict_and_reverse():
     fam = free_family([make_free_poisson(1), make_semicircular()])
-    sub = fam.restrict([2, 1, 2])
+    sub = restrict_spec(fam, [2, 1, 2])
     assert sub.k == 3
     assert unit_cumulant(sub, (1, 3)) == 1  # both are the semicircular copy
-    rev = fam.restrict([2, 1])  # the components read backwards
+    rev = restrict_spec(fam, [2, 1])  # the components read backwards
     assert unit_cumulant(rev, (1,)) == unit_cumulant(fam, (2,))
     assert unit_cumulant(rev, (2,)) == unit_cumulant(fam, (1,)) == 1
 

@@ -68,6 +68,7 @@ from helpers import (
     pair_trace,
     pair_trace_on_table,
     partition_cumulant,
+    restrict_spec,
     unit_cumulant,
     word_cumulant,
 )
@@ -186,7 +187,7 @@ def test_limit_scalars_match_the_fraction_oracle_at_t_2_7():
                     _limit_by_fractions(Partition.zero_hat(derived.k), derived, T)), (spec, p)
                 support = sorted(el for b in split.outer for el in b)
                 assert inner_peeling_residual(p, spec, "L1", T) == left - scalar * (
-                    _limit_by_fractions(restrict(p, support), spec.restrict(support), T))
+                    _limit_by_fractions(restrict(p, support), restrict_spec(spec, support), T))
     z = (Fraction(2, 3), Fraction(-1, 5), Fraction(3, 7))
     for word in WORDS:
         base = ProcessSpec((word,))
@@ -204,15 +205,15 @@ def _shared_table_families():
     poissons = free_family([make_tuple(make_free_poisson(1), "identical", k=2)] * 2)
     mixed = free_family([make_tuple(CUSTOM, "identical", k=2),
                          make_tuple(make_semicircular(), "identical", k=2)])
-    return {"poissons": poissons.restrict((1, 3, 2, 4)),
-            "custom+semi": mixed.restrict((1, 3, 2, 4))}
+    return {"poissons": restrict_spec(poissons, (1, 3, 2, 4)),
+            "custom+semi": restrict_spec(mixed, (1, 3, 2, 4))}
 
 
 def test_one_table_per_residual_keeps_the_atoms_apart():
     nonzero = {name: 0 for name in _shared_table_families()}
     for name, family in _shared_table_families().items():
         for k in (2, 3, 4):
-            spec = family.restrict(range(1, k + 1))
+            spec = restrict_spec(family, range(1, k + 1))
             for p in enumerate_noncrossing(k):
                 lhs = MeasureWord(Fraction(1), ((p, "st"),), spec.words)
                 for sides, residual in ((_main_theorem_sides, main_theorem_residual),
