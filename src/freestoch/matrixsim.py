@@ -429,7 +429,10 @@ def main_theorem_matrix_residual(p: Partition, cfg: MatrixEnsembleConfig,
     coarsening of their pattern, so p's arity and the brute-force work of
     the crossing ones are bounded before the first draw.  So is a St_p that
     is identically 0, whose relative residual would be rounding noise over
-    rounding noise: p with more blocks than intervals of nonzero rank.
+    rounding noise: p with more blocks than intervals of nonzero rank.  And
+    so is a p with no inner block, an interval partition, whose right side
+    is St of 0-hat on the blocks' diagonals: the same sum as St_p, so the
+    residual would be 0 by construction.
     """
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
@@ -448,6 +451,8 @@ def main_theorem_matrix_residual(p: Partition, cfg: MatrixEnsembleConfig,
     if p.num_blocks > intervals:  # no tuple puts the blocks on distinct intervals
         raise ValueError(f"St_p of {p} is identically 0: {p.num_blocks} blocks, more than "
                          f"the {intervals} of {sub.n} intervals with nonzero rank")
+    if not split.inner:
+        raise ValueError(f"{p} has no inner block: both sides are the same sum St_p")
     scalar = float(sub.t) ** len(split.inner)
     spec = make_tuple(make_free_poisson(1), "identical", k=p.k)
     rels, traces = [], []

@@ -71,8 +71,9 @@ class TraceTable:
     B^k R_rho for the unit-time R_rho (B the tuple's cumulant scale, so
     these are integers), the injective weights (keyed by sorted exponents,
     since a weight is symmetric in them) and every St_p and Pr_p asked for,
-    with integer coefficients over B^k, and lives for the one call that
-    builds it; the callers check the guards.
+    with integer coefficients over B^k; the callers check the guards.  Every
+    entry is filled once, from the tuple alone, and stored whole, so a table
+    may serve several calls (`_suite_table`).
     """
 
     def __init__(self, spec: ProcessSpec):
@@ -84,6 +85,7 @@ class TraceTable:
         self._st: dict[Partition, Poly] = {}
         self._pr: dict[Partition, Poly] = {}
         self._nonzero: list[tuple[tuple, int]] | None = None  # (blocks, B^k R_rho), R_rho != 0
+        self._inversions: list[tuple[str, str, Poly]] | None = None
 
     def _cumulant(self, rho: Partition) -> int:
         """B^k R_rho: each of the |rho| block cumulants times B, and B for
@@ -173,6 +175,27 @@ class TraceTable:
                 poly[mono] = poly.get(mono, 0) + r
             self._pr[p] = {m: c for m, c in poly.items() if c}
         return self._pr[p]
+
+    def inversions(self) -> list[tuple[str, str, Poly]]:
+        """(check, text of p, difference) for each p in P(k): the polynomials
+        Pr_p - sum of St_sigma ("st_pr_inversion") and St_p - sum of
+        mu(p, sigma) Pr_sigma ("mobius_inversion") over sigma >= p, with
+        their zero coefficients dropped, so each is empty when its identity
+        holds."""
+        if self._inversions is None:
+            checks = []
+            for p in enumerate_set_partitions(self.spec.k):
+                via_st, back, text = dict(self.pr(p)), dict(self.st(p)), str(p)
+                for s in coarsenings(p):
+                    mu = mobius(p, s, "full")
+                    for mono, c in self.st(s).items():
+                        via_st[mono] = via_st.get(mono, 0) - c
+                    for mono, c in self.pr(s).items():
+                        back[mono] = back.get(mono, 0) - mu * c
+                for check, delta in (("st_pr_inversion", via_st), ("mobius_inversion", back)):
+                    checks.append((check, text, {m: c for m, c in delta.items() if c}))
+            self._inversions = checks
+        return self._inversions
 
     def at(self, sub: Subdivision) -> tuple[Callable[[Poly], int], int]:
         """Evaluation at one subdivision in integers: (value, D^k), where
@@ -581,6 +604,15 @@ def _record(check: str, partition, process: str, subdivision: str, residual) -> 
     }
 
 
+@lru_cache(maxsize=4 * MAX_SUITE_K)
+def _suite_table(spec: ProcessSpec) -> TraceTable:
+    """The identity suite's TraceTable of a tuple, kept across calls: its
+    polynomials and inversions depend on the tuple alone.  The bound holds
+    k = 1..MAX_SUITE_K for four bases, or the 12 tables of three suites to
+    k_max = 4.  No other caller reads it, so one-off tables cannot evict it."""
+    return TraceTable(spec)
+
+
 def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
                    process_name: str = "process") -> list[dict]:
     """Run the exact identity battery for identical copies of one process.
@@ -589,8 +621,10 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
     peeling in L1 and L2, diagonal nesting, and the free-sandwich limit;
     every residual must be 0.  The inversions are checked on the trace
     polynomials Pr_p - sum of St_sigma and St_p - sum of mu(p, sigma) Pr_sigma
-    over sigma >= p, built once per p in P(k): evaluation is linear, so a
+    over sigma >= p (`TraceTable.inversions`): evaluation is linear, so a
     record's residual is their value at its subdivision, 0 when one is empty.
+    The tables come from `_suite_table`, so repeated suites on one base
+    reuse them; the records and limit residuals are computed on every call.
     """
     if base.k != 1:
         raise DimensionError("identity_suite takes a single-component process")
@@ -601,19 +635,11 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
     records, wheres = [], [sub.describe() for sub in battery]
     for k in range(1, k_max + 1):
         spec = make_tuple(base, "identical", k=k)
-        table, checks = TraceTable(spec), []
-        for p in enumerate_set_partitions(k):
-            via_st, back, text = dict(table.pr(p)), dict(table.st(p)), str(p)
-            for s in coarsenings(p):
-                mu = mobius(p, s, "full")
-                for mono, c in table.st(s).items():
-                    via_st[mono] = via_st.get(mono, 0) - c
-                for mono, c in table.pr(s).items():
-                    back[mono] = back.get(mono, 0) - mu * c
-            for check, delta in (("st_pr_inversion", via_st), ("mobius_inversion", back)):
-                checks.append((check, text, {m: c for m, c in delta.items() if c}))
+        table = _suite_table(spec)
+        checks = table.inversions()
+        evaluate = any(delta for _, _, delta in checks)  # else every residual is 0
         for sub, where in zip(battery, wheres):
-            value, scale = table.at(sub)
+            value, scale = table.at(sub) if evaluate else (None, None)
             for check, text, delta in checks:
                 residual = Fraction(value(delta), scale) if delta else 0
                 records.append(_record(check, text, process_name, where, residual))

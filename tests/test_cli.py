@@ -377,6 +377,26 @@ def test_matrix_main_theorem_refuses_an_identically_zero_st_before_any_draw(
         f"error: St_p of {partition} is identically 0: {error}"]
 
 
+@pytest.mark.parametrize("partition, dim, n", [
+    ("((1,2)(3))", "60", "6"), ("((1)(2))", "60", "6"), ("((1,2))", "60", "6"),
+    # one block fits on one interval of nonzero rank, and is still refused
+    ("((1,2,3))", "6", "1"),
+])
+def test_matrix_main_theorem_refuses_a_partition_without_inner_block_before_any_draw(
+        capsys, monkeypatch, partition, dim, n):
+    # an interval partition's right side is the same sum as St_p: it used to
+    # pass with estimate 0.0 by construction
+    def no_draw(*args):
+        raise AssertionError("sampled increments before checking the inner blocks")
+
+    monkeypatch.setattr("freestoch.matrixsim.sample_increments", no_draw)
+    assert run(["simulate", "main-theorem", "--partition", partition, "--dim", dim,
+                "--n", n, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"error: {partition} has no inner block: both sides are the same sum St_p"]
+
+
 def test_unallocatable_dim_exits_2(capsys):
     # numpy refuses the 10^7 x 10^7 draw before touching any memory
     assert run(["simulate", "calibrate", "--dim", "10000000", "--trials", "1", "--n", "4"]) == 2

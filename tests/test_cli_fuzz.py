@@ -54,19 +54,26 @@ PROCESSES = (("free_poisson", "semicircular",
 # the suite's k_max above its cap so that the derandomized draws reach it.
 FORMULA_PARTITIONS = (PARTITIONS[0] + ("((1,3)(2,4))", "((1,2,3,4,5,6))"),
                       ("((" + ",".join(map(str, range(1, 12))) + "))",) + PARTITIONS[1][1:])
+# simulate main-theorem refuses a partition without an inner block, whose
+# two sides are the same sum: its valid partitions all have one, and the
+# interval partitions are broken.
+MAIN_THEOREM_PARTITIONS = (("((1,3)(2))", "((1,4)(2,3))", "((2)(1,3))", "((1,2,4)(3))"),
+                           ("((1,2)(3))", "((1)(2))", "((1,2))", "((2)(1))") + PARTITIONS[1])
 # simulate main-theorem checks its sizes before the matrix check refuses a
 # crossing partition or one above its arity guard, so a second entry fixes
 # valid sizes and varies the partition alone, from a broken half that the
 # derandomized draws cover: a 0-hat one point above the guard, a crossing
-# pattern and a syntax error.
-SIMULATE_PARTITIONS = (PARTITIONS[0], ("((1)(2)(3)(4)(5)(6)(7)(8)(9))", "((1,3)(2,4))", "((1,2)"))
+# pattern, a syntax error and an interval partition.
+SIMULATE_PARTITIONS = (MAIN_THEOREM_PARTITIONS[0], ("((1)(2)(3)(4)(5)(6)(7)(8)(9))",
+                                                    "((1,3)(2,4))", "((1,2)", "((1,2)(3))"))
 # St_p is identically 0 when p has more blocks than there are intervals of
 # nonzero rank, and simulate main-theorem refuses it: at --n 1 every
-# multi-block partition is broken and the one-block ones are valid.  The
-# sizes pool keeps --n at 3 or more, where every valid (two-block at most)
-# partition fits, since --dim >= 2 gives at least two nonzero ranks.
-ONE_INTERVAL_PARTITIONS = (("((1,2))", "((1))", "((1,2,3))"),
-                           ("((1)(2))", "((1,3)(2))", "((2)(1))", "((1,2)(3))"))
+# multi-block partition is broken, and the one-block ones have no inner
+# block, so every partition is.  The sizes pool keeps --n at 3 or more,
+# where every valid (two-block) partition fits, since --dim >= 2 gives at
+# least two nonzero ranks.
+ONE_INTERVAL_PARTITIONS = ((), ("((1,2))", "((1))", "((1,2,3))", "((1)(2))", "((1,3)(2))",
+                                "((2)(1))", "((1,2)(3))"))
 RATIONALS = (("1", "3/2", "1/3"), ("0", "-1", "1/0", "x", ""))
 K_MAX = (("1", "2", "3"), ("0", "-1", "x", ""))
 # One above each command's cap, checked before any work: the suite's, the
@@ -136,7 +143,7 @@ def _commands(files=((), ())):
             "--seed": (("1", "7"), ("-1", "x")), "--n": (("1", "3"), ("0", "x")), **OUTPUT},
          ("--dim", "--trials", "--n"), ()),
         (["simulate", "main-theorem"], {
-            "--partition": PARTITIONS, "--dim": (("2", "6", "12"), ("1",)),
+            "--partition": MAIN_THEOREM_PARTITIONS, "--dim": (("2", "6", "12"), ("1",)),
             "--n": (("3", "5"), ("0",)), "--trials": (("1", "2"), ("0", "-1")),
             "--seed": (("1", "7"), ("-1",)), "--threshold": THRESHOLDS, **OUTPUT},
          ("--dim", "--n", "--trials"), ()),
@@ -157,7 +164,8 @@ def argument_vectors(draw, words, pools, always, required):
     """(argv, broken).  Half the draws keep to valid values; in the other
     half each flag may take a broken value or, if the command requires it,
     be dropped, and a stray token may be inserted.  `broken` says whether
-    any of these happened.  A stray --help, put where the command's own
+    any of these happened.  A flag whose pool has no valid value is always
+    given a broken one.  A stray --help, put where the command's own
     parser meets it first, asks for help whatever else is broken: valid."""
     breaking = draw(st.booleans())
     argv, broken = list(words), False
@@ -171,7 +179,7 @@ def argument_vectors(draw, words, pools, always, required):
             argv.append(flag)
             continue
         valid, bad = pool
-        bad_value = breaking and draw(st.booleans())
+        bad_value = not valid or (breaking and draw(st.booleans()))
         broken |= bad_value
         argv += [flag, draw(st.sampled_from(bad if bad_value else valid))]
     if breaking and draw(st.booleans()):
@@ -197,14 +205,16 @@ def functional_files(tmp_path_factory):
 
 def _pool_values(words, pools, always, required):
     """Every value of every pool once, as (argv, broken), the other flags that
-    are always given at their first valid value: the fuzz draws may miss a
-    value, this walk may not."""
-    first = {flag: pools[flag][0][0] for flag in always}
+    are always given at their first valid value (or first broken one, when
+    they have none): the fuzz draws may miss a value, this walk may not."""
+    first = {flag: (pools[flag][0] or pools[flag][1])[0] for flag in always}
     for flag, pool in pools.items():
         for broken, values in enumerate(pool or ()):
             for value in values:
                 given = {**first, flag: value}
-                yield [*words, *(x for item in given.items() for x in item)], bool(broken)
+                broken_elsewhere = any(not pools[f][0] for f in given if f != flag)
+                yield ([*words, *(x for item in given.items() for x in item)],
+                       bool(broken) or broken_elsewhere)
 
 
 def _check_exit_contract(argv, broken, exact):

@@ -281,11 +281,18 @@ def test_lem_proj_decay_refuses_meshes_it_cannot_compare(monkeypatch, meshes, me
         lem_proj_decay(cfg, meshes, 1)
 
 
-def test_main_theorem_matrix_residual_trivial_partition():
-    # one block: both sides are literally the same sum
+def test_main_theorem_matrix_residual_trivial_partition(monkeypatch):
+    # no inner block: the right side, St of 0-hat on the blocks' diagonals,
+    # is literally the same sum as St_p, so the check is refused before a
+    # draw instead of passing with an estimate of exactly 0
+    def refuse(*args):
+        raise AssertionError("sampled increments before checking the inner blocks")
+
+    monkeypatch.setattr(mx, "sample_increments", refuse)
     cfg = MatrixEnsembleConfig(dim=60, trials=2, seed=8, model="poisson_sps")
-    rec = main_theorem_matrix_residual(Partition.one_hat(2), cfg, Subdivision.uniform(6))
-    assert rec["estimate"] <= 1e-12
+    for p in ("((1,2))", "((1)(2))", "((1,2)(3))", "((1)(2,3)(4))"):
+        with pytest.raises(ValueError, match=r"has no inner block: both sides are the same sum"):
+            main_theorem_matrix_residual(Partition.parse(p), cfg, Subdivision.uniform(6))
 
 
 def test_main_theorem_matrix_residual_shrinks():

@@ -10,13 +10,16 @@ from fractions import Fraction
 
 import pytest
 
+import freestoch.measures as measures_module
 from freestoch.cli import run
 from freestoch.measures import (
+    MAX_SUITE_K,
     SUBDIVISION_BATTERY,
     MeasureWord,
     TraceTable,
     _inner_peeling_sides,
     _residuals,
+    _suite_table,
     example_formulas_check,
     identity_suite,
     inner_peeling_residual,
@@ -64,8 +67,11 @@ def test_pr_equals_the_union_find_oracle(name):
 
 
 def _perturb(monkeypatch, kind, target, change):
-    """Make TraceTable.<kind> return target's polynomial plus `change`."""
+    """Make TraceTable.<kind> return target's polynomial plus `change`, on
+    tables built from now on: the suite's cached tables are dropped, so none
+    filled before the patch can hide it."""
     original = getattr(TraceTable, kind)
+    _suite_table.cache_clear()
 
     def perturbed(self, p):
         poly = original(self, p)
@@ -109,16 +115,42 @@ EIGHT_CUMULANTS = make_custom_process([Fraction(2, 3), Fraction(-1, 5), Fraction
 THREE_PIECES = Subdivision.of((Fraction(3, 11), Fraction(5, 11), Fraction(3, 11)))
 
 
-@pytest.mark.parametrize("name", ["free_poisson", "semicircular", "eight_cumulants"])
+@pytest.mark.parametrize("name", ["free_poisson", "semicircular", "eight_cumulants",
+                                  "signed_zeros"])
 def test_the_suite_matches_the_pair_oracle_at_k_max_4(name):
     # six patterns in NC(4) have an inner block, against one in NC(3)
     base = {"free_poisson": make_free_poisson(1), "semicircular": make_semicircular(),
-            "eight_cumulants": EIGHT_CUMULANTS}[name]
+            "eight_cumulants": EIGHT_CUMULANTS, "signed_zeros": SIGNED_ZEROS}[name]
     battery = SUBDIVISION_BATTERY + (THREE_PIECES,)
     assert sum(1 for p in enumerate_noncrossing(4) if classify_classes(p).inner) == 6
-    records = identity_suite(base, 4, battery=battery, process_name=name)
-    assert records == identity_suite_by_pairs(base, 4, battery=battery, process_name=name)
-    assert all(r["pass"] for r in records)
+    oracle = identity_suite_by_pairs(base, 4, battery=battery, process_name=name)
+    # the repeated call reads the k = 1..4 tables the first one kept
+    _suite_table.cache_clear()
+    cold = identity_suite(base, 4, battery=battery, process_name=name)
+    before = _suite_table.cache_info()
+    warm = identity_suite(base, 4, battery=battery, process_name=name)
+    after = _suite_table.cache_info()
+    assert cold == oracle and warm == oracle
+    assert after.hits - before.hits == 4 and after.misses == before.misses
+    assert all(r["pass"] for r in warm)
+
+
+def test_measures_caches_are_bounded_and_the_suite_tables_evict():
+    bounds = {name: obj.cache_parameters()["maxsize"] for name, obj in vars(measures_module).items()
+              if callable(getattr(obj, "cache_parameters", None))}
+    assert "_suite_table" in bounds and None not in bounds.values(), bounds
+    # three suites to k_max 4 cycle through 12 tables; a smaller LRU would never hit
+    maxsize = bounds["_suite_table"]
+    assert maxsize == 4 * MAX_SUITE_K >= 12
+    _suite_table.cache_clear()
+    bases = [make_custom_process([Fraction(1, n), Fraction(n, 3)]) for n in range(1, maxsize + 3)]
+    first = identity_suite(bases[0], 2)
+    for base in bases[1:]:  # two tables each: the first base's are evicted
+        identity_suite(base, 2)
+    info = _suite_table.cache_info()
+    assert info.currsize == maxsize and info.misses == 2 * len(bases) and info.hits == 0
+    assert identity_suite(bases[0], 2) == first == identity_suite_by_pairs(bases[0], 2)
+    assert _suite_table.cache_info().misses == info.misses + 2
 
 
 @pytest.mark.parametrize("name,which", [("free_poisson", "free_poisson"),
