@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import __version__
 from .cumulants import (
     MAX_TRANSFORM_ORDER,
-    CumulantFunctional,
     MomentFunctional,
     cumulant_functional,
     cumulant_functional_from_json,
@@ -116,14 +115,20 @@ def _passed(records: list[dict]) -> bool:
     return bool(records) and all(r.get("pass", True) for r in records)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # numpy's generators take no negative seed
 
 
 def _transform_order(text: str) -> int:
@@ -196,14 +201,6 @@ def _cmd_partitions_classify(args) -> list[dict]:
 # cumulants
 
 
-def _single_variable_cumulants(spec, order: int) -> CumulantFunctional:
-    if spec.k != 1:
-        raise DimensionError("--process must describe a single-component process")
-    (atom,) = spec.words[0]  # every descriptor's word is one atom
-    seq = [atom.cumulant(n) for n in range(1, order + 1)]
-    return CumulantFunctional.from_single_variable(order, seq)
-
-
 def _functional_record(f, name: str) -> list[dict]:
     """The record of a transform: f as JSON and, as `name`, its values on [n]."""
     values = (format_rational(f.values[tuple(range(1, n + 1))]) for n in range(1, f.k + 1))
@@ -215,9 +212,13 @@ def _cmd_cumulants_to_moments(args) -> list[dict]:
     if args.functional:
         with open(args.functional) as fh:
             r = cumulant_functional_from_json(json.load(fh, object_pairs_hook=_unique_keys))
-    else:
-        r = _single_variable_cumulants(_parse_process(args.process), args.order)
-    return _functional_record(moment_functional(r), "moments")
+        return _functional_record(moment_functional(r), "moments")
+    spec = _parse_process("free_poisson" if args.process is None else args.process)
+    if spec.k != 1:
+        raise DimensionError("--process must describe a single-component process")
+    # the moment of a process on any n of its copies is that of n identical copies
+    seq = [exact_moment(make_tuple(spec, "identical", k=n)) for n in range(1, args.order + 1)]
+    return _functional_record(MomentFunctional.from_single_variable(args.order, seq), "moments")
 
 
 def _cmd_cumulants_from_moments(args) -> list[dict]:
@@ -361,11 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     cums = top.add_parser("cumulants", help="moment/cumulant transforms").add_subparsers(
         dest="command", required=True)
     sp = _subcommand(cums, "to-moments", _cmd_cumulants_to_moments, "moments from cumulants")
-    sp.add_argument("--process", default="free_poisson",
-                    help="process name or JSON descriptor")
-    sp.add_argument("--order", type=_transform_order, default=4)
-    sp.add_argument("--functional", default=None,
-                    help="path to a cumulant-functional JSON file")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--process", help="process name or JSON descriptor (default free_poisson)")
+    source.add_argument("--functional", help="path to a cumulant-functional JSON file")
+    sp.add_argument("--order", type=_transform_order, default=4, help="moments of --process")
     sp = _subcommand(cums, "from-moments", _cmd_cumulants_from_moments, "cumulants from moments")
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--moments", type=_moment_list, default=None,
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="poisson_sps")
     sp.add_argument("--dim", type=int, default=400)
     sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_seed, default=1)
     sp.add_argument("--n", type=int, default=16)
     sp = _subcommand(sim, "main-theorem", _cmd_simulate_main_theorem,
                      "relative Frobenius residual")
@@ -410,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=300)
     sp.add_argument("--n", type=int, default=40)
     sp.add_argument("--trials", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_seed, default=1)
     sp.add_argument("--threshold", type=_finite_float, default=0.2)
     sp = _subcommand(sim, "proj-decay", _cmd_simulate_proj_decay, "projection-sandwich norm decay")
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--dim", type=int, default=200)
     sp.add_argument("--meshes", default="4,8,16")
     sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_seed, default=1)
 
     for group in (parts, cums, ver, sim):
         for sp in group.choices.values():

@@ -29,7 +29,6 @@ from .partitions import (
     enumerate_set_partitions,
     first_block_plan,
     first_block_sums,
-    interval_partition,
     is_noncrossing,
     mobius,
     noncrossing_refinements,
@@ -68,20 +67,17 @@ class TraceTable:
     At a subdivision with lengths l_i, P[c] = sum_i l_i^c, and each trace is
     the sum over its monomials of coefficient * prod P[c].  The coefficients
     do not depend on the subdivision, so one table serves them all.  It holds
-    B^k R_rho for the unit-time R_rho (B the tuple's cumulant scale, so
-    these are integers), the injective weights (keyed by sorted exponents,
-    since a weight is symmetric in them) and every St_p and Pr_p asked for,
-    with integer coefficients over B^k; the callers check the guards.  Every
-    entry is filled once, from the tuple alone, and stored whole, so a table
-    may serve several calls (`_suite_table`).
+    B^k R_rho for the unit-time R_rho (B the scale of its `cumulants`, so
+    these are integers) and every St_p and Pr_p asked for, with integer
+    coefficients over B^k; the callers check the guards.  Every entry is
+    filled once, from the tuple alone, and stored whole, so a table may serve
+    several calls (`_suite_table`).
     """
 
     def __init__(self, spec: ProcessSpec):
         self.spec = spec
-        self._scaled = ScaledCumulants(spec)
-        self.scale = self._scaled.scale  # B: every coefficient is over B^k
-        self._cumulants: dict[Partition, int] = {}
-        self._weights: dict[tuple[int, ...], Poly] = {}
+        self.cumulants = ScaledCumulants(spec)
+        self._r: dict[Partition, int] = {}  # B^k R_rho
         self._st: dict[Partition, Poly] = {}
         self._pr: dict[Partition, Poly] = {}
         self._nonzero: list[tuple[tuple, int]] | None = None  # (blocks, B^k R_rho), R_rho != 0
@@ -90,36 +86,10 @@ class TraceTable:
     def _cumulant(self, rho: Partition) -> int:
         """B^k R_rho: each of the |rho| block cumulants times B, and B for
         each of the k - |rho| missing factors."""
-        if rho not in self._cumulants:
-            scaled = self._scaled
-            self._cumulants[rho] = (scaled.scale ** (rho.k - rho.num_blocks)
-                                    * scaled.product(rho.blocks))
-        return self._cumulants[rho]
-
-    def _injective_weight(self, exponents) -> Poly:
-        """Sum over injective maps w of prod_i lengths[w(i)]^e_i.
-
-        Coincidence inclusion-exclusion one index at a time: the last index
-        ranges freely, giving P[e] times the weight of the rest, less each
-        coincidence with an index of the rest, where the two exponents
-        merge.  Unrolled, this is the sum over set partitions gamma of the
-        indices of mu(0, gamma) times the merged power sums, without listing
-        the P(|exponents|) gammas.
-        """
-        key = tuple(sorted(exponents))
-        if not key:
-            return {(): 1}
-        if key not in self._weights:
-            rest, last = key[:-1], key[-1]
-            poly = {tuple(sorted(m + (last,))): c
-                    for m, c in self._injective_weight(rest).items()}
-            for e in sorted(set(rest)):
-                i = rest.index(e)
-                merged = rest[:i] + rest[i + 1:] + (e + last,)
-                for m, c in self._injective_weight(merged).items():
-                    poly[m] = poly.get(m, 0) - rest.count(e) * c
-            self._weights[key] = {m: c for m, c in poly.items() if c}
-        return self._weights[key]
+        if rho not in self._r:
+            scaled = self.cumulants
+            self._r[rho] = scaled.scale ** (rho.k - rho.num_blocks) * scaled.product(rho.blocks)
+        return self._r[rho]
 
     def st(self, p: Partition) -> Poly:
         """Trace polynomial of St_p: indices distinct across blocks, constant
@@ -139,7 +109,7 @@ class TraceTable:
                 exps = [0] * p.num_blocks
                 for block in rho.blocks:
                     exps[labels[block[0] - 1]] += 1
-                for mono, c in self._injective_weight(exps).items():
+                for mono, c in _injective_weight(tuple(sorted(exps))).items():
                     poly[mono] = poly.get(mono, 0) + r * c
             self._st[p] = {m: c for m, c in poly.items() if c}
         return self._st[p]
@@ -217,7 +187,31 @@ class TraceTable:
                 total += coeff * monomials[mono]
             return total
 
-        return value, (q * self.scale) ** k
+        return value, (q * self.cumulants.scale) ** k
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _injective_weight(exponents: tuple[int, ...]) -> Poly:
+    """Sum over injective maps w of prod_i lengths[w(i)]^e_i, one entry per
+    sorted exponent tuple e, shared by every table: it depends on e alone.
+
+    Coincidence inclusion-exclusion one index at a time: the last index
+    ranges freely, giving P[e] times the weight of the rest, less each
+    coincidence with an index of the rest, where the two exponents merge.
+    Unrolled, this is the sum over set partitions gamma of the indices of
+    mu(0, gamma) times the merged power sums, without listing the
+    P(|exponents|) gammas.
+    """
+    if not exponents:
+        return {(): 1}
+    rest, last = exponents[:-1], exponents[-1]
+    poly = {tuple(sorted(m + (last,))): c for m, c in _injective_weight(rest).items()}
+    for e in sorted(set(rest)):
+        i = rest.index(e)
+        merged = tuple(sorted(rest[:i] + rest[i + 1:] + (e + last,)))
+        for m, c in _injective_weight(merged).items():
+            poly[m] = poly.get(m, 0) - rest.count(e) * c
+    return {m: c for m, c in poly.items() if c}
 
 
 def _check_st(p: Partition, spec: ProcessSpec) -> None:
@@ -310,7 +304,7 @@ def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
         j = degree - len(mono)
         term = c * t.numerator**degree * t.denominator ** (spec.k - degree)
         numerators[j] = numerators.get(j, 0) + term
-    scale = (table.scale * t.denominator) ** spec.k
+    scale = (table.cumulants.scale * t.denominator) ** spec.k
     return UniformFormula({j: Fraction(n, scale) for j, n in numerators.items() if n})
 
 
@@ -529,18 +523,16 @@ def _nesting(blocks, table: ScaledCumulants, t: Fraction, flat: int) -> Fraction
 def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:
     """Limit trace of the X_i Z X_i sum against tau(Z) times the order-2 diagonal.
 
-    Z is modeled as a fresh component free from the process; a cumulant
-    block covering the X positions scales with one interval length per
-    block, so only single-X-block patterns survive the limit.
+    Z is a fresh component free from the process.  Only the NC(3) patterns
+    with one block over the X positions survive the limit: (1,3)(2), the
+    diagonal's own term tau(Z) R(X X), and (1,2,3).  So the residual is
+    t R(X, Z, X), which freeness makes 0: two atoms merge to None.
     """
     if base.k != 1:
         raise DimensionError("the sandwich check takes a single-component process")
     z_spec = make_custom_process(z_cumulants)
     table = ScaledCumulants(ProcessSpec((base.words[0], z_spec.words[0], base.words[0])))
-    # the sum of R_rho, less tau(Z) R(X X)
-    total = sum(_limit_weight(rho.blocks, table, 1) for rho in enumerate_noncrossing(3)
-                if sum(1 for b in rho.blocks if 1 in b or 3 in b) == 1)
-    return Fraction(t) * (total - _limit_weight(((1, 3), (2,)), table, 1))
+    return _limit_weight(((1, 2, 3),), table, t)
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +607,21 @@ def _suite_table(spec: ProcessSpec) -> TraceTable:
 
 def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
                    process_name: str = "process") -> list[dict]:
-    """Run the exact identity battery for identical copies of one process.
+    """Run the exact identity battery for identical copies of one process;
+    every residual must be 0.
 
-    Covers finite St/Pr inversion over the full lattice, inner-class
-    peeling in L1 and L2, diagonal nesting, and the free-sandwich limit;
-    every residual must be 0.  The inversions are checked on the trace
+    The St/Pr inversions over the full lattice are checked on the trace
     polynomials Pr_p - sum of St_sigma and St_p - sum of mu(p, sigma) Pr_sigma
     over sigma >= p (`TraceTable.inversions`): evaluation is linear, so a
     record's residual is their value at its subdivision, 0 when one is empty.
-    The tables come from `_suite_table`, so repeated suites on one base
-    reuse them; the records and limit residuals are computed on every call.
+    These (St refinement sums against the rho-outer Pr pass) and the L2
+    inner-peeling residuals compare independent computations.  The L1 inner
+    peeling, diagonal nesting and free-sandwich records hold by the engine's
+    representation, so they guard `ScaledCumulants` rather than the theorem:
+    `product` runs over blocks, `merge` is associative, and two atoms merge
+    to None.  The tables come from `_suite_table`, so repeated suites on one
+    base reuse them; the records and limit residuals are computed on every
+    call.
     """
     if base.k != 1:
         raise DimensionError("identity_suite takes a single-component process")
@@ -643,28 +640,19 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
             for check, text, delta in checks:
                 residual = Fraction(value(delta), scale) if delta else 0
                 records.append(_record(check, text, process_name, where, residual))
-        scaled = table._scaled
+        scaled = table.cumulants
         for p in enumerate_noncrossing(k):
             l1, l2 = _residuals(p, spec, _inner_peeling_sides, ("L1", "L2"), 1, scaled)
             records.append(_record("inner_peeling_l1", p, process_name, "limit", l1))
             records.append(_record("inner_peeling_l2", p, process_name, "limit", l2))
         flat = scaled.value(scaled.merge(scaled.parts))
-        for sizes in _compositions(k):
-            nesting = interval_partition(sizes)
-            records.append(_record("diagonal_nesting", nesting, process_name, "limit",
-                                   _nesting(nesting.blocks, scaled, Fraction(1), flat)))
+        for nesting in reversed(enumerate_set_partitions(k)):  # the compositions' order
+            if all(b[-1] - b[0] < len(b) for b in nesting.blocks):  # an interval partition
+                records.append(_record("diagonal_nesting", nesting, process_name, "limit",
+                                       _nesting(nesting.blocks, scaled, Fraction(1), flat)))
     for t in (Fraction(1), Fraction(3, 2)):
         records.append(_record("free_sandwich_limit", None, process_name,
                                f"t={format_rational(t)}",
                                free_sandwich_residual(base, (Fraction(1), Fraction(1, 2), Fraction(1, 3)), t)))
     return records
 
-
-def _compositions(k: int):
-    """Ordered compositions of k (interval-partition block sizes)."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest

@@ -281,15 +281,6 @@ def restrict(p: Partition, elements) -> Partition:
     return Partition.of(blocks, len(elems))
 
 
-def interval_partition(sizes) -> Partition:
-    """Consecutive blocks of the given sizes: (1..s1)(s1+1..s1+s2)..."""
-    blocks, pos = [], 0
-    for s in sizes:
-        blocks.append(tuple(range(pos + 1, pos + s + 1)))
-        pos += s
-    return Partition(pos, tuple(blocks))
-
-
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def coarsenings(p: Partition) -> tuple[Partition, ...]:
     """All sigma >= p: each q in P(|p|), in restricted-growth order, merges
@@ -392,7 +383,6 @@ def first_block_sums(sets, weights, values):
         yield units, total
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def noncrossing_refinements(p: Partition) -> tuple[Partition, ...]:
     """All rho in NC(k) with rho <= p, in restricted-growth-string order: the
     one-point extension of NC(k), each point joining only blocks that lie in

@@ -26,7 +26,6 @@ from freestoch.measures import (
     SUBDIVISION_BATTERY,
     MeasureWord,
     UniformFormula,
-    _compositions,
     _limit_sum,
     _record,
     diagonal_nesting_residual,
@@ -43,7 +42,6 @@ from freestoch.partitions import (
     coarsenings,
     enumerate_noncrossing,
     enumerate_set_partitions,
-    interval_partition,
     is_noncrossing,
     mobius,
     opposite,
@@ -162,6 +160,25 @@ def from_rgs(rgs):
         else:
             blocks[label].append(pos)
     return Partition._trusted(sum(map(len, blocks)), tuple(tuple(b) for b in blocks))
+
+
+def compositions(k):
+    """Ordered compositions of k (interval-partition block sizes), recursively."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, k + 1):
+        for rest in compositions(k - first):
+            yield (first,) + rest
+
+
+def interval_partition(sizes):
+    """Consecutive blocks of the given sizes: (1..s1)(s1+1..s1+s2)..."""
+    blocks, pos = [], 0
+    for s in sizes:
+        blocks.append(tuple(range(pos + 1, pos + s + 1)))
+        pos += s
+    return Partition(pos, tuple(blocks))
 
 
 def has_crossing(p):
@@ -536,7 +553,7 @@ def identity_suite_by_pairs(base, k_max, battery=SUBDIVISION_BATTERY, process_na
                                    inner_peeling_residual(p, spec, "L1")))
             records.append(_record("inner_peeling_l2", p, process_name, "limit",
                                    inner_peeling_residual(p, spec, "L2")))
-        for sizes in _compositions(k):
+        for sizes in compositions(k):
             nesting = interval_partition(sizes)
             records.append(_record("diagonal_nesting", nesting, process_name, "limit",
                                    diagonal_nesting_residual(spec, nesting.blocks)))

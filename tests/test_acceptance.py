@@ -27,7 +27,6 @@ from freestoch.matrixsim import (
 )
 from freestoch.measures import (
     MeasureWord,
-    _compositions,
     diagonal_nesting_residual,
     exact_moment,
     example_formulas_check,
@@ -60,6 +59,7 @@ from helpers import (
     brute_expect_pr,
     brute_expect_st,
     catalan,
+    compositions,
     diagonal_substitution_residual,
     partition_cumulant,
     process_fixtures,
@@ -233,7 +233,7 @@ def test_inner_structure():
                     bad.append(("peel-L1", name, str(p)))
                 if inner_peeling_residual(p, spec, "L2") != 0:
                     bad.append(("peel-L2", name, str(p)))
-            for sizes in _compositions(k):
+            for sizes in compositions(k):
                 blocks, pos = [], 0
                 for s in sizes:
                     blocks.append(tuple(range(pos + 1, pos + s + 1)))

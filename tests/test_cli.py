@@ -68,6 +68,34 @@ def test_to_moments(capsys):
         for n in range(1, 6))
 
 
+def test_to_moments_of_a_process_equals_the_transform_of_its_cumulants(capsys):
+    # the report used to come from the every-subset transform of the process's
+    # cumulant functional; it now reads m_n off exact_moment
+    from fractions import Fraction
+
+    from freestoch.cli import _functional_record
+    from freestoch.cumulants import CumulantFunctional, moment_functional
+    from freestoch.processes import make_free_poisson
+    from freestoch.rational import format_rational
+    from helpers import CUSTOM_SEQ, process_fixtures
+
+    descriptors = {"free_poisson": "free_poisson", "semicircular": "semicircular",
+                   "custom": json.dumps({"type": "custom", "cumulants": {
+                       str(n): format_rational(r) for n, r in enumerate(CUSTOM_SEQ, 1)}})}
+    assert descriptors.keys() == process_fixtures().keys()
+    cases = [(descriptors[name], spec, range(1, 9)) for name, spec in process_fixtures().items()]
+    cases.append(('{"type": "free_poisson", "rate": "3/2"}', make_free_poisson(Fraction(3, 2)),
+                  [12]))
+    for process, spec, orders in cases:
+        (atom,) = spec.words[0]
+        for n in orders:
+            old = _functional_record(moment_functional(CumulantFunctional.from_single_variable(
+                n, [atom.cumulant(j) for j in range(1, n + 1)])), "moments")
+            code, rep = _run_json(capsys, ["cumulants", "to-moments", "--process", process,
+                                           "--order", str(n)])
+            assert code == 0 and rep["records"] == old, (process, n)
+
+
 def test_to_moments_refuses_an_order_the_process_does_not_declare(capsys):
     process = json.dumps({"type": "custom", "cumulants": {"1": "1/2"}})
     assert run(["cumulants", "to-moments", "--process", process, "--order", "2"]) == 2
@@ -304,6 +332,33 @@ def test_cumulant_sources_exit_2_with_one_error_line(tmp_path, capsys, argv):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert captured.out == "" and len(errors) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("process", ["free_poisson", "semicircular"])
+def test_to_moments_takes_a_process_or_a_functional_not_both(tmp_path, capsys, process):
+    # --process used to be ignored when --functional was given
+    path = tmp_path / "cumulants.json"
+    path.write_text('{"k": 1, "values": {"1": "1/2"}}')
+    code, rep = _run_json(capsys, ["cumulants", "to-moments", "--functional", str(path)])
+    assert code == 0 and rep["records"][0]["moments"] == "1/2"
+    assert run(["cumulants", "to-moments", "--process", process, "--functional", str(path)]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and errors == [
+        "freestoch cumulants to-moments: error: argument --functional: "
+        "not allowed with argument --process"]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "main-theorem", "proj-decay"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_simulate_seed_is_an_integer_of_at_least_zero(capsys, command, seed):
+    # numpy's own refusal of -1 named no flag
+    assert run(["simulate", command, "--dim", "4", "--trials", "1", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and errors == [
+        f"freestoch simulate {command}: error: argument --seed: "
+        f"expected an integer >= 0, got {seed!r}"]
 
 
 def test_l2_runs_to_k8_and_refuses_k9(capsys):

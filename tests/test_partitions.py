@@ -10,7 +10,6 @@ from freestoch.partitions import (
     coarsenings,
     enumerate_noncrossing,
     enumerate_set_partitions,
-    interval_partition,
     is_noncrossing,
     kreweras,
     mobius,
@@ -23,8 +22,10 @@ from helpers import (
     all_rgs_strings,
     bell_numbers,
     catalan,
+    compositions,
     from_rgs,
     has_crossing,
+    interval_partition,
     iter_exact_index_tuples,
     iter_geq_index_tuples,
     join,
@@ -344,6 +345,14 @@ def test_coarsenings():
 def test_interval_partition():
     assert interval_partition([2, 1, 3]) == Partition.parse("((1,2)(3)(4,5,6))")
     assert interval_partition([4]) == Partition.one_hat(4)
+
+
+def test_the_interval_members_of_p_k_reversed_are_the_compositions_in_order():
+    # identity_suite reads its diagonal-nesting partitions off P(k) this way
+    for k in range(1, 11):
+        members = [p for p in reversed(enumerate_set_partitions(k))
+                   if all(b[-1] - b[0] < len(b) for b in p.blocks)]
+        assert members == [interval_partition(c) for c in compositions(k)], k
 
 
 def test_lattice_caches_are_bounded():

@@ -6,6 +6,7 @@ suite summed from fresh finite traces pair by pair, and one residual call
 per order.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from freestoch.measures import (
     SUBDIVISION_BATTERY,
     MeasureWord,
     TraceTable,
+    _injective_weight,
     _inner_peeling_sides,
     _residuals,
     _suite_table,
@@ -43,7 +45,7 @@ from freestoch.processes import (
 )
 from freestoch.rational import format_rational
 
-from helpers import identity_suite_by_pairs, pr_by_union_find
+from helpers import FiniteTraces, identity_suite_by_pairs, pr_by_union_find
 
 # twelve cumulants of both signs, four of them zero, so that some R_rho
 # vanish on a process that is neither free Poisson nor semicircular
@@ -239,3 +241,27 @@ def test_identity_suite_refuses_a_k_max_that_is_not_an_integer_of_at_least_one(k
     with pytest.raises(ValueError, match="integer k_max >= 1") as refused:
         identity_suite(make_free_poisson(1), k_max)
     assert type(refused.value) is ValueError
+
+
+def _exponent_multisets(n, low=1):
+    """The sorted tuples of positive exponents summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(low, n + 1):
+        for rest in _exponent_multisets(n - first, first):
+            yield (first,) + rest
+
+
+def test_the_shared_injective_weights_equal_the_coincidence_partition_sums():
+    # the St tables of every tuple read one weight per exponent multiset: 139 of
+    # them sum to at most MAX_ST_ARITY = 10, the empty one included
+    sub = Subdivision.of((Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)))
+    traces = FiniteTraces(make_tuple(make_free_poisson(1), "identical", k=10), sub)
+    assert _injective_weight(()) == {(): 1}
+    for n in range(1, 11):
+        for exponents in _exponent_multisets(n):
+            value = sum(c * math.prod(traces.power_sums[e] for e in mono)
+                        for mono, c in _injective_weight(exponents).items())
+            assert value == traces._injective_weight(exponents), exponents
+    assert _injective_weight.cache_info().currsize <= 139
