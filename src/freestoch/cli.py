@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands cover lattice utilities, the moment/cumulant transforms, the
-exact identity suites, and the Monte Carlo sweeps.  Each handler maps the
-parsed arguments to its list of records; `run` hands them to the one report
-writer.  Reports are JSON (default) or CSV; exit status is 0 when every
-record passes, 1 when a check fails, and 2 on usage errors.
+exact identity suites, and the Monte Carlo sweeps.  The parser turns all
+text into values: each flag's `_arg` type refuses a bad value with
+argparse's error naming the flag.  Each handler maps the values to its list
+of records, parsing nothing; `run` hands them to the one report writer.
+Reports are JSON (default) or CSV; exit status is 0 when every record
+passes, 1 when a check fails, and 2 on usage errors, of which those a handler
+raises (checks across flags, size guards, matrix checks) print a bare `error:` line.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .cumulants import (
@@ -75,10 +77,11 @@ def _bounded_copies(pairs: list) -> dict:
 
 
 def _parse_process(text: str):
-    text = text.strip()
+    """The pair (text, its spec): records print the text as given."""
+    is_json = text.lstrip().startswith("{")
     try:
-        obj = json.loads(text, object_pairs_hook=_bounded_copies) if text.startswith("{") else text
-        return spec_from_descriptor(obj)
+        obj = json.loads(text, object_pairs_hook=_bounded_copies) if is_json else text
+        return text, spec_from_descriptor(obj)
     except (TypeError, AttributeError, OverflowError) as exc:  # a JSON value of the wrong shape
         raise ValueError(f"malformed process descriptor: {exc}") from exc
 
@@ -115,51 +118,51 @@ def _passed(records: list[dict]) -> bool:
     return bool(records) and all(r.get("pass", True) for r in records)
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _arg(parse, expected: str = "", ok=lambda value: True):
+    """An argparse type: parse(text), refused as `expected <expected>, got <text>`
+    when ok(value) is false or, if `expected` is named, when parse raises; else
+    with the message of the usage error (as `run` counts them) parse or ok raised."""
+    def convert(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
-    return parse
+            value = parse(text)
+            if ok(value):
+                return value
+        except (ValueError, OSError, KeyError, MemoryError) as exc:
+            if not expected:
+                raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
 
 
-_positive_int = _int_at_least(1)
-_seed = _int_at_least(0)  # numpy's generators take no negative seed
+def _order_guard(k: int) -> int:
+    """k, refused above the transform order guard."""
+    if k > MAX_TRANSFORM_ORDER:
+        raise SizeGuardError(f"transform order {k} exceeds guard {MAX_TRANSFORM_ORDER}")
+    return k
 
 
-def _transform_order(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_TRANSFORM_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"transform order {value} exceeds guard {MAX_TRANSFORM_ORDER}")
-    return value
+def _functional(from_json):
+    """The type of --functional: from_json of the JSON file at a path."""
+    def load(path: str):
+        with open(path) as fh:
+            return from_json(json.load(fh, object_pairs_hook=_unique_keys))
+    return _arg(load)
 
 
-def _moment_list(text: str) -> list[str]:
-    values = text.split(",")
-    _transform_order(str(len(values)))
-    return values
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)  # argparse reports a ValueError as a usage error
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _positive_rational(text: str) -> Fraction:
-    try:
-        value = parse_rational(text)
-    except ValueError:
-        value = Fraction(0)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a rational > 0, got {text!r}")
-    return value
+_positive_int = _arg(int, "an integer >= 1", lambda value: value >= 1)
+_seed = _arg(int, "an integer >= 0", lambda value: value >= 0)  # numpy takes no negative seed
+# matrixsim's bound, as a literal: exact commands import no numpy
+_dim = _arg(int, "an integer >= 2", lambda value: value >= 2)
+_transform_order = _arg(lambda text: _order_guard(_positive_int(text)))
+# ok refuses more moments than the guard by raising; a split is never empty
+_moment_list = _arg(lambda text: [parse_rational(x) for x in text.split(",")],
+                    ok=lambda seq: _order_guard(len(seq)))
+_finite_float = _arg(float, "a finite number", math.isfinite)
+_positive_rational = _arg(parse_rational, "a rational > 0", lambda value: value > 0)
+_partition = _arg(Partition.parse)
+_process = _arg(_parse_process)
+_meshes = _arg(lambda text: [int(x) for x in text.split(",")],
+               "comma-separated integers >= 1", lambda meshes: min(meshes) >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +175,20 @@ def _cmd_partitions_enumerate(args) -> list[dict]:
 
 
 def _cmd_partitions_mobius(args) -> list[dict]:
-    lower = Partition.parse(args.lower)
-    upper = Partition.parse(args.upper)
-    value = mobius(lower, upper, args.lattice)
-    return [{"lower": str(lower), "upper": str(upper), "lattice": args.lattice,
+    value = mobius(args.lower, args.upper, args.lattice)
+    return [{"lower": str(args.lower), "upper": str(args.upper), "lattice": args.lattice,
              "mobius": format_rational(value), "pass": True}]
 
 
 def _cmd_partitions_kreweras(args) -> list[dict]:
-    p = Partition.parse(args.partition)
+    p = args.partition
     return [{"partition": str(p), "kreweras": str(kreweras(p)), "pass": True}]
 
 
 def _cmd_partitions_classify(args) -> list[dict]:
-    p = Partition.parse(args.partition)
-    split = classify_classes(p)
+    split = classify_classes(args.partition)
     return [{
-        "partition": str(p),
+        "partition": str(args.partition),
         "outer": "".join(map(_block_text, split.outer)),
         "inner": "".join(map(_block_text, split.inner)),
         "outer_count": len(split.outer),
@@ -210,24 +210,21 @@ def _functional_record(f, name: str) -> list[dict]:
 
 def _cmd_cumulants_to_moments(args) -> list[dict]:
     if args.functional:
-        with open(args.functional) as fh:
-            r = cumulant_functional_from_json(json.load(fh, object_pairs_hook=_unique_keys))
-        return _functional_record(moment_functional(r), "moments")
-    spec = _parse_process("free_poisson" if args.process is None else args.process)
+        if args.order is not None:
+            raise ValueError("argument --order: not allowed with argument --functional")
+        return _functional_record(moment_functional(args.functional), "moments")
+    _, spec = args.process
     if spec.k != 1:
-        raise DimensionError("--process must describe a single-component process")
+        raise DimensionError("argument --process: expected a single-component process, "
+                             f"got {spec.k} components")
+    order = args.order or 4
     # the moment of a process on any n of its copies is that of n identical copies
-    seq = [exact_moment(make_tuple(spec, "identical", k=n)) for n in range(1, args.order + 1)]
-    return _functional_record(MomentFunctional.from_single_variable(args.order, seq), "moments")
+    seq = [exact_moment(make_tuple(spec, "identical", k=n)) for n in range(1, order + 1)]
+    return _functional_record(MomentFunctional.from_single_variable(order, seq), "moments")
 
 
 def _cmd_cumulants_from_moments(args) -> list[dict]:
-    if args.functional:
-        with open(args.functional) as fh:
-            m = moment_functional_from_json(json.load(fh, object_pairs_hook=_unique_keys))
-    else:
-        seq = [parse_rational(x) for x in args.moments]
-        m = MomentFunctional.from_single_variable(len(seq), seq)
+    m = args.functional or MomentFunctional.from_single_variable(len(args.moments), args.moments)
     return _functional_record(cumulant_functional(m), "cumulants")
 
 
@@ -236,7 +233,8 @@ def _cmd_cumulants_from_moments(args) -> list[dict]:
 
 
 def _cmd_verify_suite(args) -> list[dict]:
-    return identity_suite(_parse_process(args.process), args.k_max, process_name=args.process)
+    text, spec = args.process
+    return identity_suite(spec, args.k_max, process_name=text)
 
 
 def _check_l2_k_max(k_max: int) -> None:
@@ -246,7 +244,7 @@ def _check_l2_k_max(k_max: int) -> None:
 
 
 def _cmd_verify_main_theorem(args) -> list[dict]:
-    base = _parse_process(args.process)
+    text, base = args.process
     orders = ["L1", "L2"] if args.order == "both" else [args.order]
     if "L2" in orders:
         _check_l2_k_max(args.k_max)
@@ -258,19 +256,18 @@ def _cmd_verify_main_theorem(args) -> list[dict]:
         spec = make_tuple(base, "identical", k=k)
         for p in enumerate_noncrossing(k):
             residuals = _residuals(p, spec, _main_theorem_sides, orders, args.t)
-            records += [_record(f"main_theorem_{order.lower()}", p, args.process, subdivision,
-                                res) for order, res in zip(orders, residuals)]
+            records += [_record(f"main_theorem_{order.lower()}", p, text, subdivision, res)
+                        for order, res in zip(orders, residuals)]
     return records
 
 
 def _cmd_verify_formula(args) -> list[dict]:
     """Coefficient table of the uniform-subdivision trace in powers of 1/N."""
-    p = Partition.parse(args.partition)
-    base = _parse_process(args.process)
+    p, (text, base) = args.partition, args.process
     spec = make_tuple(base, "identical", k=p.k) if base.k == 1 else base
     formula = st_uniform_formula(p, spec, args.t)
     return [{
-        "partition": str(p), "process": args.process,
+        "partition": str(p), "process": text,
         "inv_n_power": j, "coefficient": format_rational(c), "pass": True,
     } for j, c in formula.rows()]
 
@@ -311,9 +308,8 @@ def _cmd_simulate_calibrate(args) -> list[dict]:
 def _cmd_simulate_main_theorem(args) -> list[dict]:
     from .matrixsim import MatrixEnsembleConfig, main_theorem_matrix_residual
 
-    p = Partition.parse(args.partition)
     cfg = MatrixEnsembleConfig(args.dim, args.trials, args.seed, "poisson_sps")
-    record = main_theorem_matrix_residual(p, cfg, Subdivision.uniform(args.n))
+    record = main_theorem_matrix_residual(args.partition, cfg, Subdivision.uniform(args.n))
     record["pass"] = record["estimate"] < args.threshold
     return [record]
 
@@ -321,9 +317,8 @@ def _cmd_simulate_main_theorem(args) -> list[dict]:
 def _cmd_simulate_proj_decay(args) -> list[dict]:
     from .matrixsim import MatrixEnsembleConfig, lem_proj_decay
 
-    meshes = [int(x) for x in args.meshes.split(",")]
     cfg = MatrixEnsembleConfig(args.dim, args.trials, args.seed, "poisson_sps")
-    return lem_proj_decay(cfg, meshes, args.k)
+    return lem_proj_decay(cfg, args.meshes, args.k)
 
 
 # ---------------------------------------------------------------------------
@@ -348,39 +343,40 @@ def build_parser() -> argparse.ArgumentParser:
     parts = top.add_parser("partitions", help="lattice utilities").add_subparsers(
         dest="command", required=True)
     sp = _subcommand(parts, "enumerate", _cmd_partitions_enumerate, "list P(k) or NC(k)")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--noncrossing", action="store_true")
     sp = _subcommand(parts, "mobius", _cmd_partitions_mobius, "Mobius function of an interval")
-    sp.add_argument("--lower", required=True)
-    sp.add_argument("--upper", required=True)
+    sp.add_argument("--lower", type=_partition, required=True)
+    sp.add_argument("--upper", type=_partition, required=True)
     sp.add_argument("--lattice", choices=("full", "noncrossing"), default="full")
     sp = _subcommand(parts, "kreweras", _cmd_partitions_kreweras, "Kreweras complement")
-    sp.add_argument("--partition", required=True)
+    sp.add_argument("--partition", type=_partition, required=True)
     sp = _subcommand(parts, "classify", _cmd_partitions_classify, "inner/outer classes")
-    sp.add_argument("--partition", required=True)
+    sp.add_argument("--partition", type=_partition, required=True)
 
     cums = top.add_parser("cumulants", help="moment/cumulant transforms").add_subparsers(
         dest="command", required=True)
     sp = _subcommand(cums, "to-moments", _cmd_cumulants_to_moments, "moments from cumulants")
     source = sp.add_mutually_exclusive_group()
-    source.add_argument("--process", help="process name or JSON descriptor (default free_poisson)")
-    source.add_argument("--functional", help="path to a cumulant-functional JSON file")
-    sp.add_argument("--order", type=_transform_order, default=4, help="moments of --process")
+    source.add_argument("--process", type=_process, default="free_poisson",
+                        help="process name or JSON descriptor (default free_poisson)")
+    source.add_argument("--functional", type=_functional(cumulant_functional_from_json),
+                        help="path to a cumulant-functional JSON file")
+    sp.add_argument("--order", type=_transform_order, help="moments of --process (default 4)")
     sp = _subcommand(cums, "from-moments", _cmd_cumulants_from_moments, "cumulants from moments")
     source = sp.add_mutually_exclusive_group(required=True)
-    source.add_argument("--moments", type=_moment_list, default=None,
-                        help="comma-separated rationals m_1..m_k")
-    source.add_argument("--functional", default=None,
+    source.add_argument("--moments", type=_moment_list, help="comma-separated rationals m_1..m_k")
+    source.add_argument("--functional", type=_functional(moment_functional_from_json),
                         help="path to a moment-functional JSON file")
 
     ver = top.add_parser("verify", help="exact identity checks").add_subparsers(
         dest="command", required=True)
     sp = _subcommand(ver, "suite", _cmd_verify_suite, "the full finite/limit identity battery")
-    sp.add_argument("--process", default="free_poisson")
+    sp.add_argument("--process", type=_process, default="free_poisson")
     sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
     sp = _subcommand(ver, "main-theorem", _cmd_verify_main_theorem,
                      "inner-scalar factorization residuals")
-    sp.add_argument("--process", default="free_poisson")
+    sp.add_argument("--process", type=_process, default="free_poisson")
     sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
     sp.add_argument("--order", choices=("L1", "L2", "both"), default="both")
     sp.add_argument("--t", type=_positive_rational, default="1")
@@ -390,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=_positive_rational, default="1")
     sp = _subcommand(ver, "formula", _cmd_verify_formula,
                      "uniform closed form as a 1/N coefficient table")
-    sp.add_argument("--partition", required=True)
-    sp.add_argument("--process", default="free_poisson")
+    sp.add_argument("--partition", type=_partition, required=True)
+    sp.add_argument("--process", type=_process, default="free_poisson")
     sp.add_argument("--t", type=_positive_rational, default="1")
 
     sim = top.add_parser("simulate", help="Monte Carlo matrix checks").add_subparsers(
@@ -400,23 +396,23 @@ def build_parser() -> argparse.ArgumentParser:
                      "trace moments vs exact references")
     sp.add_argument("--model", choices=("poisson_sps", "gaussian_increments"),
                     default="poisson_sps")
-    sp.add_argument("--dim", type=int, default=400)
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--dim", type=_dim, default=400)
+    sp.add_argument("--trials", type=_positive_int, default=200)
     sp.add_argument("--seed", type=_seed, default=1)
-    sp.add_argument("--n", type=int, default=16)
+    sp.add_argument("--n", type=_positive_int, default=16)
     sp = _subcommand(sim, "main-theorem", _cmd_simulate_main_theorem,
                      "relative Frobenius residual")
-    sp.add_argument("--partition", default="((1,3)(2))")
-    sp.add_argument("--dim", type=int, default=300)
-    sp.add_argument("--n", type=int, default=40)
-    sp.add_argument("--trials", type=int, default=3)
+    sp.add_argument("--partition", type=_partition, default="((1,3)(2))")
+    sp.add_argument("--dim", type=_dim, default=300)
+    sp.add_argument("--n", type=_positive_int, default=40)
+    sp.add_argument("--trials", type=_positive_int, default=3)
     sp.add_argument("--seed", type=_seed, default=1)
     sp.add_argument("--threshold", type=_finite_float, default=0.2)
     sp = _subcommand(sim, "proj-decay", _cmd_simulate_proj_decay, "projection-sandwich norm decay")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--dim", type=int, default=200)
-    sp.add_argument("--meshes", default="4,8,16")
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--k", type=_positive_int, default=1)
+    sp.add_argument("--dim", type=_dim, default=200)
+    sp.add_argument("--meshes", type=_meshes, default="4,8,16")
+    sp.add_argument("--trials", type=_positive_int, default=10)
     sp.add_argument("--seed", type=_seed, default=1)
 
     for group in (parts, cums, ver, sim):

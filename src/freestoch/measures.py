@@ -277,13 +277,6 @@ class UniformFormula(Frozen):
     def __init__(self, coeffs: dict[int, Fraction]):
         object.__setattr__(self, "coeffs", coeffs)
 
-    def evaluate(self, n: int) -> Fraction:
-        return sum((c * Fraction(1, n**j) for j, c in self.coeffs.items()), Fraction(0))
-
-    @property
-    def limit(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
-
     def rows(self):
         return [(j, self.coeffs[j]) for j in sorted(self.coeffs)] or [(0, Fraction(0))]
 

@@ -106,10 +106,6 @@ class Partition(Frozen):
         return cls._trusted(k, tuple((i,) for i in range(1, k + 1)))
 
     @classmethod
-    def one_hat(cls, k: int) -> "Partition":
-        return cls._trusted(k, (tuple(range(1, k + 1)),))
-
-    @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse the text syntax "((1,6,7)(2,5)(3))"; whitespace ignored."""
         compact = re.sub(r"\s+", "", text)

@@ -275,6 +275,13 @@ class Subdivision(Frozen):
 # JSON descriptors
 
 
+def _field(obj: dict, key: str):
+    """obj[key] of a descriptor, refused by name when obj lacks the key."""
+    if key not in obj:
+        raise ValueError(f"process descriptor {obj} lacks the key {key!r}")
+    return obj[key]
+
+
 def spec_from_descriptor(obj) -> ProcessSpec:
     """Build a spec from its JSON descriptor (dict or shorthand name)."""
     if isinstance(obj, str):
@@ -290,7 +297,7 @@ def spec_from_descriptor(obj) -> ProcessSpec:
     if kind == "semicircular":
         return make_semicircular()
     if kind == "custom":
-        cum = obj["cumulants"]
+        cum = _field(obj, "cumulants")
         orders = [str(i) for i in range(1, len(cum) + 1)]
         if missing := [o for o in orders if o not in cum.keys()]:  # .keys(): a list is malformed
             given = ", ".join(repr(key) for key in cum if key not in orders)
@@ -298,10 +305,11 @@ def spec_from_descriptor(obj) -> ProcessSpec:
                              f"order {missing[0]} is missing, {given} given")
         return make_custom_process([parse_rational(cum[o]) for o in orders])
     if kind == "tuple":
-        mode = obj["mode"]
+        mode = _field(obj, "mode")
         if mode == "identical":
-            return make_tuple(spec_from_descriptor(obj["base"]), "identical", k=obj["k"])
+            base = spec_from_descriptor(_field(obj, "base"))
+            return make_tuple(base, "identical", k=_field(obj, "k"))
         if mode == "free_family":
-            return free_family([spec_from_descriptor(c) for c in obj["components"]])
+            return free_family([spec_from_descriptor(c) for c in _field(obj, "components")])
         raise ValueError(f"unknown tuple mode {mode!r}")
     raise ValueError(f"unknown process type {kind!r}")

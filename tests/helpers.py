@@ -172,6 +172,11 @@ def compositions(k):
             yield (first,) + rest
 
 
+def one_hat(k):
+    """The one-block partition of [k], the top of both lattices."""
+    return Partition(k, (tuple(range(1, k + 1)),))
+
+
 def interval_partition(sizes):
     """Consecutive blocks of the given sizes: (1..s1)(s1+1..s1+s2)..."""
     blocks, pos = [], 0
@@ -254,7 +259,7 @@ def noncrossing_refinements_by_filter(p):
 def moments_from_cumulants(r, p=None):
     """M_p = sum of R_sigma over noncrossing sigma refining p (p = None: full moment)."""
     if p is None:
-        p = Partition.one_hat(r.k)
+        p = one_hat(r.k)
     if p.k != r.k:
         raise DimensionError(f"partition of [{p.k}] vs functional arity {r.k}")
     total = Fraction(0)
@@ -267,7 +272,7 @@ def moments_from_cumulants(r, p=None):
 def cumulants_from_moments(m, p=None):
     """R_p by Mobius inversion over the noncrossing partitions below p."""
     if p is None:
-        p = Partition.one_hat(m.k)
+        p = one_hat(m.k)
     if p.k != m.k:
         raise DimensionError(f"partition of [{p.k}] vs functional arity {m.k}")
     total = Fraction(0)
@@ -299,7 +304,7 @@ def moment_functional_by_subsets(r):
 def cumulant_functional_by_subsets(m):
     """The full cumulant functional, one Mobius-weighted sum over NC(|S|)
     per subset S."""
-    weighted = {n: [(sigma, mobius(sigma, Partition.one_hat(n), "noncrossing"))
+    weighted = {n: [(sigma, mobius(sigma, one_hat(n), "noncrossing"))
                     for sigma in enumerate_noncrossing(n)] for n in range(1, m.k + 1)}
     values = {}
     for b in nonempty_subsets(m.k):
@@ -459,6 +464,16 @@ class ExpectationReport:
     finite_value: Fraction
     uniform_formula: UniformFormula
     limit_value: Fraction
+
+
+def formula_at(formula, n):
+    """The value of a uniform closed form at N = n: the polynomial in 1/n."""
+    return sum((c * Fraction(1, n**j) for j, c in formula.coeffs.items()), Fraction(0))
+
+
+def formula_limit(formula):
+    """The mesh limit of a uniform closed form: its constant term."""
+    return formula.coeffs.get(0, Fraction(0))
 
 
 def st_report(p, spec, sub):
@@ -730,7 +745,7 @@ def limit_product_by_patterns(factors, spec, t=1):
         return Fraction(1)
     t = Fraction(t)
     pi_total = functools.reduce(concat, (p for p, _ in factors))
-    apart = functools.reduce(concat, (Partition.one_hat(p.k) if kind == "st" else p
+    apart = functools.reduce(concat, (one_hat(p.k) if kind == "st" else p
                                       for p, kind in factors))
     total = Fraction(0)
     for sigma in noncrossing_coarsenings(pi_total, apart):

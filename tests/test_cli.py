@@ -20,6 +20,16 @@ def _run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def _flag_error_line(capsys) -> str:
+    """The last stderr line of a usage error of one flag, after checking that
+    stdout is empty and the lines before it are argparse's usage block."""
+    captured = capsys.readouterr()
+    usage, *wrapped, last = captured.err.splitlines()
+    assert captured.out == "" and usage.startswith("usage: freestoch ")
+    assert all(line.startswith(" ") for line in wrapped), wrapped
+    return last
+
+
 def test_classify_matches_the_worked_example(capsys):
     code, rep = _run_json(capsys, [
         "partitions", "classify", "--partition", "((1,6,7)(2,5)(3)(4)(8)(9,10))"])
@@ -115,9 +125,8 @@ def test_to_moments_refuses_an_order_the_process_does_not_declare(capsys):
 def test_custom_cumulant_keys_must_be_the_orders_one_to_n(capsys, cumulants, error):
     process = json.dumps({"type": "custom", "cumulants": cumulants})
     assert run(["cumulants", "to-moments", "--process", process, "--order", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.splitlines() == [f"error: {error}"]
+    assert _flag_error_line(capsys) == \
+        f"freestoch cumulants to-moments: error: argument --process: {error}"
 
 
 def test_from_moments(capsys):
@@ -262,17 +271,16 @@ def test_nonpositive_time_and_order_exit_2_with_one_error_line(capsys, argv):
     assert captured.out == "" and len(errors) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["calibrate", "--n", "0", "--trials", "2"],
-    ["main-theorem", "--n", "0", "--trials", "1"],
-    ["proj-decay", "--meshes", "0,4", "--trials", "2"],
-    ["proj-decay", "--k", "0", "--trials", "2"],
+@pytest.mark.parametrize("argv, error", [
+    (["calibrate", "--n", "0", "--trials", "2"], "--n: expected an integer >= 1, got '0'"),
+    (["main-theorem", "--n", "0", "--trials", "1"], "--n: expected an integer >= 1, got '0'"),
+    (["proj-decay", "--meshes", "0,4", "--trials", "2"],
+     "--meshes: expected comma-separated integers >= 1, got '0,4'"),
+    (["proj-decay", "--k", "0", "--trials", "2"], "--k: expected an integer >= 1, got '0'"),
 ])
-def test_simulate_size_errors_exit_2_with_one_error_line(capsys, argv):
+def test_simulate_size_errors_exit_2_with_one_error_line(capsys, argv, error):
     assert run(["simulate", *argv, "--dim", "20"]) == 2
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
+    assert _flag_error_line(capsys) == f"freestoch simulate {argv[0]}: error: argument {error}"
 
 
 @pytest.mark.parametrize("threshold", ["inf", "nan"])
@@ -347,6 +355,52 @@ def test_to_moments_takes_a_process_or_a_functional_not_both(tmp_path, capsys, p
     assert captured.out == "" and errors == [
         "freestoch cumulants to-moments: error: argument --functional: "
         "not allowed with argument --process"]
+
+
+def test_to_moments_refuses_an_order_beside_a_functional(tmp_path, capsys):
+    # --order counts moments of --process, and used to be ignored here
+    path = tmp_path / "cumulants.json"
+    path.write_text('{"k": 1, "values": {"1": "1/2"}}')
+    assert run(["cumulants", "to-moments", "--functional", str(path), "--order", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: argument --order: not allowed with argument --functional"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["partitions", "enumerate", "--k", "0"], "--k"),
+    (["partitions", "kreweras", "--partition", "((1,2)"], "--partition"),
+    (["partitions", "mobius", "--lower", "((1)(3))", "--upper", "((1,2))"], "--lower"),
+    (["partitions", "mobius", "--lower", "((1)(2))", "--upper", "((1,1))"], "--upper"),
+    (["verify", "suite", "--process", "brownian"], "--process"),
+    (["cumulants", "from-moments", "--functional", "{missing}"], "--functional"),
+    (["cumulants", "from-moments", "--moments", "1,x"], "--moments"),
+    (["simulate", "proj-decay", "--meshes", "2,x"], "--meshes"),
+    (["simulate", "calibrate", "--dim", "1"], "--dim"),
+    (["simulate", "main-theorem", "--trials", "0"], "--trials"),
+    (["simulate", "calibrate", "--n", "0"], "--n"),
+    (["simulate", "proj-decay", "--k", "0"], "--k"),
+])
+def test_a_bad_value_of_one_flag_is_a_usage_error_that_names_it(tmp_path, capsys, argv, flag):
+    # each of these was parsed or checked after argparse, and its error named no flag
+    assert run([a.format(missing=tmp_path / "missing.json") for a in argv]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and len(errors) == 1 and f"argument {flag}: " in errors[0]
+
+
+@pytest.mark.parametrize("descriptor, key", [
+    ({"type": "custom"}, "cumulants"),
+    ({"type": "tuple"}, "mode"),
+    ({"type": "tuple", "mode": "identical", "k": 2}, "base"),
+    ({"type": "tuple", "mode": "identical", "base": "free_poisson"}, "k"),
+    ({"type": "tuple", "mode": "free_family"}, "components"),
+])
+def test_a_descriptor_without_a_key_names_the_descriptor_and_the_key(capsys, descriptor, key):
+    # the error used to be the bare key, as 'cumulants'
+    assert run(["verify", "suite", "--process", json.dumps(descriptor)]) == 2
+    assert _flag_error_line(capsys) == ("freestoch verify suite: error: argument --process: "
+                                        f"process descriptor {descriptor} lacks the key {key!r}")
 
 
 @pytest.mark.parametrize("command", ["calibrate", "main-theorem", "proj-decay"])
@@ -511,9 +565,9 @@ def test_tuple_descriptor_above_the_arity_guard_exits_2_before_building(
 
     monkeypatch.setattr("freestoch.cli.spec_from_descriptor", no_build)
     assert run(["verify", "formula", "--partition", "((1,2))", "--process", process]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.splitlines() == [
-        f"error: tuple of {shown} copies exceeds St arity guard {MAX_ST_ARITY}"]
+    assert _flag_error_line(capsys) == ("freestoch verify formula: error: argument --process: "
+                                        f"tuple of {shown} copies exceeds St arity guard "
+                                        f"{MAX_ST_ARITY}")
 
 
 @pytest.mark.parametrize("partition, k", [
@@ -521,17 +575,17 @@ def test_tuple_descriptor_above_the_arity_guard_exits_2_before_building(
     ("((1,2))", "null")])
 def test_a_tuple_k_that_is_not_a_json_integer_exits_2(capsys, partition, k):
     assert run(["verify", "formula", "--partition", partition, "--process", _copies(k)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: identical copies need an integer k >= 1, got ")
+    assert _flag_error_line(capsys).startswith(
+        "freestoch verify formula: error: argument --process: "
+        "identical copies need an integer k >= 1, got ")
 
 
 def test_an_infinite_tuple_descriptor_exits_2_with_one_error_line(capsys):
     assert run(["verify", "formula", "--partition", "((1,2))", "--process",
                 _copies("Infinity")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.splitlines() == [
-        "error: malformed process descriptor: cannot convert float infinity to integer"]
+    assert _flag_error_line(capsys) == (
+        "freestoch verify formula: error: argument --process: "
+        "malformed process descriptor: cannot convert float infinity to integer")
 
 
 def test_tuple_descriptor_at_the_arity_guard_is_the_named_process(capsys):

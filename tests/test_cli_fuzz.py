@@ -121,7 +121,8 @@ def _commands(files=((), ())):
         (["cumulants", "to-moments"], {"--process": PROCESSES,
                                        "--order": (("1", "3", "5"), ("0", "-1", "x")),
                                        **OUTPUT}, ("--order",), ()),
-        (["cumulants", "to-moments"], {"--functional": files, **OUTPUT}, ("--functional",), ()),
+        (["cumulants", "to-moments"], {"--functional": files, "--order": ((), ("3",)), **OUTPUT},
+         ("--functional",), ()),
         (["cumulants", "from-moments"], {
             "--moments": (("1,2,5,14", "1", "0,1", "1/2,3"), ("1,,2", "", "x", "1/0")),
             **OUTPUT}, ("--moments",), ("--moments",)),
@@ -153,7 +154,7 @@ def _commands(files=((), ())):
          {"--partition": ONE_INTERVAL_PARTITIONS}, ("--partition",), ()),
         (["simulate", "proj-decay"], {
             "--k": (("1", "2"), ("0", "x")), "--dim": (("2", "48", "64"), ("1",)),
-            "--meshes": (("2,4", "1,2,3"), ("4", "0,4", "", "a", "4,-2", "8,4")),
+            "--meshes": (("2,4", "1,2,3"), ("4", "0,4", "", "a", "4,-2", "8,4", "2,x")),
             "--trials": (("1", "3"), ("0",)), "--seed": (("1", "7"), ("-1",)), **OUTPUT},
          ("--dim", "--meshes", "--trials"), ()),
     ]

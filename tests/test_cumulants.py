@@ -18,7 +18,7 @@ from freestoch.cumulants import (
 from freestoch.errors import DimensionError
 from freestoch.partitions import Partition, enumerate_noncrossing
 
-from helpers import cumulants_from_moments, moments_from_cumulants, on_partition
+from helpers import cumulants_from_moments, moments_from_cumulants, on_partition, one_hat
 
 
 def _first(n):
@@ -102,7 +102,7 @@ def test_partial_moments_respect_refinement_sum():
 def test_arity_mismatch():
     r = CumulantFunctional.from_single_variable(3, [1, 1, 1])
     with pytest.raises(DimensionError):
-        moments_from_cumulants(r, Partition.one_hat(4))
+        moments_from_cumulants(r, one_hat(4))
 
 
 def test_norm_bound_propagation():

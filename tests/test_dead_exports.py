@@ -1,11 +1,13 @@
 """Every top-level function and class of a `freestoch` module, private ones
 included, is used elsewhere in `src/` or exported from `freestoch/__init__.py`,
-so a helper cannot outlive its last caller.  A name that only the tests use
+so a helper cannot outlive its last caller, and every method of a class is
+read as an attribute outside its own body.  A name that only the tests use
 belongs in `tests/helpers.py`.  Every name a module other than `__init__`
 imports is read in that module, so a deletion leaves no import behind."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import freestoch
 
@@ -48,6 +50,43 @@ def test_an_unused_definition_is_reported(tmp_path):
                                    "def recursive(n):\n    return recursive(n - 1)\n")
     (tmp_path / "b.py").write_text("from . import a\n\n\nclass Unused:\n    x = a.helper\n")
     assert dead_definitions(tmp_path) == ["a._stale", "a.recursive", "b.Unused"]
+
+
+def _attribute_reads(node) -> Counter:
+    """How often each attribute name is read (loaded) under node."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def dead_methods(src: pathlib.Path) -> list[str]:
+    """module.Class.method for each method of a top-level class, dunders
+    aside, whose name `src/` reads as an attribute only inside its own body."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{cls.name}.{fn.name}"
+            for module, tree in trees.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and reads[fn.name] == _attribute_reads(fn)[fn.name]]
+
+
+def test_every_method_is_read():
+    assert dead_methods(SRC) == []
+
+
+def test_an_unread_method_is_reported(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import Shape\n")
+    (tmp_path / "a.py").write_text(
+        "class Shape:\n"
+        "    def __init__(self):\n        self.sides = 0\n\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    @property\n    def stale(self):\n        return 2\n\n"
+        "    @classmethod\n    def recursive(cls, n):\n        return cls.recursive(n - 1)\n\n\n"
+        "def area():\n    return Shape().used()\n")
+    (tmp_path / "b.py").write_text("class Other:\n    def stored(self):\n"
+                                   "        self.stored = None\n")
+    assert dead_methods(tmp_path) == ["a.Shape.stale", "a.Shape.recursive", "b.Other.stored"]
 
 
 def unused_imports(src: pathlib.Path) -> list[str]:

@@ -39,7 +39,7 @@ from freestoch.processes import (
     make_tuple,
 )
 
-from helpers import dense_pr_sum, dense_st_sum, hermitian_gaussian_complex
+from helpers import dense_pr_sum, dense_st_sum, hermitian_gaussian_complex, one_hat
 
 POISSON = make_free_poisson(1)
 SEMI = make_semicircular()
@@ -117,7 +117,7 @@ def test_pr_matrix_telescopes_at_zero_hat():
     total = sum(inc.matrices[0])
     expected = total @ total @ total
     assert np.allclose(pr_matrix(Partition.zero_hat(3), inc), expected, atol=1e-10)
-    one2 = Partition.one_hat(2)
+    one2 = one_hat(2)
     inc2 = _copies(inc, 2)
     brute = sum(m @ m for m in inc.matrices[0])
     assert np.allclose(pr_matrix(one2, inc2), brute, atol=1e-12)
@@ -156,7 +156,7 @@ def test_st_matrix_trace_matches_exact_engine():
     from freestoch.measures import expect_st
 
     spec2 = make_tuple(POISSON, "identical", k=2)
-    one2 = Partition.one_hat(2)
+    one2 = one_hat(2)
     gaps = []
     for d, n in ((100, 5), (250, 20)):
         cfg = MatrixEnsembleConfig(dim=d, trials=30, seed=12, model="poisson_sps")
@@ -226,7 +226,7 @@ def test_brute_force_guard(monkeypatch):
     with pytest.raises(SizeGuardError):
         pr_matrix(Partition.parse("((1,3)(2,4))"), inc)
     with pytest.raises(DimensionError):
-        pr_matrix(Partition.one_hat(3), _copies(inc, 2))
+        pr_matrix(one_hat(3), _copies(inc, 2))
 
 
 def test_lem_proj_decay_monotone():

@@ -51,7 +51,10 @@ from helpers import (
     brute_expect_st,
     catalan,
     expect_product_of_st,
+    formula_at,
+    formula_limit,
     l2_residual_by_four_traces,
+    one_hat,
     process_fixtures,
     st_report,
 )
@@ -63,7 +66,7 @@ def test_poisson_uniform_closed_forms():
     # the order-2 diagonal trace is 1 + 1/N, the off-diagonal one 1 - 1/N
     for n in (1, 2, 4, 8):
         sub = Subdivision.uniform(n)
-        assert expect_st(Partition.one_hat(2), sub, POISSON2) == 1 + Fraction(1, n)
+        assert expect_st(one_hat(2), sub, POISSON2) == 1 + Fraction(1, n)
         assert expect_st(Partition.zero_hat(2), sub, POISSON2) == 1 - Fraction(1, n)
 
 
@@ -89,7 +92,7 @@ def test_pr_at_zero_hat_is_the_full_moment():
 def test_pr_equals_st_at_one_hat():
     sub = Subdivision.uniform(5)
     spec = make_tuple(make_semicircular(), "identical", k=3)
-    one = Partition.one_hat(3)
+    one = one_hat(3)
     assert expect_pr(one, sub, spec) == expect_st(one, sub, spec)
 
 
@@ -114,8 +117,8 @@ def test_uniform_formula_reproduces_finite_values():
     for p in enumerate_set_partitions(4):
         formula = st_uniform_formula(p, spec)
         for n in (1, 2, 3, 7):
-            assert formula.evaluate(n) == expect_st(p, Subdivision.uniform(n), spec)
-        assert formula.limit == limit_expect_st(p, spec)
+            assert formula_at(formula, n) == expect_st(p, Subdivision.uniform(n), spec)
+        assert formula_limit(formula) == limit_expect_st(p, spec)
 
 
 def test_crossing_patterns_decay():
@@ -123,7 +126,7 @@ def test_crossing_patterns_decay():
     for base in process_fixtures().values():
         spec = make_tuple(base, "identical", k=4)
         formula = st_uniform_formula(cross, spec)
-        assert formula.limit == 0
+        assert formula_limit(formula) == 0
         assert limit_expect_st(cross, spec) == 0
 
 
@@ -151,8 +154,8 @@ def test_st_report_invariants():
     p = Partition.parse("((1,2)(3))")
     sub = Subdivision.uniform(6)
     rep = st_report(p, spec, sub)
-    assert rep.uniform_formula.evaluate(6) == rep.finite_value
-    assert rep.uniform_formula.limit == rep.limit_value
+    assert formula_at(rep.uniform_formula, 6) == rep.finite_value
+    assert formula_limit(rep.uniform_formula) == rep.limit_value
 
 
 def test_empty_product_is_one():
@@ -164,7 +167,7 @@ def test_empty_product_is_one():
 def test_product_of_two_diagonals_is_the_second_moment():
     sub = Subdivision.of(["1/2", "1/2"])
     spec = make_tuple(make_free_poisson(1), "identical", k=2)
-    one1 = Partition.one_hat(1)
+    one1 = one_hat(1)
     value = expect_product_of_st([(one1, "st"), (one1, "st")], spec, sub)
     assert value == exact_moment(spec, sub.t)
 
@@ -226,7 +229,7 @@ def test_limit_guard_holds_at_16_and_trips_at_17():
     assert exact_moment(make_tuple(make_semicircular(), "identical", k=16)) == catalan(8)
     spec17 = make_tuple(base, "identical", k=17)
     for factors in ([(Partition.zero_hat(17), "pr")],
-                    [(Partition.zero_hat(8), "st"), (Partition.one_hat(9), "pr")]):
+                    [(Partition.zero_hat(8), "st"), (one_hat(9), "pr")]):
         with pytest.raises(SizeGuardError):
             limit_product_of_st(factors, spec17)
     with pytest.raises(SizeGuardError):
@@ -262,7 +265,7 @@ def test_limit_product_guards_run_in_order_before_the_recursion(monkeypatch):
     _no_recursion(monkeypatch)
     base = make_free_poisson(1)
     spec3, spec17 = make_tuple(base, "identical", k=3), make_tuple(base, "identical", k=17)
-    zero17, one2 = Partition.zero_hat(17), Partition.one_hat(2)
+    zero17, one2 = Partition.zero_hat(17), one_hat(2)
     # each case also breaks every later guard
     with pytest.raises(ValueError, match="kind"):
         limit_product_of_st([(one2, "st"), (zero17, "diag")], spec3)
@@ -289,7 +292,7 @@ def _shared_factor_pairs():
     2, as the main theorem's 0-hat sides build them."""
     spec = make_tuple(make_custom_process(CUSTOM_SEQ), "identical", k=4)
     words, p = spec.words, Partition.parse("((1,4)(2)(3))")
-    zero4, zero2, one2 = Partition.zero_hat(4), Partition.zero_hat(2), Partition.one_hat(2)
+    zero4, zero2, one2 = Partition.zero_hat(4), Partition.zero_hat(2), one_hat(2)
     singles = tuple(spec.subset_word((i,)) for i in range(1, 5))
     pairs = (spec.subset_word((1, 2)), spec.subset_word((3, 4)))
     for factors, a_words, b_words in (
@@ -342,7 +345,7 @@ def test_main_theorem_sides_for_a_known_case():
 def test_main_theorem_guards():
     spec9 = make_tuple(make_free_poisson(1), "identical", k=9)
     with pytest.raises(SizeGuardError):
-        main_theorem_residual(Partition.one_hat(9), spec9, "L2")
+        main_theorem_residual(one_hat(9), spec9, "L2")
     with pytest.raises(CrossingPartitionError):
         spec4 = make_tuple(make_free_poisson(1), "identical", k=4)
         main_theorem_residual(Partition.parse("((1,3)(2,4))"), spec4, "L1")
@@ -424,7 +427,7 @@ def test_example_formulas():
     # order-2 diagonal of the centered process is the scalar t
     semi2 = make_tuple(make_semicircular(), "identical", k=2)
     t = Fraction(7, 5)
-    assert limit_expect_st(Partition.one_hat(2), semi2, t) == t
+    assert limit_expect_st(one_hat(2), semi2, t) == t
 
 
 def test_identity_suite_all_fixtures():
@@ -451,7 +454,7 @@ def test_engine_guards():
     zero6 = Partition.zero_hat(6)
     for n in (4, 1000):
         assert expect_st(zero6, Subdivision.uniform(n), spec6) == \
-            st_uniform_formula(zero6, spec6).evaluate(n)
+            formula_at(st_uniform_formula(zero6, spec6), n)
     sub = Subdivision.of(["1/2", "1/3", "1/6"])
     assert expect_st(zero6, sub, spec6) == FiniteTraces(spec6, sub).st(zero6) == 0
     with pytest.raises(DimensionError):
@@ -468,18 +471,18 @@ def test_st_arity_guard_holds_at_10_and_trips_at_11():
     base, one = make_free_poisson(1), Subdivision.uniform(1)
     spec10 = make_tuple(base, "identical", k=10)
     for expect in (expect_st, expect_pr):
-        assert expect(Partition.one_hat(10), one, spec10) == catalan(10)
+        assert expect(one_hat(10), one, spec10) == catalan(10)
     spec11 = make_tuple(base, "identical", k=11)
-    for call in (lambda: expect_st(Partition.one_hat(11), one, spec11),
-                 lambda: expect_pr(Partition.one_hat(11), one, spec11),
-                 lambda: st_uniform_formula(Partition.one_hat(11), spec11)):
+    for call in (lambda: expect_st(one_hat(11), one, spec11),
+                 lambda: expect_pr(one_hat(11), one, spec11),
+                 lambda: st_uniform_formula(one_hat(11), spec11)):
         with pytest.raises(SizeGuardError, match="St arity 11 exceeds guard 10"):
             call()
 
 
 def test_suite_and_product_run_past_n_64():
     base = make_free_poisson(1)
-    factors = [(Partition.zero_hat(1), "st"), (Partition.one_hat(1), "pr")]
+    factors = [(Partition.zero_hat(1), "st"), (one_hat(1), "pr")]
     zero2 = Partition.zero_hat(2)
     for n in (64, 65, 200):
         sub = Subdivision.uniform(n)

@@ -32,6 +32,7 @@ from helpers import (
     joined_text,
     meet,
     mobius_zero_hat_full,
+    one_hat,
     rotate,
     set_partitions_by_insertion,
 )
@@ -76,7 +77,7 @@ def test_noncrossing_is_the_filtered_full_lattice():
 @pytest.mark.parametrize("build", [
     lambda: from_rgs(()),
     lambda: Partition.zero_hat(0),
-    lambda: Partition.one_hat(-1),
+    lambda: one_hat(-1),
     lambda: Partition(0, ()),
     lambda: Partition(3, ((1, 2),)),
     lambda: Partition(2, ((2,), (1,))),
@@ -103,7 +104,7 @@ def test_is_noncrossing_examples():
     assert not is_noncrossing(Partition.parse("((1,3)(2,4))"))
     assert is_noncrossing(Partition.parse(PAPER_EXAMPLE))
     for k in range(1, 6):
-        assert is_noncrossing(Partition.one_hat(k))
+        assert is_noncrossing(one_hat(k))
 
 
 def test_is_noncrossing_is_the_four_point_definition_on_all_of_p10():
@@ -120,7 +121,7 @@ def test_is_noncrossing_is_the_four_point_definition_on_all_of_p10():
 def test_refines_examples():
     for p in enumerate_set_partitions(4):
         assert refines(Partition.zero_hat(4), p)
-        assert refines(p, Partition.one_hat(4))
+        assert refines(p, one_hat(4))
     assert not refines(Partition.parse("((1,2)(3))"), Partition.parse("((1)(2,3))"))
     with pytest.raises(DimensionError):
         refines(Partition.zero_hat(2), Partition.zero_hat(3))
@@ -147,7 +148,7 @@ def test_meet_join_examples():
     a = Partition.parse("((1,2)(3))")
     b = Partition.parse("((1)(2,3))")
     assert meet(a, b) == Partition.zero_hat(3)
-    assert join(a, b) == Partition.one_hat(3)
+    assert join(a, b) == one_hat(3)
     for p in enumerate_set_partitions(4):
         assert meet(p, p) == p
         assert join(p, p) == p
@@ -184,8 +185,8 @@ def _interleave_noncrossing(p, sigma):
 
 def test_kreweras_examples():
     for k in range(1, 6):
-        assert kreweras(Partition.zero_hat(k)) == Partition.one_hat(k)
-        assert kreweras(Partition.one_hat(k)) == Partition.zero_hat(k)
+        assert kreweras(Partition.zero_hat(k)) == one_hat(k)
+        assert kreweras(one_hat(k)) == Partition.zero_hat(k)
     assert kreweras(Partition.parse("((1,2)(3))")) == Partition.parse("((1)(2,3))")
     with pytest.raises(CrossingPartitionError):
         kreweras(Partition.parse("((1,3)(2,4))"))
@@ -230,7 +231,7 @@ def test_classify_paper_example():
 
 def test_classify_simple_cases():
     for k in range(1, 6):
-        split = classify_classes(Partition.one_hat(k))
+        split = classify_classes(one_hat(k))
         assert len(split.outer) == 1 and len(split.inner) == 0
     split = classify_classes(Partition.parse("((1,3)(2))"))
     assert split.outer == ((1, 3),)
@@ -266,12 +267,12 @@ def test_mobius_examples():
     for p in enumerate_noncrossing(4):
         assert mobius(p, p, "noncrossing") == 1
         assert mobius(p, p, "full") == 1
-    assert mobius(Partition.zero_hat(3), Partition.one_hat(3), "noncrossing") == 2
-    assert mobius(Partition.zero_hat(4), Partition.one_hat(4), "full") == -6
+    assert mobius(Partition.zero_hat(3), one_hat(3), "noncrossing") == 2
+    assert mobius(Partition.zero_hat(4), one_hat(4), "full") == -6
     with pytest.raises(ValueError):
         mobius(Partition.parse("((1,2)(3))"), Partition.parse("((1)(2,3))"))
     with pytest.raises(CrossingPartitionError):
-        mobius(Partition.parse("((1,3)(2,4))"), Partition.one_hat(4), "noncrossing")
+        mobius(Partition.parse("((1,3)(2,4))"), one_hat(4), "noncrossing")
 
 
 def test_mobius_closed_forms():
@@ -281,7 +282,7 @@ def test_mobius_closed_forms():
         if n > 1:
             fact *= n - 1
         sign = 1 if (n - 1) % 2 == 0 else -1
-        zero, one = Partition.zero_hat(n), Partition.one_hat(n)
+        zero, one = Partition.zero_hat(n), one_hat(n)
         assert mobius(zero, one, "full") == sign * fact
         assert mobius(zero, one, "noncrossing") == sign * catalan(n - 1)
     for k in range(1, 7):
@@ -331,20 +332,20 @@ def test_iteration_guard():
 
 def test_coarsenings():
     p = Partition.parse("((1,2)(3))")
-    assert set(coarsenings(p)) == {p, Partition.one_hat(3)}
+    assert set(coarsenings(p)) == {p, one_hat(3)}
     for q in enumerate_set_partitions(4):
         cs = coarsenings(q)
         assert all(refines(q, c) for c in cs)
         assert len(cs) == len([c for c in enumerate_set_partitions(4) if refines(q, c)])
     # [p, 1-hat] is P(|p|), so the enumeration guard bounds the blocks of p
-    assert len(coarsenings(Partition.one_hat(12))) == 1
+    assert len(coarsenings(one_hat(12))) == 1
     with pytest.raises(SizeGuardError):
         coarsenings(Partition.zero_hat(11))
 
 
 def test_interval_partition():
     assert interval_partition([2, 1, 3]) == Partition.parse("((1,2)(3)(4,5,6))")
-    assert interval_partition([4]) == Partition.one_hat(4)
+    assert interval_partition([4]) == one_hat(4)
 
 
 def test_the_interval_members_of_p_k_reversed_are_the_compositions_in_order():

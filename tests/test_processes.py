@@ -26,6 +26,7 @@ from helpers import (
     derived_diagonal_tuple,
     diagonal_substitution_residual,
     increment_cumulant,
+    one_hat,
     process_fixtures,
     restrict_spec,
     unit_cumulant,
@@ -71,7 +72,7 @@ def test_free_poisson_cumulants():
     lam = make_free_poisson(Fraction(3, 2))
     spec3 = make_tuple(lam, "identical", k=3)
     t = Fraction(2, 5)
-    assert increment_cumulant(spec3, Partition.one_hat(3), [(0, t)] * 3) == t * Fraction(3, 2)
+    assert increment_cumulant(spec3, one_hat(3), [(0, t)] * 3) == t * Fraction(3, 2)
     with pytest.raises(ValueError):
         make_free_poisson(0)
 
@@ -107,21 +108,21 @@ def test_free_family_mixed_cumulants_vanish():
 def test_increment_cumulant_interval_rules():
     spec2 = make_tuple(make_free_poisson(1), "identical", k=2)
     # disjoint intervals: empty intersection
-    assert increment_cumulant(spec2, Partition.one_hat(2),
+    assert increment_cumulant(spec2, one_hat(2),
                               [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]) == 0
     # nested intervals: the inner length times r_2
-    assert increment_cumulant(spec2, Partition.one_hat(2),
+    assert increment_cumulant(spec2, one_hat(2),
                               [(0, Fraction(1, 4)), (0, 1)]) == Fraction(1, 4)
     with pytest.raises(CrossingPartitionError):
         spec4 = make_tuple(make_free_poisson(1), "identical", k=4)
         increment_cumulant(spec4, Partition.parse("((1,3)(2,4))"), [(0, 1)] * 4)
     with pytest.raises(ValueError):
-        increment_cumulant(spec2, Partition.one_hat(2), [(1, 1), (0, 1)])
+        increment_cumulant(spec2, one_hat(2), [(1, 1), (0, 1)])
 
 
 def test_increment_scaling_is_additive():
     spec = make_tuple(make_custom_process(CUSTOM_SEQ), "identical", k=3)
-    one = Partition.one_hat(3)
+    one = one_hat(3)
     a, b = Fraction(2, 7), Fraction(5, 7)
     left = increment_cumulant(spec, one, [(0, a)] * 3)
     right = increment_cumulant(spec, one, [(a, b)] * 3)
@@ -233,7 +234,7 @@ def test_descriptor_roundtrip():
 def test_dimension_checks():
     spec = make_tuple(make_free_poisson(1), "identical", k=2)
     with pytest.raises(DimensionError):
-        limit_expect_st(Partition.one_hat(3), spec)
+        limit_expect_st(one_hat(3), spec)
     with pytest.raises(DimensionError):
         derived_diagonal_tuple(spec, [(1, 5)])
     with pytest.raises(DimensionError):

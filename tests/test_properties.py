@@ -61,6 +61,7 @@ from helpers import (
     brute_expect_pr,
     brute_expect_st,
     cumulant_functional_by_subsets,
+    formula_at,
     from_rgs,
     has_crossing,
     identity_suite_by_pairs,
@@ -71,6 +72,7 @@ from helpers import (
     moment_functional_by_subsets,
     noncrossing_coarsenings,
     noncrossing_refinements_by_filter,
+    one_hat,
     pair_trace,
     partition_cumulant,
     process_fixtures,
@@ -92,7 +94,7 @@ def intervals(draw, lattice: str, k_max: int):
     s = draw(st.sampled_from(enumerate_noncrossing(k) if nc else enumerate_set_partitions(k)))
     p = join(s, draw(st.sampled_from(enumerate_set_partitions(k))))
     if nc and not is_noncrossing(p):
-        p = Partition.one_hat(k)
+        p = one_hat(k)
     return s, p
 
 
@@ -179,7 +181,7 @@ def test_finite_traces_match_index_tuple_sums(sub, name):
 def test_uniform_formula_matches_the_oracle_at_uniform_subdivisions(p, n, name, t):
     spec = make_tuple(process_fixtures()[name], "identical", k=p.k)
     oracle = FiniteTraces(spec, Subdivision.uniform(n, t)).st(p)
-    assert st_uniform_formula(p, spec, t).evaluate(n) == oracle
+    assert formula_at(st_uniform_formula(p, spec, t), n) == oracle
 
 
 def test_uniform_formula_constant_term_is_the_mesh_limit():
@@ -238,7 +240,7 @@ def test_enumerations_build_valid_partitions(k):
     for p in enumerate_set_partitions(k) + enumerate_noncrossing(k):
         assert p == _validated(p)
     assert Partition.zero_hat(k) == _validated(Partition.zero_hat(k))
-    assert Partition.one_hat(k) == _validated(Partition.one_hat(k))
+    assert one_hat(k) == _validated(one_hat(k))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)

@@ -63,8 +63,10 @@ from helpers import (
     FiniteTraces,
     adjoint,
     derived_diagonal_tuple,
+    formula_at,
     identity_suite_by_pairs,
     limit_product_by_patterns,
+    one_hat,
     pair_trace,
     pair_trace_on_table,
     partition_cumulant,
@@ -129,7 +131,7 @@ def test_uniform_formula_matches_finite_traces_at_fractional_t():
             for p in enumerate_set_partitions(k):
                 formula = st_uniform_formula(p, spec, T)
                 for n in (1, 3, 7):
-                    assert formula.evaluate(n) == FiniteTraces(
+                    assert formula_at(formula, n) == FiniteTraces(
                         spec, Subdivision.uniform(n, T)).st(p), (spec, p, n)
 
 
@@ -145,7 +147,7 @@ def limit_cases(draw, arity_max: int):
         left -= k
         kind = draw(st.sampled_from(("st", "pr")))
         pool = enumerate_set_partitions(k) if kind == "pr" else [Partition.zero_hat(k),
-                                                                  Partition.one_hat(k)]
+                                                                  one_hat(k)]
         factors.append((draw(st.sampled_from(pool)), kind))
     k = sum(p.k for p, _ in factors)
     return factors, ProcessSpec(tuple(draw(st.lists(st.sampled_from(WORDS),
@@ -269,7 +271,7 @@ def test_public_exact_functions_return_fractions():
         limit_expect_st(zero, semi, T), main_theorem_residual(zero, semi, "L1", T),
         main_theorem_residual(zero, semi, "L2", T), inner_peeling_residual(zero, semi, "L2"),
         *example_formulas_check("brownian", Partition.parse("((1)(2,3))"), T),
-        *st_uniform_formula(Partition.one_hat(2), make_tuple(POISSON, "identical", k=2),
+        *st_uniform_formula(one_hat(2), make_tuple(POISSON, "identical", k=2),
                             T).coeffs.values(),
         exact_moment(make_tuple(POISSON, "identical", k=3), 2),
     ]
@@ -281,7 +283,7 @@ def test_public_exact_functions_return_fractions():
     assert all(type(v) is Fraction for v in values), [type(v) for v in values]
     assert [format_rational(v) for v in values[:9]] == ["0/1"] * 9
     assert format_rational(exact_moment(make_tuple(POISSON, "identical", k=3), 2)) == "57/1"
-    one = Partition.one_hat(3)
+    one = one_hat(3)
     mus = [mobius(zero, zero), mobius(Partition.zero_hat(3), one, "full"),
            mobius(Partition.zero_hat(3), one, "noncrossing")]
     assert [type(mu) for mu in mus] == [int] * 3 and mus == [1, 2, 2]
