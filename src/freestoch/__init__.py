@@ -39,7 +39,6 @@ from .processes import (
     make_tuple,
 )
 from .measures import (
-    UniformFormula,
     diagonal_nesting_residual,
     example_formulas_check,
     expect_pr,

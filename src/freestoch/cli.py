@@ -3,8 +3,10 @@
 Subcommands cover lattice utilities, the moment/cumulant transforms, the
 exact identity suites, and the Monte Carlo sweeps.  The parser turns all
 text into values: each flag's `_arg` type refuses a bad value with
-argparse's error naming the flag.  Each handler maps the values to its list
-of records, parsing nothing; `run` hands them to the one report writer.
+argparse's error naming the flag (`--out` an unwritable path too).  Each
+handler maps the values to its list of records, parsing nothing; the
+`verify` sweeps and their `--k-max` guards live in `measures`.  `run` hands
+the records to the one report writer.
 Reports are JSON (default) or CSV; exit status is 0 when every record
 passes, 1 when a check fails, and 2 on usage errors, of which those a handler
 raises (checks across flags, size guards, matrix checks) print a bare `error:` line.
@@ -17,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -31,19 +34,16 @@ from .cumulants import (
 )
 from .errors import DimensionError, SizeGuardError
 from .measures import (
-    MAX_LIMIT_ARITY,
     MAX_ST_ARITY,
-    _main_theorem_sides,
-    _record,
-    _residuals,
     exact_moment,
-    example_formulas_check,
+    examples_suite,
     identity_suite,
+    main_theorem_suite,
     st_uniform_formula,
 )
 from .partitions import (
     Partition,
-    _block_text,
+    block_text,
     classify_classes,
     enumerate_noncrossing,
     enumerate_set_partitions,
@@ -163,6 +163,9 @@ _partition = _arg(Partition.parse)
 _process = _arg(_parse_process)
 _meshes = _arg(lambda text: [int(x) for x in text.split(",")],
                "comma-separated integers >= 1", lambda meshes: min(meshes) >= 1)
+# checked before the handler runs; _write_report still reports a failed write
+_out = _arg(str, "a file path in an existing directory",
+            lambda path: not os.path.isdir(path) and os.path.isdir(os.path.dirname(path) or "."))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +192,8 @@ def _cmd_partitions_classify(args) -> list[dict]:
     split = classify_classes(args.partition)
     return [{
         "partition": str(args.partition),
-        "outer": "".join(map(_block_text, split.outer)),
-        "inner": "".join(map(_block_text, split.inner)),
+        "outer": "".join(map(block_text, split.outer)),
+        "inner": "".join(map(block_text, split.inner)),
         "outer_count": len(split.outer),
         "inner_count": len(split.inner),
         "pass": True,
@@ -218,6 +221,11 @@ def _cmd_cumulants_to_moments(args) -> list[dict]:
         raise DimensionError("argument --process: expected a single-component process, "
                              f"got {spec.k} components")
     order = args.order or 4
+    for atom in spec.atoms():  # the order-th moment reads the cumulants up to that order
+        try:
+            atom.cumulant(order)
+        except SizeGuardError as exc:
+            raise SizeGuardError(f"argument --order: {exc}") from exc
     # the moment of a process on any n of its copies is that of n identical copies
     seq = [exact_moment(make_tuple(spec, "identical", k=n)) for n in range(1, order + 1)]
     return _functional_record(MomentFunctional.from_single_variable(order, seq), "moments")
@@ -237,55 +245,24 @@ def _cmd_verify_suite(args) -> list[dict]:
     return identity_suite(spec, args.k_max, process_name=text)
 
 
-def _check_l2_k_max(k_max: int) -> None:
-    """L2 checks at k take limit products of arity 2k: refuse before any work."""
-    if k_max > MAX_LIMIT_ARITY // 2:
-        raise SizeGuardError(f"L2 at k={k_max} needs arity {2 * k_max} > {MAX_LIMIT_ARITY}")
-
-
 def _cmd_verify_main_theorem(args) -> list[dict]:
     text, base = args.process
-    orders = ["L1", "L2"] if args.order == "both" else [args.order]
-    if "L2" in orders:
-        _check_l2_k_max(args.k_max)
-    elif args.k_max > MAX_ST_ARITY:  # L1 alone: St limits of arity k
-        raise SizeGuardError(f"L1 at k={args.k_max} exceeds St arity guard {MAX_ST_ARITY}")
-    subdivision = f"limit,t={format_rational(args.t)}"
-    records = []
-    for k in range(1, args.k_max + 1):
-        spec = make_tuple(base, "identical", k=k)
-        for p in enumerate_noncrossing(k):
-            residuals = _residuals(p, spec, _main_theorem_sides, orders, args.t)
-            records += [_record(f"main_theorem_{order.lower()}", p, text, subdivision, res)
-                        for order, res in zip(orders, residuals)]
-    return records
+    orders = ("L1", "L2") if args.order == "both" else (args.order,)
+    return main_theorem_suite(base, args.k_max, orders, args.t, process_name=text)
 
 
 def _cmd_verify_formula(args) -> list[dict]:
     """Coefficient table of the uniform-subdivision trace in powers of 1/N."""
     p, (text, base) = args.partition, args.process
     spec = make_tuple(base, "identical", k=p.k) if base.k == 1 else base
-    formula = st_uniform_formula(p, spec, args.t)
     return [{
         "partition": str(p), "process": text,
         "inv_n_power": j, "coefficient": format_rational(c), "pass": True,
-    } for j, c in formula.rows()]
+    } for j, c in st_uniform_formula(p, spec, args.t)]
 
 
 def _cmd_verify_examples(args) -> list[dict]:
-    _check_l2_k_max(args.k_max)
-    records = []
-    for k in range(1, args.k_max + 1):
-        for p in enumerate_noncrossing(k):
-            l1, l2 = example_formulas_check(args.which, p, args.t)
-            records.append({
-                "check": f"example_{args.which}",
-                "partition": str(p), "process": args.which,
-                "subdivision": f"limit,t={format_rational(args.t)}",
-                "residual": format_rational(l1), "residual_l2": format_rational(l2),
-                "pass": l1 == 0 and l2 == 0,
-            })
-    return records
+    return examples_suite(args.which, args.k_max, args.t)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +276,7 @@ def _cmd_simulate_calibrate(args) -> list[dict]:
     spec = spec_from_descriptor("free_poisson" if args.model == "poisson_sps" else "semicircular")
     sub = Subdivision.uniform(args.n)
     orders = [1, 2, 3, 4]
-    refs = {
-        n: exact_moment(make_tuple(spec, "identical", k=n), 1) for n in orders
-    }
+    refs = {n: exact_moment(make_tuple(spec, "identical", k=n)) for n in orders}
     return calibrate(spec, sub, cfg, orders, refs)
 
 
@@ -418,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     for group in (parts, cums, ver, sim):
         for sp in group.choices.values():
             sp.add_argument("--output", choices=("json", "csv"), default="json")
-            sp.add_argument("--out", default=None, help="write the report here instead of stdout")
+            sp.add_argument("--out", type=_out, default=None,
+                            help="write the report here instead of stdout")
     return parser
 
 

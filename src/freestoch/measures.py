@@ -237,13 +237,10 @@ def expect_pr(p: Partition, sub: Subdivision, spec: ProcessSpec) -> Fraction:
     return Fraction(value(table.pr(p)), scale)
 
 
-def _limit_weight(blocks, table: ScaledCumulants, t) -> Fraction:
-    """t^|blocks| times the product of the unit cumulants of the blocks (sets
-    of components, as in `table.product`): the integer t.numerator^m B^m
-    prod R over (t.denominator B)^m, for m blocks and B the table's scale."""
-    t, m = Fraction(t), len(blocks)
-    return Fraction(t.numerator**m * table.product(blocks),
-                    (t.denominator * table.scale) ** m)
+def _limit_weight(blocks, table: ScaledCumulants) -> Fraction:
+    """The product of the table's cumulants of the blocks (sets of
+    components, as in `table.product`), over scale^|blocks|."""
+    return Fraction(table.product(blocks), table.scale ** len(blocks))
 
 
 def limit_expect_st(p: Partition, spec: ProcessSpec, t=1) -> Fraction:
@@ -252,7 +249,7 @@ def limit_expect_st(p: Partition, spec: ProcessSpec, t=1) -> Fraction:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
     if not is_noncrossing(p):
         return Fraction(0)
-    return _limit_weight(p.blocks, ScaledCumulants(spec), t)
+    return _limit_weight(p.blocks, ScaledCumulants(spec, t))
 
 
 def exact_moment(spec: ProcessSpec, t=1) -> Fraction:
@@ -265,24 +262,10 @@ def exact_moment(spec: ProcessSpec, t=1) -> Fraction:
 # uniform closed form
 
 
-class UniformFormula(Frozen):
-    """Exact value of a trace at uniform subdivisions, as a polynomial in 1/N.
-
-    coeffs[j] multiplies N^(-j); the constant term is the mesh limit.  The
-    rows list the nonzero coefficients, or the constant 0 of a zero trace.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, Fraction]):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def rows(self):
-        return [(j, self.coeffs[j]) for j in sorted(self.coeffs)] or [(0, Fraction(0))]
-
-
-def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
-    """St_p trace at the uniform N-subdivision of [0, t), exactly in 1/N.
+def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> list[tuple[int, Fraction]]:
+    """St_p trace at the uniform N-subdivision of [0, t), exactly in 1/N: the
+    rows (j, coefficient of N^(-j)), nonzero and by increasing j, or the one
+    row (0, 0) of a zero trace.  The j = 0 row is the mesh limit.
 
     The St_p polynomial read at P[c] = t^c N^(1 - c): a monomial of degree
     d in m power sums contributes t^d N^(m - d).  Each coefficient is summed
@@ -290,6 +273,8 @@ def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
     """
     _check_st(p, spec)
     t = Fraction(t)
+    # a finite trace: time enters through the interval lengths, so the table
+    # keeps t = 1 and t is read here, in the power sums
     table = TraceTable(spec)
     numerators: dict[int, int] = {}
     for mono, c in table.st(p).items():
@@ -298,7 +283,7 @@ def st_uniform_formula(p: Partition, spec: ProcessSpec, t=1) -> UniformFormula:
         term = c * t.numerator**degree * t.denominator ** (spec.k - degree)
         numerators[j] = numerators.get(j, 0) + term
     scale = (table.cumulants.scale * t.denominator) ** spec.k
-    return UniformFormula({j: Fraction(n, scale) for j, n in numerators.items() if n})
+    return [(j, Fraction(n, scale)) for j, n in sorted(numerators.items()) if n] or [(0, Fraction(0))]
 
 
 # ---------------------------------------------------------------------------
@@ -317,29 +302,39 @@ def _check_factors(factors, k: int) -> None:
         raise SizeGuardError(f"total arity {arity} exceeds guard {MAX_LIMIT_ARITY}")
 
 
+def _check_sweep(k_max: int, orders) -> None:
+    """The guards of a residual sweep over k <= k_max, run before any work: L2
+    at k takes limit products of arity 2k, L1 St limits of arity k."""
+    if "L2" in orders and k_max > MAX_LIMIT_ARITY // 2:
+        raise SizeGuardError(f"L2 at k={k_max} needs arity {2 * k_max} > {MAX_LIMIT_ARITY}")
+    if k_max > MAX_ST_ARITY:
+        raise SizeGuardError(f"L1 at k={k_max} exceeds St arity guard {MAX_ST_ARITY}")
+
+
 def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
-    """Mesh limit of the product trace: the sum of t^|sigma| R_sigma over the
-    noncrossing coincidence patterns sigma that the factors admit.
+    """Mesh limit of the product trace at time t: the sum of t^|sigma| R_sigma
+    over the noncrossing coincidence patterns sigma that the factors admit.
 
     The patterns are never listed.  The first-block plan of the layout runs
     over sets of blocks of the concatenated pattern (units), as bitmasks: a
     block of sigma is a union of them that keeps apart the units of one
-    group and weighs t times the unit cumulant of its word.  The units,
+    group and weighs the time-t cumulant of its word.  The units,
     their groups and their components are read off the factors at a running
     offset, once per factor tuple (`_layout`): a whole St factor is one
     group, since St pins its within-factor pattern exactly, and each block
     of a Pr factor its own, since Pr only bounds it below.
 
-    The sums run in integers (`_limit_sum`): with D = B t.denominator (B the
-    tuple's cumulant scale), a block of n units weighs the integer t R D^n,
-    and one Fraction N / D^m is formed at the end of a sum over m units.
+    Time enters through the table alone: `ScaledCumulants(spec, t)` holds
+    the integers D t R, D its scale.  The sums run in integers
+    (`_limit_sum`): a block of n units weighs D^n t R, and one Fraction
+    N / D^m is formed at the end of a sum over m units.
     """
     if not factors:
         return Fraction(1)
     _check_factors(factors, spec.k)
-    table, t = ScaledCumulants(spec), Fraction(t)
-    total, n = _limit_sum(tuple(factors), (), table.parts, table, t)
-    return Fraction(total, (table.scale * t.denominator) ** n)
+    table = ScaledCumulants(spec, t)
+    total, n = _limit_sum(tuple(factors), (), table.parts, table)
+    return Fraction(total, table.scale ** n)
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -358,15 +353,15 @@ def _layout(factors: tuple[Factor, ...], adjoint: tuple[Factor, ...]):
     return tuple(bits), tuple(tags), tuple(units)
 
 
-def _limit_sum(factors, adjoint, parts, table: ScaledCumulants, t: Fraction) -> tuple[int, int]:
+def _limit_sum(factors, adjoint, parts, table: ScaledCumulants) -> tuple[int, int]:
     """limit_product_of_st of the factors and the adjoint's (`_layout`), guards
     passed, on components with these parts, as (N, n): the product is N / D^n
-    over the n units, D = B t.denominator."""
+    over the n units, D the table's scale."""
     bits, tags, units = _layout(factors, adjoint)
-    n, scale = len(bits), table.scale * t.denominator
+    n, scale = len(bits), table.scale
     weights, merge, value = [0] * (1 << n), table.merge, table.value
     merged = {1 << i: merge([parts[c] for c in unit]) for i, unit in enumerate(units)}
-    powers = [t.numerator * scale**m for m in range(n)]  # t R D^m = (B R) powers[m - 1]
+    powers = [scale**m for m in range(n)]  # t R D^m = (D t R) powers[m - 1]
     blocks, sets = first_block_plan(bits, tags)
     for v in blocks:  # each after itself less its top unit
         top = 1 << (v.bit_length() - 1)
@@ -405,11 +400,11 @@ def l2_residual(a: MeasureWord, b: MeasureWord, t=1) -> Fraction:
     A - B = (a - b) W, so the residual is (a - b)^2 tau(W W*).  The traces
     with nonzero scalars are summed in integers over one denominator.
     """
-    table = ScaledCumulants(ProcessSpec(a.words + b.words))
-    return _l2(a, b, Fraction(t), table, table.parts[:len(a.words)], table.parts[len(a.words):])
+    table = ScaledCumulants(ProcessSpec(a.words + b.words), t)
+    return _l2(a, b, table, table.parts[:len(a.words)], table.parts[len(a.words):])
 
 
-def _l2(a: MeasureWord, b: MeasureWord, t: Fraction, table: ScaledCumulants, pa, pb) -> Fraction:
+def _l2(a: MeasureWord, b: MeasureWord, table: ScaledCumulants, pa, pb) -> Fraction:
     """l2_residual on a table that holds both words' atoms; pa, pb: their
     parts, reversed for the adjoints.  With scalars u / (d_a d_b) and
     v / (d_a d_b), the traces carry u^2, -2uv and v^2 over (d_a d_b)^2."""
@@ -419,12 +414,12 @@ def _l2(a: MeasureWord, b: MeasureWord, t: Fraction, table: ScaledCumulants, pa,
     if a.factors == b.factors and pa == pb:  # three equal traces
         pairs = (((u - v) ** 2, a, a, pa, pa),)
     den = (sa.denominator * sb.denominator) ** 2
-    scale, total, power = table.scale * t.denominator, 0, 0  # the sum is total / (den D^power)
+    scale, total, power = table.scale, 0, 0  # the sum is total / (den D^power)
     for c, x, y, px, py in pairs:  # the guards of x y*: y* has y's kinds and arities
         _check_factors(x.factors + y.factors, len(px) + len(py))
         if not c:
             continue
-        num, n = (_limit_sum(x.factors, y.factors, px + py[::-1], table, t)
+        num, n = (_limit_sum(x.factors, y.factors, px + py[::-1], table)
                   if x.factors or y.factors else (1, 0))
         if n > power:
             total, power = total * scale ** (n - power), n
@@ -432,51 +427,50 @@ def _l2(a: MeasureWord, b: MeasureWord, t: Fraction, table: ScaledCumulants, pa,
     return Fraction(total, den * scale**power)
 
 
-def _residuals(p: Partition, spec: ProcessSpec, sides, orders, t,
-               table: ScaledCumulants | None = None) -> list[Fraction]:
+def _residuals(p: Partition, spec: ProcessSpec, sides, orders,
+               table: ScaledCumulants) -> list[Fraction]:
     """The residual for each order asked for of the St_p word L against the
-    right side R = sides(p, spec, t, table), once p is checked noncrossing
-    and then against the tuple's size.  One cumulant table over the tuple's
-    atoms (the caller's, if given) serves all of them: L's parts are its own
-    and R's are read once.  L1 compares t^|p| R_p with R's scalar times the
-    closed form of its one St factor, if any; L2 expands (L - R)(L - R)*.
+    right side R = sides(p, spec, table), once p is checked noncrossing and
+    then against the tuple's size.  The table, over the tuple's atoms at the
+    time of the residual, serves all of them: L's parts are its own and R's
+    are read once.  L1 compares t^|p| R_p with R's scalar times the closed
+    form of its one St factor, if any; L2 expands (L - R)(L - R)*.
     """
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
     if p.k != spec.k:
         raise DimensionError(f"partition of [{p.k}] vs {spec.k} components")
-    t, table = Fraction(t), ScaledCumulants(spec) if table is None else table
-    rhs = sides(p, spec, t, table)
+    rhs = sides(p, spec, table)
     lhs = MeasureWord(Fraction(1), ((p, "st"),), spec.words)
     rhs_parts = [table.part(w) for w in rhs.words]
     q_blocks = rhs.factors[0][0].blocks if rhs.factors else ()
-    residual = {"L1": lambda: _l1(p.blocks, rhs.scalar, q_blocks, rhs_parts, table, t),
-                "L2": lambda: _l2(lhs, rhs, t, table, table.parts, rhs_parts)}
+    residual = {"L1": lambda: _l1(p.blocks, rhs.scalar, q_blocks, rhs_parts, table),
+                "L2": lambda: _l2(lhs, rhs, table, table.parts, rhs_parts)}
     for order in orders:
         if order not in residual:
             raise ValueError(f"unknown order {order!r}")
     return [residual[order]() for order in orders]
 
 
-def _l1(p_blocks, s, q_blocks, q_parts, table: ScaledCumulants, t: Fraction) -> Fraction:
+def _l1(p_blocks, s, q_blocks, q_parts, table: ScaledCumulants) -> Fraction:
     """t^|p| R_p less s t^|q| R_q, q over q_parts, as one integer difference:
-    t^m R is t.numerator^m B^m prod R over D^m, D = B t.denominator."""
-    d, m, n = table.scale * t.denominator, len(p_blocks), len(q_blocks)
-    left = s.denominator * t.numerator**m * table.product(p_blocks) * d ** max(n - m, 0)
-    right = s.numerator * t.numerator**n * table.product(q_blocks, q_parts) * d ** max(m - n, 0)
+    t^m R is the table's product over D^m, D its scale."""
+    d, m, n = table.scale, len(p_blocks), len(q_blocks)
+    left = s.denominator * table.product(p_blocks) * d ** max(n - m, 0)
+    right = s.numerator * table.product(q_blocks, q_parts) * d ** max(m - n, 0)
     return Fraction(left - right, s.denominator * d ** max(m, n))
 
 
-def _main_theorem_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulants):
+def _main_theorem_sides(p: Partition, spec: ProcessSpec, table: ScaledCumulants):
     split = classify_classes(p)
-    scalar = _limit_weight(split.inner, table, t)
+    scalar = _limit_weight(split.inner, table)
     derived_words = tuple(spec.subset_word(b) for b in split.outer)
     return MeasureWord(scalar, ((Partition.zero_hat(len(split.outer)), "st"),), derived_words)
 
 
 def main_theorem_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
     """Residual of St_p against the inner-scalar times off-diagonal form."""
-    return _residuals(p, spec, _main_theorem_sides, (order,), t)[0]
+    return _residuals(p, spec, _main_theorem_sides, (order,), ScaledCumulants(spec, t))[0]
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -486,16 +480,16 @@ def _outer_pattern(p: Partition) -> tuple[tuple[int, ...], Partition]:
     return support, restrict(p, support)
 
 
-def _inner_peeling_sides(p: Partition, spec: ProcessSpec, t, table: ScaledCumulants):
+def _inner_peeling_sides(p: Partition, spec: ProcessSpec, table: ScaledCumulants):
     support, outer = _outer_pattern(p)
-    scalar = _limit_weight(classify_classes(p).inner, table, t)
+    scalar = _limit_weight(classify_classes(p).inner, table)
     return MeasureWord(scalar, ((outer, "st"),), tuple(spec.words[i - 1] for i in support))
 
 
 def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t=1) -> Fraction:
     """Residual of St_p against peeling all inner classes off as scalars,
     keeping St of the outer blocks on their own positions."""
-    return _residuals(p, spec, _inner_peeling_sides, (order,), t)[0]
+    return _residuals(p, spec, _inner_peeling_sides, (order,), ScaledCumulants(spec, t))[0]
 
 
 def diagonal_nesting_residual(spec: ProcessSpec, interval_blocks, t=1) -> Fraction:
@@ -503,14 +497,14 @@ def diagonal_nesting_residual(spec: ProcessSpec, interval_blocks, t=1) -> Fracti
     blocks = [tuple(sorted(b)) for b in interval_blocks]
     if not all(blocks) or [i for b in blocks for i in b] != list(range(1, spec.k + 1)):
         raise ValueError("blocks must form an interval partition of the components")
-    table = ScaledCumulants(spec)
-    return _nesting(blocks, table, Fraction(t), table.value(table.merge(table.parts)))
+    return _nesting(blocks, ScaledCumulants(spec, t))
 
 
-def _nesting(blocks, table: ScaledCumulants, t: Fraction, flat: int) -> Fraction:
-    """t R of the diagonal of the blocks' diagonals (merged parts) less flat t / B."""
+def _nesting(blocks, table: ScaledCumulants) -> Fraction:
+    """t R of the diagonal of the blocks' diagonals (merged parts) less that
+    of the flat diagonal, over the table's scale."""
     whole = table.merge([table.merge([table.parts[i - 1] for i in b]) for b in blocks])
-    return Fraction(t.numerator * (table.value(whole) - flat), t.denominator * table.scale)
+    return Fraction(table.value(whole) - table.value(table.merge(table.parts)), table.scale)
 
 
 def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:
@@ -524,8 +518,8 @@ def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:
     if base.k != 1:
         raise DimensionError("the sandwich check takes a single-component process")
     z_spec = make_custom_process(z_cumulants)
-    table = ScaledCumulants(ProcessSpec((base.words[0], z_spec.words[0], base.words[0])))
-    return _limit_weight(((1, 2, 3),), table, t)
+    table = ScaledCumulants(ProcessSpec((base.words[0], z_spec.words[0], base.words[0])), t)
+    return _limit_weight(((1, 2, 3),), table)
 
 
 # ---------------------------------------------------------------------------
@@ -557,14 +551,11 @@ def example_formulas_check(which: str, p: Partition, t=1) -> tuple[Fraction, Fra
         else:
             pairs = sum(1 for b in p.blocks if len(b) == 2)
             singles = sum(1 for b in split.outer if len(b) == 1)
-            if singles:
-                rhs = MeasureWord(t**pairs, ((Partition.zero_hat(singles), "st"),),
-                                  (spec.words[0],) * singles)
-            else:
-                rhs = MeasureWord(t**pairs, (), ())
+            factors = ((Partition.zero_hat(singles), "st"),) if singles else ()
+            rhs = MeasureWord(t**pairs, factors, (spec.words[0],) * singles)
     else:
         raise ValueError(f"unknown example {which!r}")
-    return tuple(_residuals(p, spec, lambda *_: rhs, ("L1", "L2"), t))
+    return tuple(_residuals(p, spec, lambda *_: rhs, ("L1", "L2"), ScaledCumulants(spec, t)))
 
 
 SUBDIVISION_BATTERY = (
@@ -635,17 +626,46 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
                 records.append(_record(check, text, process_name, where, residual))
         scaled = table.cumulants
         for p in enumerate_noncrossing(k):
-            l1, l2 = _residuals(p, spec, _inner_peeling_sides, ("L1", "L2"), 1, scaled)
+            l1, l2 = _residuals(p, spec, _inner_peeling_sides, ("L1", "L2"), scaled)
             records.append(_record("inner_peeling_l1", p, process_name, "limit", l1))
             records.append(_record("inner_peeling_l2", p, process_name, "limit", l2))
-        flat = scaled.value(scaled.merge(scaled.parts))
         for nesting in reversed(enumerate_set_partitions(k)):  # the compositions' order
             if all(b[-1] - b[0] < len(b) for b in nesting.blocks):  # an interval partition
                 records.append(_record("diagonal_nesting", nesting, process_name, "limit",
-                                       _nesting(nesting.blocks, scaled, Fraction(1), flat)))
+                                       _nesting(nesting.blocks, scaled)))
     for t in (Fraction(1), Fraction(3, 2)):
         records.append(_record("free_sandwich_limit", None, process_name,
                                f"t={format_rational(t)}",
                                free_sandwich_residual(base, (Fraction(1), Fraction(1, 2), Fraction(1, 3)), t)))
     return records
 
+
+def main_theorem_suite(base: ProcessSpec, k_max: int, orders=("L1", "L2"), t=1,
+                       process_name: str = "process") -> list[dict]:
+    """The main-theorem residual records, in the orders asked for, of every
+    noncrossing p of k <= k_max identical copies of one process at time t:
+    one cumulant table per k serves all of its p."""
+    _check_sweep(k_max, orders)
+    where, records = f"limit,t={format_rational(Fraction(t))}", []
+    for k in range(1, k_max + 1):
+        spec = make_tuple(base, "identical", k=k)
+        table = ScaledCumulants(spec, t)
+        for p in enumerate_noncrossing(k):
+            residuals = _residuals(p, spec, _main_theorem_sides, orders, table)
+            records += [_record(f"main_theorem_{order.lower()}", p, process_name, where, res)
+                        for order, res in zip(orders, residuals)]
+    return records
+
+
+def examples_suite(which: str, k_max: int, t=1) -> list[dict]:
+    """The (L1, L2) records of `example_formulas_check` on every noncrossing
+    p of k <= k_max."""
+    _check_sweep(k_max, ("L1", "L2"))
+    where, records = f"limit,t={format_rational(Fraction(t))}", []
+    for k in range(1, k_max + 1):
+        for p in enumerate_noncrossing(k):
+            l1, l2 = example_formulas_check(which, p, t)
+            record = _record(f"example_{which}", p, which, where, l1)
+            passed = record.pop("pass") and l2 == 0  # "pass" stays the last key
+            records.append({**record, "residual_l2": format_rational(l2), "pass": passed})
+    return records

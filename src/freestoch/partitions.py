@@ -118,7 +118,7 @@ class Partition(Frozen):
         return cls.of(blocks)
 
     def __str__(self) -> str:
-        return "(" + "".join(map(_block_text, self.blocks)) + ")"
+        return "(" + "".join(map(block_text, self.blocks)) + ")"
 
     @property
     def num_blocks(self) -> int:
@@ -134,7 +134,7 @@ class Partition(Frozen):
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
-def _block_text(block: Block) -> str:
+def block_text(block: Block) -> str:
     """A block as text, "(1,6,7)"; P(k <= 10) has at most 1023 distinct blocks."""
     return "(" + ",".join(map(str, block)) + ")"
 
@@ -277,11 +277,12 @@ def restrict(p: Partition, elements) -> Partition:
     return Partition.of(blocks, len(elems))
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def coarsenings(p: Partition) -> tuple[Partition, ...]:
     """All sigma >= p: each q in P(|p|), in restricted-growth order, merges
     the blocks of p that it groups, since [p, 1-hat] is P(|p|) (Nica-Speicher,
-    Lectures on the Combinatorics of Free Probability, Lectures 9-10)."""
+    Lectures on the Combinatorics of Free Probability, Lectures 9-10).
+    Uncached, as is `mobius`: the trace tables keep the inversions that read
+    both, and a matrix sum spends far longer on each sigma than either."""
     out = []
     for q in enumerate_set_partitions(p.num_blocks):
         merged = (tuple(sorted(sum((p.blocks[i - 1] for i in group), ()))) for group in q.blocks)
@@ -431,7 +432,6 @@ def _mu_noncrossing(n: int) -> int:
     return (-1) ** (n - 1) * (math.comb(2 * n - 2, n - 1) // n)
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def mobius(s: Partition, p: Partition, lattice: str = "full") -> int:
     """Mobius function of the interval [s, p] in P(k) or NC(k), in closed form.
 

@@ -106,21 +106,25 @@ Part = tuple[int | None, int]  # (atom index, or None across atoms; word length)
 
 
 class ScaledCumulants:
-    """Unit-time cumulants of sets of a tuple's components, as integers: the
+    """Cumulants at time t of sets of a tuple's components, as integers: the
     one way the exact engine evaluates them.
 
-    `scale` is B, the lcm of the denominators of every cumulant the atoms
-    declare, so B R(S) is an integer for every set S of components.  R(S)
-    depends only on the atom of S's word and its length, so each component
-    is reduced to that part (`parts`) and the scaled values are cached per
-    part.  The table holds the spec's atoms only, so `part` refuses a word
-    over any other: its cumulants' denominators are not in B.
+    Free increments are stationary, so the process at time t has the free
+    cumulants t r_n.  `scale` is t.denominator B, B the lcm of the
+    denominators of every cumulant the atoms declare, so scale t R(S) is an
+    integer for every set S of components.  R(S) depends only on the atom of
+    S's word and its length, so each component is reduced to that part
+    (`parts`) and the scaled values are cached per part.  The table holds the
+    spec's atoms only, so `part` refuses a word over any other: its
+    cumulants' denominators are not in B.
     """
 
-    def __init__(self, spec: ProcessSpec):
+    def __init__(self, spec: ProcessSpec, t=1):
+        t = Fraction(t)
         self._atoms: list[Atom] = list(spec.atoms())
         self.parts: list[Part] = [self.part(w) for w in spec.words]
-        self.scale = math.lcm(*(x.denominator for a in self._atoms for x in a.data))
+        self._lcm = math.lcm(*(x.denominator for a in self._atoms for x in a.data))
+        self._t, self.scale = t.numerator, t.denominator * self._lcm
         self._values: dict[Part, int] = {}
 
     def _index(self, atom: Atom) -> int:
@@ -150,16 +154,16 @@ class ScaledCumulants:
         return atom, length
 
     def value(self, part: Part) -> int:
-        """B times the unit cumulant of a word with this part."""
+        """scale times the time-t cumulant of a word with this part."""
         if part[0] is None:
             return 0
         if part not in self._values:
             r = self._atoms[part[0]].cumulant(part[1])
-            self._values[part] = r.numerator * (self.scale // r.denominator)
+            self._values[part] = self._t * r.numerator * (self._lcm // r.denominator)
         return self._values[part]
 
     def product(self, blocks, parts=None) -> int:
-        """B^|blocks| times the product of the unit cumulants of the blocks,
+        """scale^|blocks| times the product of the time-t cumulants of the blocks,
         each a set of components: of the spec, or of words with these parts."""
         parts = self.parts if parts is None else parts
         out = 1

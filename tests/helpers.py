@@ -25,7 +25,6 @@ from freestoch.errors import CrossingPartitionError, DimensionError, SizeGuardEr
 from freestoch.measures import (
     SUBDIVISION_BATTERY,
     MeasureWord,
-    UniformFormula,
     _limit_sum,
     _record,
     diagonal_nesting_residual,
@@ -462,18 +461,18 @@ def pr_by_union_find(table, p):
 @dataclass(frozen=True)
 class ExpectationReport:
     finite_value: Fraction
-    uniform_formula: UniformFormula
+    uniform_formula: list  # the rows (j, coefficient of N^(-j)) of st_uniform_formula
     limit_value: Fraction
 
 
-def formula_at(formula, n):
+def formula_at(rows, n):
     """The value of a uniform closed form at N = n: the polynomial in 1/n."""
-    return sum((c * Fraction(1, n**j) for j, c in formula.coeffs.items()), Fraction(0))
+    return sum((c * Fraction(1, n**j) for j, c in rows), Fraction(0))
 
 
-def formula_limit(formula):
+def formula_limit(rows):
     """The mesh limit of a uniform closed form: its constant term."""
-    return formula.coeffs.get(0, Fraction(0))
+    return dict(rows).get(0, Fraction(0))
 
 
 def st_report(p, spec, sub):
@@ -771,14 +770,14 @@ def pair_trace(a, b, t=1):
     return a.scalar * b.scalar * limit_product_of_st(factors, ProcessSpec(a.words + b.words), t)
 
 
-def pair_trace_on_table(a, b, t, table, parts):
-    """tau(A B) by the engine's integer limit sum on a shared cumulant table,
-    given the parts of A's and B's words in it."""
-    t, factors = Fraction(t), tuple(a.factors + b.factors)
+def pair_trace_on_table(a, b, table, parts):
+    """tau(A B) by the engine's integer limit sum on a shared cumulant table
+    (at its time), given the parts of A's and B's words in it."""
+    factors = tuple(a.factors + b.factors)
     if not factors:
         return a.scalar * b.scalar
-    total, n = _limit_sum(factors, (), parts, table, t)
-    return a.scalar * b.scalar * Fraction(total, (table.scale * t.denominator) ** n)
+    total, n = _limit_sum(factors, (), parts, table)
+    return a.scalar * b.scalar * Fraction(total, table.scale ** n)
 
 
 def l2_residual_by_four_traces(a, b, t=1):

@@ -112,7 +112,8 @@ def test_to_moments_refuses_an_order_the_process_does_not_declare(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.splitlines() == [
-        "error: custom process declares cumulants up to order 1, order 2 requested"]
+        "error: argument --order: custom process declares cumulants up to order 1, "
+        "order 2 requested"]
 
 
 @pytest.mark.parametrize("cumulants, error", [
@@ -206,6 +207,21 @@ def test_csv_output_and_out_file(tmp_path):
     assert len(rows) == 5
     assert {r["partition"] for r in rows} == {
         "((1,2,3))", "((1,2)(3))", "((1,3)(2))", "((1)(2,3))", "((1)(2)(3))"}
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_an_out_path_that_cannot_be_written_is_refused_before_the_handler(
+        tmp_path, capsys, monkeypatch, where):
+    # a missing directory, and a directory itself: the handler never runs
+    ran = []
+    monkeypatch.setattr("freestoch.cli._cmd_partitions_enumerate",
+                        lambda args: ran.append(args) or [])
+    path = tmp_path / where
+    assert run(["partitions", "enumerate", "--k", "3", "--out", str(path)]) == 2
+    assert _flag_error_line(capsys) == (
+        "freestoch partitions enumerate: error: argument --out: "
+        f"expected a file path in an existing directory, got {str(path)!r}")
+    assert ran == [] and list(tmp_path.iterdir()) == []
 
 
 def test_simulate_calibrate_small(capsys):
@@ -365,6 +381,17 @@ def test_to_moments_refuses_an_order_beside_a_functional(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [
         "error: argument --order: not allowed with argument --functional"]
+
+
+def test_to_moments_names_the_order_beyond_the_declared_cumulants(capsys):
+    one = '{"type":"custom","cumulants":{"1":"1"}}'
+    assert run(["cumulants", "to-moments", "--process", one, "--order", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: argument --order: custom process declares cumulants up to order 1, "
+        "order 3 requested"]
+    code, rep = _run_json(capsys, ["cumulants", "to-moments", "--process", one, "--order", "1"])
+    assert code == 0 and rep["records"][0]["moments"] == "1/1"
 
 
 @pytest.mark.parametrize("argv, flag", [

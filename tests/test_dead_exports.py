@@ -123,3 +123,29 @@ def test_an_unused_import_is_reported(tmp_path):
         "    return os.path.join(x)\n\n\n"
         "def later():\n    from .b import unused_inside\n    return joined\n")
     assert unused_imports(tmp_path) == ["a.functools", "a.concat", "a.unused_inside"]
+
+
+def private_imports(src: pathlib.Path) -> list[str]:
+    """module.name for each `_`-prefixed name, dunders aside, that a module
+    imports from another module of the package: what a module shares is
+    public, and a private name stays in its own module."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.stem}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports(SRC) == []
+
+
+def test_a_private_import_is_reported(tmp_path):
+    (tmp_path / "__init__.py").write_text("__version__ = '0'\n")
+    (tmp_path / "a.py").write_text(
+        "from os import _exit\n\nfrom . import __version__\nfrom .b import _helper, shared\n"
+        "from .b import _inner as renamed\n\n\ndef _own():\n    return _exit, _helper\n")
+    (tmp_path / "b.py").write_text("def _helper():\n    from .a import _own\n    return _own\n")
+    assert private_imports(tmp_path) == ["a._helper", "a._inner", "b._own"]

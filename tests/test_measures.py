@@ -249,7 +249,7 @@ def test_l2_residual_is_the_four_trace_expansion():
                 for p in enumerate_noncrossing(k):
                     lhs = MeasureWord(Fraction(1), ((p, "st"),), spec.words)
                     for sides in (_main_theorem_sides, _inner_peeling_sides):
-                        rhs = sides(p, spec, t, ScaledCumulants(spec))
+                        rhs = sides(p, spec, ScaledCumulants(spec, t))
                         assert l2_residual(lhs, rhs, t) == \
                             l2_residual_by_four_traces(lhs, rhs, t), (name, p, t)
 

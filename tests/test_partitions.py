@@ -368,8 +368,6 @@ def test_lattice_caches_are_bounded():
     # keyed by k alone and bounded by the enumeration guards
     assert unbounded == {"_all_set_partitions", "_all_noncrossing"}
     assert bounds == {partitions_module.CACHE_MAXSIZE}
-    assert partitions_module.coarsenings.cache_parameters()["maxsize"] == \
-        partitions_module.mobius.cache_parameters()["maxsize"] == partitions_module.CACHE_MAXSIZE
     # the first-block plans: one cache, bounded by the first blocks it holds
     # (tests/test_first_block_plans.py fills and evicts it)
     assert partitions_module._stored <= partitions_module.CACHE_MAXSIZE

@@ -190,7 +190,7 @@ def test_uniform_formula_constant_term_is_the_mesh_limit():
             spec = make_tuple(base, "identical", k=k)
             for p in enumerate_set_partitions(k):
                 for t in (Fraction(1), Fraction(2, 3)):
-                    assert (st_uniform_formula(p, spec, t).coeffs.get(0, 0)
+                    assert (dict(st_uniform_formula(p, spec, t)).get(0, 0)
                             == limit_expect_st(p, spec, t)), (name, p, t)
 
 

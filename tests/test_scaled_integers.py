@@ -104,12 +104,15 @@ def _specs(k):
 
 def test_scaled_cumulants_are_b_times_the_unit_cumulants():
     spec = ProcessSpec(WORDS)
-    scaled = ScaledCumulants(spec)
-    assert scaled.scale == 2 * 105  # lcm of 3/2 and the custom denominators
-    for r in range(1, 4):
-        for subset in itertools.combinations(range(1, spec.k + 1), r):
-            part = scaled.merge(scaled.parts[i - 1] for i in subset)
-            assert Fraction(scaled.value(part), scaled.scale) == unit_cumulant(spec, subset)
+    lcm = 2 * 105  # lcm of 3/2 and the custom denominators
+    for t in (Fraction(1), Fraction(2, 7), Fraction(9, 4)):
+        scaled = ScaledCumulants(spec, t)
+        assert scaled.scale == t.denominator * lcm
+        for r in range(1, 4):
+            for subset in itertools.combinations(range(1, spec.k + 1), r):
+                part = scaled.merge(scaled.parts[i - 1] for i in subset)
+                assert type(scaled.value(part)) is int
+                assert Fraction(scaled.value(part), scaled.scale) == t * unit_cumulant(spec, subset)
 
 
 def test_trace_tables_match_finite_traces_at_coprime_lengths():
@@ -220,15 +223,15 @@ def test_one_table_per_residual_keeps_the_atoms_apart():
                 lhs = MeasureWord(Fraction(1), ((p, "st"),), spec.words)
                 for sides, residual in ((_main_theorem_sides, main_theorem_residual),
                                         (_inner_peeling_sides, inner_peeling_residual)):
-                    table = ScaledCumulants(spec)
-                    rhs = sides(p, spec, T, table)
+                    table = ScaledCumulants(spec, T)
+                    rhs = sides(p, spec, table)
                     scalar = math.prod((T * unit_cumulant(spec, b)
                                         for b in classify_classes(p).inner), start=Fraction(1))
                     assert rhs.scalar == scalar, (name, p)
                     traces = []
                     for a, b in ((lhs, adjoint(lhs)), (lhs, adjoint(rhs)), (rhs, adjoint(rhs))):
                         parts = [table.part(w) for w in a.words + b.words]
-                        shared = pair_trace_on_table(a, b, T, table, parts)
+                        shared = pair_trace_on_table(a, b, table, parts)
                         oracle = a.scalar * b.scalar * limit_product_by_patterns(
                             a.factors + b.factors, ProcessSpec(a.words + b.words), T)
                         assert shared == pair_trace(a, b, T) == oracle, (name, p, a, b)
@@ -271,8 +274,8 @@ def test_public_exact_functions_return_fractions():
         limit_expect_st(zero, semi, T), main_theorem_residual(zero, semi, "L1", T),
         main_theorem_residual(zero, semi, "L2", T), inner_peeling_residual(zero, semi, "L2"),
         *example_formulas_check("brownian", Partition.parse("((1)(2,3))"), T),
-        *st_uniform_formula(one_hat(2), make_tuple(POISSON, "identical", k=2),
-                            T).coeffs.values(),
+        *(c for _, c in st_uniform_formula(one_hat(2), make_tuple(POISSON, "identical", k=2),
+                                           T)),
         exact_moment(make_tuple(POISSON, "identical", k=3), 2),
     ]
     zeros = {b: Fraction(0) for b in ((1,), (2,), (1, 2))}

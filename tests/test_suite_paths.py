@@ -174,21 +174,22 @@ def test_both_orders_equal_the_one_order_calls(name, which):
 
 def test_both_orders_of_a_wrong_side_keep_their_values_and_order():
     # a doubled inner scalar gives nonzero residuals in both orders
-    def doubled(p, spec, t, table):
-        rhs = _inner_peeling_sides(p, spec, t, table)
+    def doubled(p, spec, table):
+        rhs = _inner_peeling_sides(p, spec, table)
         return MeasureWord(2 * rhs.scalar, rhs.factors, rhs.words)
 
     t = Fraction(3, 2)
     for base in (make_free_poisson(Fraction(3, 2)), SIGNED_ZEROS):
         spec = make_tuple(base, "identical", k=4)
         for p in (Partition.parse("((1,4)(2,3))"), Partition.parse("((1,2)(3,4))")):
-            l1, l2 = _residuals(p, spec, doubled, ("L1", "L2"), t)
+            table = ScaledCumulants(spec, t)
+            l1, l2 = _residuals(p, spec, doubled, ("L1", "L2"), table)
             assert l1 and l2, p
-            assert _residuals(p, spec, doubled, ("L2", "L1"), t) == [l2, l1]
-            assert _residuals(p, spec, doubled, ("L1",), t) == [l1]
+            assert _residuals(p, spec, doubled, ("L2", "L1"), table) == [l2, l1]
+            assert _residuals(p, spec, doubled, ("L1",), table) == [l1]
             # the public L2 builds its own table over the sides' words
             lhs = MeasureWord(Fraction(1), ((p, "st"),), spec.words)
-            assert l2_residual(lhs, doubled(p, spec, t, ScaledCumulants(spec)), t) == l2
+            assert l2_residual(lhs, doubled(p, spec, ScaledCumulants(spec, t)), t) == l2
 
 
 def test_a_residual_reads_each_right_side_word_once_and_no_left_side_word(monkeypatch, capsys):
@@ -198,10 +199,10 @@ def test_a_residual_reads_each_right_side_word_once_and_no_left_side_word(monkey
     tables, reads, building = [], [], []
     init, part = ScaledCumulants.__init__, ScaledCumulants.part
 
-    def counted_init(self, spec):
+    def counted_init(self, spec, t=1):
         tables.append(spec)
         building.append(spec)
-        init(self, spec)
+        init(self, spec, t)
         building.pop()
 
     def counted_part(self, word):
@@ -215,8 +216,8 @@ def test_a_residual_reads_each_right_side_word_once_and_no_left_side_word(monkey
                 "--k-max", "5", "--t", "3/2"]) == 0
     capsys.readouterr()
     ps = [p for k in range(1, 6) for p in enumerate_noncrossing(k)]
-    assert [spec.k for spec in tables] == [p.k for p in ps]  # one table per p
-    assert reads == [spec.subset_word(b) for spec, p in zip(tables, ps)
+    assert [spec.k for spec in tables] == [1, 2, 3, 4, 5]  # one table per k
+    assert reads == [tables[p.k - 1].subset_word(b) for p in ps
                      for b in classify_classes(p).outer]
     for which, p, right_words in (("free_poisson", "((1,4)(2,3)(5))", 2),
                                   ("brownian", "((1,2,3)(4))", 0)):  # a factorless side
@@ -224,6 +225,22 @@ def test_a_residual_reads_each_right_side_word_once_and_no_left_side_word(monkey
         reads.clear()
         assert example_formulas_check(which, Partition.parse(p)) == (0, 0)
         assert len(tables) == 1 and len(reads) == right_words, (which, reads)
+
+
+@pytest.mark.parametrize("order", ["L1", "L2", "both"])
+def test_the_main_theorem_sweep_builds_one_cumulant_table_per_k(monkeypatch, capsys, order):
+    # the 14 patterns of NC(4) and the 9 below it read four tables, at the time asked for
+    times = []
+    init = ScaledCumulants.__init__
+
+    def counted_init(self, spec, t=1):
+        times.append((spec.k, t))
+        init(self, spec, t)
+
+    monkeypatch.setattr(ScaledCumulants, "__init__", counted_init)
+    assert run(["verify", "main-theorem", "--k-max", "4", "--order", order, "--t", "2/7"]) == 0
+    capsys.readouterr()
+    assert times == [(k, Fraction(2, 7)) for k in range(1, 5)]
 
 
 @pytest.mark.parametrize("residual", [main_theorem_residual, inner_peeling_residual])
