@@ -302,9 +302,16 @@ def _check_factors(factors, k: int) -> None:
         raise SizeGuardError(f"total arity {arity} exceeds guard {MAX_LIMIT_ARITY}")
 
 
+def _check_k_max(k_max) -> None:
+    """The guard every suite runs first: k_max is an int, not a bool, >= 1."""
+    if type(k_max) is not int or k_max < 1:
+        raise ValueError(f"a suite needs an integer k_max >= 1, got {k_max!r}")
+
+
 def _check_sweep(k_max: int, orders) -> None:
     """The guards of a residual sweep over k <= k_max, run before any work: L2
     at k takes limit products of arity 2k, L1 St limits of arity k."""
+    _check_k_max(k_max)
     if "L2" in orders and k_max > MAX_LIMIT_ARITY // 2:
         raise SizeGuardError(f"L2 at k={k_max} needs arity {2 * k_max} > {MAX_LIMIT_ARITY}")
     if k_max > MAX_ST_ARITY:
@@ -329,8 +336,6 @@ def limit_product_of_st(factors, spec: ProcessSpec, t=1) -> Fraction:
     (`_limit_sum`): a block of n units weighs D^n t R, and one Fraction
     N / D^m is formed at the end of a sum over m units.
     """
-    if not factors:
-        return Fraction(1)
     _check_factors(factors, spec.k)
     table = ScaledCumulants(spec, t)
     total, n = _limit_sum(tuple(factors), (), table.parts, table)
@@ -356,8 +361,10 @@ def _layout(factors: tuple[Factor, ...], adjoint: tuple[Factor, ...]):
 def _limit_sum(factors, adjoint, parts, table: ScaledCumulants) -> tuple[int, int]:
     """limit_product_of_st of the factors and the adjoint's (`_layout`), guards
     passed, on components with these parts, as (N, n): the product is N / D^n
-    over the n units, D the table's scale."""
+    over the n units, D the table's scale; the empty product is (1, 0)."""
     bits, tags, units = _layout(factors, adjoint)
+    if not bits:
+        return 1, 0
     n, scale = len(bits), table.scale
     weights, merge, value = [0] * (1 << n), table.merge, table.value
     merged = {1 << i: merge([parts[c] for c in unit]) for i, unit in enumerate(units)}
@@ -419,8 +426,7 @@ def _l2(a: MeasureWord, b: MeasureWord, table: ScaledCumulants, pa, pb) -> Fract
         _check_factors(x.factors + y.factors, len(px) + len(py))
         if not c:
             continue
-        num, n = (_limit_sum(x.factors, y.factors, px + py[::-1], table)
-                  if x.factors or y.factors else (1, 0))
+        num, n = _limit_sum(x.factors, y.factors, px + py[::-1], table)
         if n > power:
             total, power = total * scale ** (n - power), n
         total += c * num * scale ** (power - n)
@@ -609,8 +615,7 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
     """
     if base.k != 1:
         raise DimensionError("identity_suite takes a single-component process")
-    if type(k_max) is not int or k_max < 1:  # a float or bool k_max included
-        raise ValueError(f"identity suite needs an integer k_max >= 1, got {k_max!r}")
+    _check_k_max(k_max)
     if k_max > MAX_SUITE_K:
         raise SizeGuardError(f"identity suite capped at k_max = {MAX_SUITE_K}")
     records, wheres = [], [sub.describe() for sub in battery]

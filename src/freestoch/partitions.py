@@ -34,9 +34,26 @@ _set = object.__setattr__
 
 class Frozen:
     """Base of the exact layers' value classes: __init__ sets each field
-    once through object.__setattr__; assigning or deleting one raises."""
+    once through object.__setattr__; assigning or deleting one raises.
+    The fields are the __slots__ of the class and its bases.  Values of one
+    class are equal when their fields are, and hash by their field tuple."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for c in reversed(cls.__mro__)
+                            for name in c.__dict__.get("__slots__", ()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._fields))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -72,12 +89,7 @@ class Partition(Frozen):
         _set(self, "k", k)
         _set(self, "blocks", blocks)
 
-    def __eq__(self, other):
-        if other.__class__ is not Partition:
-            return NotImplemented
-        return self.k == other.k and self.blocks == other.blocks
-
-    def __hash__(self):
+    def __hash__(self):  # the blocks fix k; no field tuple on ~900 hashes per exact-warm pass
         return hash(self.blocks)
 
     def __repr__(self):

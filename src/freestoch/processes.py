@@ -29,7 +29,7 @@ _ATOM_UIDS = itertools.count(1)
 
 class Atom(Frozen):
     """A primitive free-increment process with unit-time cumulants r_n,
-    equal by (uid, kind, data) and hashed by the uid.
+    equal by its fields (uid, kind, data) and hashed by the uid alone.
 
     The uid keeps separately created atoms freely independent even when
     their parameters coincide (two free Poissons in a free family).
@@ -42,12 +42,7 @@ class Atom(Frozen):
         object.__setattr__(self, "kind", kind)  # "poisson" | "semicircular" | "custom"
         object.__setattr__(self, "data", data)
 
-    def __eq__(self, other):
-        if other.__class__ is not Atom:
-            return NotImplemented
-        return (self.uid, self.kind, self.data) == (other.uid, other.kind, other.data)
-
-    def __hash__(self):
+    def __hash__(self):  # Fraction data hashes in Python; ~500 hashes per exact-warm pass
         return hash(self.uid)
 
     def cumulant(self, order: int) -> Fraction:
@@ -71,20 +66,12 @@ def _new_atom(kind: str, data: tuple) -> Atom:
 
 class ProcessSpec(Frozen):
     """A consistent tuple of free stochastic measures, one word per
-    component, equal and hashed by its words."""
+    component; equal and hashed by its one field, the words."""
 
     __slots__ = ("words",)
 
     def __init__(self, words: tuple[tuple[Atom, ...], ...]):
         object.__setattr__(self, "words", words)
-
-    def __eq__(self, other):
-        if other.__class__ is not ProcessSpec:
-            return NotImplemented
-        return self.words == other.words
-
-    def __hash__(self):
-        return hash(self.words)
 
     @property
     def k(self) -> int:
@@ -95,11 +82,7 @@ class ProcessSpec(Frozen):
         return tuple(a for i in subset for a in self.words[i - 1])
 
     def atoms(self) -> tuple[Atom, ...]:
-        seen: dict[Atom, None] = {}
-        for w in self.words:
-            for a in w:
-                seen.setdefault(a)
-        return tuple(seen)
+        return tuple(dict.fromkeys(a for w in self.words for a in w))
 
 
 Part = tuple[int | None, int]  # (atom index, or None across atoms; word length)
@@ -230,40 +213,28 @@ def free_family(specs: list[ProcessSpec]) -> ProcessSpec:
 
 
 class Subdivision(Frozen):
-    """Ordered interval lengths of [0, t), all positive exact rationals;
-    equal by (t, lengths), hashed by the lengths, which sum to t."""
+    """Ordered interval lengths of [0, t), all positive exact rationals, and
+    t, their sum; equal and hashed by the fields (t, lengths)."""
 
     __slots__ = ("t", "lengths")
 
-    def __init__(self, t: Fraction, lengths: tuple[Fraction, ...]):
+    def __init__(self, lengths: tuple[Fraction, ...]):
         if not lengths:
             raise ValueError("need at least one interval")
         if any(l <= 0 for l in lengths):
             raise ValueError("interval lengths must be positive")
-        if sum(lengths) != t:
-            raise ValueError(f"lengths sum to {sum(lengths)}, not t={t}")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", sum(lengths))
         object.__setattr__(self, "lengths", lengths)
-
-    def __eq__(self, other):
-        if other.__class__ is not Subdivision:
-            return NotImplemented
-        return self.t == other.t and self.lengths == other.lengths
-
-    def __hash__(self):
-        return hash(self.lengths)
 
     @classmethod
     def uniform(cls, n: int, t=1) -> "Subdivision":
         if n < 1:
             raise ValueError(f"need at least one interval, got N={n}")
-        t = Fraction(t)
-        return cls(t, (t / n,) * n)
+        return cls((Fraction(t) / n,) * n)
 
     @classmethod
     def of(cls, lengths) -> "Subdivision":
-        lens = tuple(Fraction(l) for l in lengths)
-        return cls(sum(lens, Fraction(0)), lens)
+        return cls(tuple(Fraction(l) for l in lengths))
 
     @property
     def n(self) -> int:

@@ -164,6 +164,12 @@ def test_empty_product_is_one():
     assert limit_product_of_st([], empty) == 1
 
 
+def test_empty_factors_on_a_nonempty_tuple_are_refused():
+    spec = make_tuple(make_free_poisson(1), "identical", k=3)
+    with pytest.raises(DimensionError, match=r"factors cover \[0\] vs 3 components"):
+        limit_product_of_st([], spec)
+
+
 def test_product_of_two_diagonals_is_the_second_moment():
     sub = Subdivision.of(["1/2", "1/2"])
     spec = make_tuple(make_free_poisson(1), "identical", k=2)

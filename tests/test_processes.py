@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from freestoch.cumulants import CumulantFunctional, MomentFunctional
 from freestoch.errors import CrossingPartitionError, DimensionError
-from freestoch.partitions import Partition
+from freestoch.partitions import ClassSplit, Partition
 from freestoch.processes import (
     Atom,
     ProcessSpec,
@@ -19,7 +20,7 @@ from freestoch.processes import (
     make_tuple,
     spec_from_descriptor,
 )
-from freestoch.measures import exact_moment, limit_expect_st
+from freestoch.measures import MeasureWord, exact_moment, limit_expect_st
 
 from helpers import (
     CUSTOM_SEQ,
@@ -38,8 +39,11 @@ def _value_objects():
     """Two equal builds, from separate inputs, of each hashable value class."""
     def build():
         atom = Atom(7, "custom", (Fraction(1, 2), Fraction(1, 3)))
-        return [Partition(3, ((1, 3), (2,))), atom, ProcessSpec(((atom,), (atom, atom))),
-                Subdivision(Fraction(1), (Fraction(1, 3), Fraction(2, 3)))]
+        p = Partition(3, ((1, 3), (2,)))
+        return [p, atom, ProcessSpec(((atom,), (atom, atom))),
+                Subdivision((Fraction(1, 3), Fraction(2, 3))),
+                MeasureWord(Fraction(2, 3), ((p, "st"),), ((atom,), (atom,), (atom,))),
+                ClassSplit(((1, 4),), ((2, 3),))]
     return list(zip(build(), build()))
 
 
@@ -62,6 +66,16 @@ def test_equal_builds_compare_and_hash_equal(a, b):
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != object() and not (a == (a,))
     assert copy.deepcopy(a) == b and pickle.loads(pickle.dumps(a)) == b
+
+
+def test_functionals_compare_by_class_and_every_field_and_do_not_hash():
+    moments = MomentFunctional.from_single_variable(2, [1, 2])
+    assert moments != MomentFunctional.from_single_variable(2, [1, 3])
+    assert moments != MomentFunctional.from_single_variable(1, [1, 2])
+    assert moments == MomentFunctional.from_single_variable(2, [1, 2])
+    assert moments != CumulantFunctional.from_single_variable(2, [1, 2])
+    with pytest.raises(TypeError):
+        hash(moments)
 
 
 def test_free_poisson_cumulants():
@@ -188,9 +202,7 @@ def test_subdivision_validation():
     assert uni.lengths == (Fraction(1, 2),) * 4
     assert "uniform" in uni.describe()
     with pytest.raises(ValueError):
-        Subdivision(Fraction(1), (Fraction(1, 2),))
-    with pytest.raises(ValueError):
-        Subdivision(Fraction(1), (Fraction(3, 2), Fraction(-1, 2)))
+        Subdivision((Fraction(3, 2), Fraction(-1, 2)))
     with pytest.raises(ValueError):
         Subdivision.uniform(0)
 

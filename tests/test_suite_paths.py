@@ -23,10 +23,12 @@ from freestoch.measures import (
     _residuals,
     _suite_table,
     example_formulas_check,
+    examples_suite,
     identity_suite,
     inner_peeling_residual,
     l2_residual,
     main_theorem_residual,
+    main_theorem_suite,
 )
 from freestoch.partitions import (
     Partition,
@@ -257,6 +259,18 @@ def test_an_unknown_order_on_a_valid_partition_is_a_value_error(residual):
 def test_identity_suite_refuses_a_k_max_that_is_not_an_integer_of_at_least_one(k_max):
     with pytest.raises(ValueError, match="integer k_max >= 1") as refused:
         identity_suite(make_free_poisson(1), k_max)
+    assert type(refused.value) is ValueError
+
+
+@pytest.mark.parametrize("k_max", [0, -1, True, 2.0, None])
+@pytest.mark.parametrize("suite", [
+    lambda k_max: identity_suite(make_free_poisson(1), k_max),
+    lambda k_max: main_theorem_suite(make_free_poisson(1), k_max),
+    lambda k_max: examples_suite("free_poisson", k_max),
+], ids=["identity", "main_theorem", "examples"])
+def test_every_suite_refuses_a_k_max_that_is_not_an_integer_of_at_least_one(suite, k_max):
+    with pytest.raises(ValueError, match="integer k_max >= 1") as refused:
+        suite(k_max)
     assert type(refused.value) is ValueError
 
 
