@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -104,13 +105,29 @@ def _write_report(args, records: list[dict]) -> int:
             "seed": getattr(args, "seed", None),
             "records": records,
         }
-        text = json.dumps(report, indent=2, default=str) + "\n"
+        text = _report_json(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0 if _passed(records) else 1
+
+
+def _report_json(report: dict) -> str:
+    """The text of json.dumps(report, indent=2, default=str).  When every record
+    is a nonempty dict of scalars, the records go through json's C encoder (which
+    takes no indent) in one call, each item on its own line, and the breaks
+    between records are then laid out: an encoded string holds no raw newline,
+    so `},` and a newline occur together only between two records."""
+    records = report["records"]
+    kinds = set(map(type, itertools.chain.from_iterable(map(dict.values, records))))
+    if not (records and all(records)) or any(issubclass(t, (dict, list, tuple)) for t in kinds):
+        return json.dumps(report, indent=2, default=str)
+    head = json.dumps({**report, "records": []}, indent=2, default=str)  # ends `[]\n}`
+    body = json.JSONEncoder(separators=(",\n      ", ": "), default=str).encode(records)
+    return (head[:-4] + "[\n    {\n      "
+            + body[2:-2].replace("},\n      {", "\n    },\n    {\n      ") + "\n    }\n  ]\n}")
 
 
 def _passed(records: list[dict]) -> bool:

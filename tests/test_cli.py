@@ -8,9 +8,10 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import freestoch
-from freestoch.cli import _passed, run
+from freestoch.cli import _passed, _report_json, run
 from freestoch.measures import MAX_ST_ARITY, MAX_SUITE_K
 
 
@@ -738,3 +739,22 @@ def test_a_handler_without_records_exits_1(capsys, monkeypatch):
     assert run(["partitions", "enumerate", "--k", "3"]) == 1
     captured = capsys.readouterr()
     assert '"records": []' in captured.out and captured.err == ""
+
+
+# Strings that look like the layout between records, and values json.dumps
+# writes through default=str (a Fraction) or as nested containers.
+_scalars = (st.text() | st.sampled_from(["},\n      {", "}, {", "\n    },", '"', "\\", "é"])
+            | st.integers() | st.floats() | st.booleans() | st.none()
+            | st.fractions(max_denominator=9))
+_record_values = _scalars | st.lists(_scalars, max_size=2) | st.dictionaries(st.text(), _scalars,
+                                                                            max_size=2)
+
+
+@given(st.lists(st.dictionaries(st.text(), _scalars, max_size=4), max_size=6)
+       | st.lists(st.dictionaries(st.text(), _record_values, max_size=4), max_size=6),
+       st.none() | st.integers())
+@settings(deadline=None, derandomize=True, max_examples=200)
+def test_the_report_is_the_indented_json_of_its_records(records, seed):
+    report = {"tool_version": freestoch.__version__, "command": "group command", "seed": seed,
+              "records": records}
+    assert _report_json(report) == json.dumps(report, indent=2, default=str)

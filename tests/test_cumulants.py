@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from freestoch import cumulants
 from freestoch.cumulants import (
+    MAX_TRANSFORM_ORDER,
     CumulantFunctional,
     MomentFunctional,
     cumulant_functional,
@@ -139,3 +146,45 @@ def test_json_roundtrip():
 def test_functional_must_cover_all_subsets():
     with pytest.raises(ValueError):
         MomentFunctional(2, {(1,): Fraction(1)})
+
+
+def test_the_subset_table_is_nonempty_subsets_with_masks_and_sizes():
+    for k in range(1, MAX_TRANSFORM_ORDER + 1):
+        rows, subsets = cumulants._subset_table(k)
+        assert rows == tuple((b, sum(1 << (i - 1) for i in b), len(b))
+                             for b in nonempty_subsets(k))
+        assert subsets == set(nonempty_subsets(k))
+
+
+def test_nonempty_subsets_returns_a_fresh_list():
+    first = nonempty_subsets(2)
+    first.append((3,))
+    assert nonempty_subsets(2) == [(1,), (2,), (1, 2)]
+    assert nonempty_subsets(2) is not nonempty_subsets(2)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({(1,): 1, (2,): 1, (1, 3): 1},
+     "functional must cover all nonempty subsets of [2]; missing [(1, 2)]..., extra [(1, 3)]..."),
+    ({(1,): 1, (2,): 1, (1, 2): 1, (3,): 1},
+     "functional must cover all nonempty subsets of [2]; missing []..., extra [(3,)]..."),
+    ({(1,): 1, (2,): 1}, "functional on [2] needs 2^2 - 1 values, got 2"),
+])
+def test_a_functional_names_its_missing_and_extra_subsets_or_its_count(values, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        MomentFunctional(2, values)
+
+
+def test_the_subset_table_cache_is_bounded_and_empty_at_import():
+    for k in range(1, MAX_TRANSFORM_ORDER + 2):
+        MomentFunctional.from_single_variable(k, [1] * k)
+    info = cumulants._subset_table.cache_info()
+    assert info.maxsize == MAX_TRANSFORM_ORDER and info.currsize <= MAX_TRANSFORM_ORDER
+    src = pathlib.Path(cumulants.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    script = ("import freestoch.cli\nfrom freestoch import cumulants\n"
+              "print(cumulants._subset_table.cache_info().currsize)")
+    fresh = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    assert fresh.stdout == "0\n"  # built on first use, not at import

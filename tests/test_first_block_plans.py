@@ -7,6 +7,7 @@ cumulant sequence) left warm.  Values must equal the recursion's with `==`.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,20 @@ def test_the_wide_functional_sums_in_fractions():
     m = MomentFunctional(k, values)
     assert cumulant_functional(m).values == cumulant_functional_by_recursion(m).values
     assert moment_functional(cumulant_functional(m)).values == values
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_streamed_transform_plans_match_the_recursion_first_call_and_repeat(k):
+    rng = random.Random(k)
+    values = {b: Fraction(rng.choice((0, 0, -1, 1, 2, -3)), rng.randint(1, 5))
+              for b in nonempty_subsets(k)}
+    r, m = CumulantFunctional(k, values), MomentFunctional(k, values)
+    moments, cumulants = moment_functional_by_recursion(r), cumulant_functional_by_recursion(m)
+    _clear_plans()
+    for _ in range(2):  # a first call, then a repeat
+        assert moment_functional(r).values == moments.values
+        assert cumulant_functional(m).values == cumulants.values
+        assert not partitions._plans  # (3^k - 1) / 2 first blocks: streamed, never kept
 
 
 @st.composite
