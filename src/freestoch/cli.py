@@ -26,12 +26,11 @@ import sys
 from . import __version__
 from .cumulants import (
     MAX_TRANSFORM_ORDER,
+    CumulantFunctional,
     MomentFunctional,
     cumulant_functional,
-    cumulant_functional_from_json,
     functional_to_json,
     moment_functional,
-    moment_functional_from_json,
 )
 from .errors import DimensionError, SizeGuardError
 from .measures import (
@@ -352,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     source = sp.add_mutually_exclusive_group()
     source.add_argument("--process", type=_process, default="free_poisson",
                         help="process name or JSON descriptor (default free_poisson)")
-    source.add_argument("--functional", type=_functional(cumulant_functional_from_json),
+    source.add_argument("--functional", type=_functional(CumulantFunctional.from_json),
                         help="path to a cumulant-functional JSON file")
     sp.add_argument("--order", type=_transform_order, help="moments of --process (default 4)")
     sp = _subcommand(cums, "from-moments", _cmd_cumulants_from_moments, "cumulants from moments")
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--moments", type=_moment_list, help="comma-separated rationals m_1..m_k")
-    source.add_argument("--functional", type=_functional(moment_functional_from_json),
+    source.add_argument("--functional", type=_functional(MomentFunctional.from_json),
                         help="path to a moment-functional JSON file")
 
     ver = top.add_parser("verify", help="exact identity checks").add_subparsers(

@@ -74,6 +74,20 @@ class _SubsetFunctional(Frozen):
             raise ValueError(f"need {k} orders, got {len(seq)}")
         return cls(k, {b: seq[size - 1] for b, _, size in _subset_table(k)[0]})
 
+    @classmethod
+    def from_json(cls, obj):
+        """Read the wire format that functional_to_json writes (see below)."""
+        if not (isinstance(obj, dict) and type(obj.get("k")) is int
+                and isinstance(obj.get("values"), dict)):
+            raise ValueError('a functional is a JSON object {"k": <int>, "values": {...}}')
+        values = {}
+        for key, val in obj["values"].items():
+            subset = tuple(int(x) for x in key.split(","))
+            if subset in values:  # "01,2" names the subset of "1,2"
+                raise ValueError(f"functional names subset {','.join(map(str, subset))} twice")
+            values[subset] = parse_rational(val)
+        return cls(obj["k"], values)
+
 
 class MomentFunctional(_SubsetFunctional):
     """Joint moments M(B; A) of a k-tuple."""
@@ -147,24 +161,3 @@ def functional_to_json(f) -> dict:
             ",".join(map(str, b)): format_rational(v) for b, v in sorted(f.values.items())
         },
     }
-
-
-def _values_from_json(obj) -> tuple[int, dict]:
-    if not (isinstance(obj, dict) and type(obj.get("k")) is int
-            and isinstance(obj.get("values"), dict)):
-        raise ValueError('a functional is a JSON object {"k": <int>, "values": {...}}')
-    values = {}
-    for key, val in obj["values"].items():
-        subset = tuple(int(x) for x in key.split(","))
-        if subset in values:  # "01,2" names the subset of "1,2"
-            raise ValueError(f"functional names subset {','.join(map(str, subset))} twice")
-        values[subset] = parse_rational(val)
-    return obj["k"], values
-
-
-def moment_functional_from_json(obj: dict) -> MomentFunctional:
-    return MomentFunctional(*_values_from_json(obj))
-
-
-def cumulant_functional_from_json(obj: dict) -> CumulantFunctional:
-    return CumulantFunctional(*_values_from_json(obj))

@@ -71,21 +71,18 @@ class Partition(Frozen):
 
     __slots__ = ("k", "blocks")
 
-    def __init__(self, k: int, blocks: tuple[Block, ...]):
-        if k < 1:
+    def __init__(self, blocks):
+        """The one checked constructor: any iterable of nonempty iterables of
+        the points 1..k, in any order; k is the number of points."""
+        blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))  # disjoint: by minima
+        if not blocks:
             raise ValueError("ground set must be nonempty")
-        seen = []
-        for block in blocks:
-            if not block:
-                raise ValueError("empty block")
-            if list(block) != sorted(block):
-                raise ValueError("block not internally sorted")
-            seen.extend(block)
-        if len(seen) != k or sorted(seen) != list(range(1, k + 1)):
-            raise ValueError(f"blocks do not partition [{k}]")
-        mins = [b[0] for b in blocks]
-        if mins != sorted(mins):
-            raise ValueError("blocks not ordered by minimum")
+        if not blocks[0]:  # an empty block sorts first
+            raise ValueError("empty block")
+        points = sorted(itertools.chain(*blocks))
+        k = len(points)
+        if points != list(range(1, k + 1)):
+            raise ValueError(f"blocks do not partition [{points[-1]}]")
         _set(self, "k", k)
         _set(self, "blocks", blocks)
 
@@ -93,15 +90,7 @@ class Partition(Frozen):
         return hash(self.blocks)
 
     def __repr__(self):
-        return f"Partition({self.k}, {self.blocks})"
-
-    @classmethod
-    def of(cls, blocks, k: int | None = None) -> "Partition":
-        """Build from any iterable of iterables, canonicalizing order."""
-        blks = sorted((tuple(sorted(b)) for b in blocks if b), key=lambda b: b[0])
-        if k is None:
-            k = max((b[-1] for b in blks), default=0)
-        return cls(k, tuple(blks))
+        return f"Partition({self.blocks})"
 
     @classmethod
     def _trusted(cls, k: int, blocks: tuple[Block, ...]) -> "Partition":
@@ -127,7 +116,7 @@ class Partition(Frozen):
             tuple(int(x) for x in grp.split(","))
             for grp in re.findall(r"\(([\d,]+)\)", compact[1:-1])
         ]
-        return cls.of(blocks)
+        return cls(blocks)
 
     def __str__(self) -> str:
         return "(" + "".join(map(block_text, self.blocks)) + ")"
@@ -265,7 +254,7 @@ def kreweras(p: Partition) -> Partition:
     the cycles of alpha^-1 gamma, as blocks."""
     if not is_noncrossing(p):
         raise CrossingPartitionError(f"{p} is crossing")
-    return Partition.of(_complement_cycles(p), p.k)
+    return Partition(_complement_cycles(p))
 
 
 def opposite(p: Partition) -> Partition:
@@ -278,15 +267,17 @@ def opposite(p: Partition) -> Partition:
 
 
 def restrict(p: Partition, elements) -> Partition:
-    """Partition induced on a subset, re-indexed to 1..len(elements)."""
+    """Partition induced on a subset of the points of p, re-indexed to 1..len(elements)."""
     elems = sorted(elements)
+    if any(el not in range(1, p.k + 1) for el in elems):
+        raise ValueError(f"{elems} are not all points of {p}")
     index = {el: i + 1 for i, el in enumerate(elems)}
     blocks = []
     for block in p.blocks:
         hit = [index[el] for el in block if el in index]
         if hit:
             blocks.append(hit)
-    return Partition.of(blocks, len(elems))
+    return Partition(blocks)
 
 
 def coarsenings(p: Partition) -> tuple[Partition, ...]:

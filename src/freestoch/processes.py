@@ -182,7 +182,7 @@ def make_custom_process(seq) -> ProcessSpec:
     return ProcessSpec(((_new_atom("custom", data),),))
 
 
-def make_tuple(base: ProcessSpec, mode: str, k: int | None = None) -> ProcessSpec:
+def make_tuple(base: ProcessSpec, mode: str, k: int) -> ProcessSpec:
     """Identical copies of a single process (the only mode, "identical"):
     all k components share the base's atom, so every mixed cumulant is the
     base's r_n.  Freely independent families come from free_family."""

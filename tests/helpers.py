@@ -173,7 +173,7 @@ def compositions(k):
 
 def one_hat(k):
     """The one-block partition of [k], the top of both lattices."""
-    return Partition(k, (tuple(range(1, k + 1)),))
+    return Partition((range(1, k + 1),))
 
 
 def interval_partition(sizes):
@@ -182,7 +182,7 @@ def interval_partition(sizes):
     for s in sizes:
         blocks.append(tuple(range(pos + 1, pos + s + 1)))
         pos += s
-    return Partition(pos, tuple(blocks))
+    return Partition(blocks)
 
 
 def has_crossing(p):
@@ -208,7 +208,7 @@ def meet(s, p):
     sl, pl = s.rgs(), p.rgs()
     for el in range(1, s.k + 1):
         groups.setdefault((sl[el - 1], pl[el - 1]), []).append(el)
-    return Partition.of(groups.values(), s.k)
+    return Partition(groups.values())
 
 
 def join(s, p):
@@ -221,7 +221,7 @@ def join(s, p):
             merged |= g
             groups.remove(g)
         groups.append(merged)
-    return Partition.of(groups, s.k)
+    return Partition(groups)
 
 
 def iter_exact_index_tuples(p, n, max_tuples=MAX_INDEX_TUPLES):
@@ -384,7 +384,7 @@ def mobius_zero_hat_full(p):
 def rotate(p, shift=1):
     """Cyclically shift all elements by `shift` (mod k)."""
     k = p.k
-    return Partition.of([[(i - 1 + shift) % k + 1 for i in b] for b in p.blocks], k)
+    return Partition([[(i - 1 + shift) % k + 1 for i in b] for b in p.blocks])
 
 
 class FiniteTraces:
@@ -622,7 +622,7 @@ def interval_members(s, p, noncrossing):
             for done in members
             for grouping in enumerate_set_partitions(len(blocks))
         ]
-    out = [Partition.of(m, s.k) for m in members]
+    out = [Partition(m) for m in members]
     return [z for z in out if not noncrossing or is_noncrossing(z)]
 
 
@@ -685,7 +685,7 @@ def expect_product_of_st(factors, spec, sub):
 def concat(p, s):
     """Place s after p on a ground set of size p.k + s.k."""
     shifted = [[i + p.k for i in b] for b in s.blocks]
-    return Partition.of(list(p.blocks) + shifted, p.k + s.k)
+    return Partition(list(p.blocks) + shifted)
 
 
 def _span(mask):
@@ -711,7 +711,7 @@ def noncrossing_coarsenings(p, apart=None):
 
     def walk(j):
         if j == p.num_blocks:
-            out.append(Partition.of(groups, p.k))
+            out.append(Partition(groups))
             return
         block, tag, bit = p.blocks[j], tags[j], bits[j]
         for i, (g, used) in enumerate(zip(groups, group_tags)):

@@ -16,10 +16,8 @@ from freestoch.cumulants import (
     CumulantFunctional,
     MomentFunctional,
     cumulant_functional,
-    cumulant_functional_from_json,
     functional_to_json,
     moment_functional,
-    moment_functional_from_json,
     nonempty_subsets,
 )
 from freestoch.errors import DimensionError
@@ -136,11 +134,11 @@ def test_json_roundtrip():
     r = CumulantFunctional(2, {(1,): Fraction(1, 2), (2,): Fraction(3),
                                (1, 2): Fraction(-5, 7)})
     blob = json.dumps(functional_to_json(r))
-    back = cumulant_functional_from_json(json.loads(blob))
-    assert back.values == r.values and back.k == r.k
+    back = CumulantFunctional.from_json(json.loads(blob))
+    assert back == r and type(back) is CumulantFunctional
     m = moment_functional(r)
-    back_m = moment_functional_from_json(json.loads(json.dumps(functional_to_json(m))))
-    assert back_m.values == m.values
+    back_m = MomentFunctional.from_json(json.loads(json.dumps(functional_to_json(m))))
+    assert back_m == m and type(back_m) is MomentFunctional
 
 
 def test_functional_must_cover_all_subsets():

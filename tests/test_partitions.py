@@ -78,10 +78,11 @@ def test_noncrossing_is_the_filtered_full_lattice():
     lambda: from_rgs(()),
     lambda: Partition.zero_hat(0),
     lambda: one_hat(-1),
-    lambda: Partition(0, ()),
-    lambda: Partition(3, ((1, 2),)),
-    lambda: Partition(2, ((2,), (1,))),
-    lambda: Partition(2, ((2, 1),)),
+    lambda: Partition(()),
+    lambda: Partition(((1,), ())),
+    lambda: Partition(((1, 2), (2,))),
+    lambda: Partition(((1, 3),)),
+    lambda: Partition(((0, 1),)),
     lambda: Partition.parse("((1000000000000))"),
     lambda: interval_partition([]),
     lambda: interval_partition([2, 0]),
@@ -180,7 +181,7 @@ def test_meet_of_noncrossing_is_noncrossing():
 def _interleave_noncrossing(p, sigma):
     blocks = [[2 * i - 1 for i in b] for b in p.blocks]
     blocks += [[2 * i for i in b] for b in sigma.blocks]
-    return not has_crossing(Partition.of(blocks, 2 * p.k))
+    return not has_crossing(Partition(blocks))
 
 
 def test_kreweras_examples():
@@ -261,6 +262,12 @@ def test_restrict():
     p = Partition.parse(PAPER_EXAMPLE)
     assert restrict(p, [2, 3, 4, 5]) == Partition.parse("((1,4)(2)(3))")
     assert restrict(p, range(1, 11)) == p
+
+
+@pytest.mark.parametrize("elements", [[1, 2, 99], [0, 1], [1, 1, 2], [11], []])
+def test_restrict_refuses_elements_that_are_not_distinct_points_of_p(elements):
+    with pytest.raises(ValueError):
+        restrict(Partition.parse(PAPER_EXAMPLE), elements)
 
 
 def test_mobius_examples():
@@ -383,8 +390,7 @@ def test_text_syntax():
 
 
 def test_canonical_form_is_enforced():
-    with pytest.raises(ValueError):
-        Partition(3, ((2, 1), (3,)))
-    with pytest.raises(ValueError):
-        Partition(3, ((1, 2),))
-    assert Partition.of([[3], [2, 1]]) == Partition.parse("((1,2)(3))")
+    # the checked constructor sorts each block and orders the blocks by their minima
+    assert Partition(((2, 1), (3,))) == Partition.parse("((1,2)(3))")
+    assert Partition(((2,), (1,))) == Partition.parse("((1)(2))")
+    assert Partition([[3], [2, 1]]).blocks == ((1, 2), (3,))

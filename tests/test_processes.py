@@ -39,7 +39,7 @@ def _value_objects():
     """Two equal builds, from separate inputs, of each hashable value class."""
     def build():
         atom = Atom(7, "custom", (Fraction(1, 2), Fraction(1, 3)))
-        p = Partition(3, ((1, 3), (2,)))
+        p = Partition(((1, 3), (2,)))
         return [p, atom, ProcessSpec(((atom,), (atom, atom))),
                 Subdivision((Fraction(1, 3), Fraction(2, 3))),
                 MeasureWord(Fraction(2, 3), ((p, "st"),), ((atom,), (atom,), (atom,))),
@@ -48,8 +48,8 @@ def _value_objects():
 
 
 @pytest.mark.parametrize("value, field", [
-    (Partition(3, ((1, 3), (2,))), "k"),
-    (Partition(3, ((1, 3), (2,))), "blocks"),
+    (Partition(((1, 3), (2,))), "k"),
+    (Partition(((1, 3), (2,))), "blocks"),
     (Atom(7, "poisson", (Fraction(1),)), "data"),
     (make_free_poisson(1), "words"),
     (Subdivision.uniform(2), "lengths"),

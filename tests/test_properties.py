@@ -2,7 +2,7 @@
 trace tables and the first-block recursion against whole-lattice,
 pattern-walk, per-subset, pairwise, per-subdivision and index-tuple
 oracles; partitions built without the constructor's checks against the
-validating constructor.
+checked constructor, which takes its blocks in any order.
 
 Sizes are bounded so that the worst drawn case (the recursion over all of
 NC(8), or the coarsenings of a 0-hat_8) stays near a second.
@@ -11,6 +11,7 @@ NC(8), or the coarsenings of a 0-hat_8) stays near a second.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from freestoch.cumulants import (
@@ -222,8 +223,9 @@ def partitions(k_max: int, k_min: int = 1):
 
 
 def _validated(p: Partition) -> Partition:
-    """p rebuilt by the checking constructor, which raises on a bad block list."""
-    return Partition(p.k, p.blocks)
+    """p rebuilt by the checked constructor, which raises on a bad block list
+    and canonicalizes any other, so it equals p only if p was canonical."""
+    return Partition(p.blocks)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
@@ -232,6 +234,22 @@ def test_from_rgs_builds_valid_partitions(rgs):
     p = from_rgs(rgs)
     assert p == _validated(p) and hash(p) == hash(_validated(p))
     assert p.rgs() == rgs and all(type(b) is tuple for b in p.blocks)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(partitions(7), st.randoms(use_true_random=False))
+def test_the_checked_constructor_takes_the_blocks_in_any_order(p, rnd):
+    shuffled = [rnd.sample(b, len(b)) for b in rnd.sample(p.blocks, p.num_blocks)]
+    q = Partition(shuffled)
+    assert q == p and hash(q) == hash(p) and q.k == sum(map(len, shuffled))
+    assert eval(repr(p)) == p and Partition.parse(str(p)) == p
+    bad = [shuffled + [[rnd.randint(1, p.k)]],  # a point twice
+           [[x + (x == p.k) for x in b] for b in shuffled],  # a gap at k
+           [[x - (x == 1) for x in b] for b in shuffled],  # a point 0
+           shuffled + [[]]]
+    for blocks in bad:
+        with pytest.raises(ValueError):
+            Partition(blocks)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=8)
@@ -259,7 +277,7 @@ def test_coarsenings_are_the_merges_in_restricted_growth_order(p):
         groups = [[] for _ in range(max(rgs) + 1)]
         for block, label in zip(p.blocks, rgs):
             groups[label].extend(block)
-        merges.append(Partition.of(groups, p.k))
+        merges.append(Partition(groups))
     assert coarsenings(p) == tuple(merges)
 
 
@@ -277,7 +295,7 @@ def test_refinement_walk_is_the_filtered_lattice(p):
 def test_opposite_is_the_validated_reversal(p):
     reversed_p = opposite(p)
     assert _validated(reversed_p) == reversed_p
-    assert reversed_p == Partition.of([[p.k + 1 - i for i in b] for b in p.blocks], p.k)
+    assert reversed_p == Partition([[p.k + 1 - i for i in b] for b in p.blocks])
     assert opposite(reversed_p) == p
 
 
@@ -313,7 +331,7 @@ def noncrossing_partitions(draw, k_min: int, k_max: int):
             fill([x for x in rest if lo < x < hi])
 
     fill(list(range(1, k + 1)))
-    return Partition.of(blocks, k)
+    return Partition(blocks)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
