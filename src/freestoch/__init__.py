@@ -39,7 +39,6 @@ from .processes import (
     make_tuple,
 )
 from .measures import (
-    diagonal_nesting_residual,
     example_formulas_check,
     expect_pr,
     expect_st,

@@ -369,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "inner-scalar factorization residuals")
     sp.add_argument("--process", type=_process, default="free_poisson")
     sp.add_argument("--k-max", dest="k_max", type=_positive_int, default=4)
-    sp.add_argument("--order", choices=("L1", "L2", "both"), default="both")
+    sp.add_argument("--order", choices=("L1", "L2", "both"), default="both",
+                    help="L1 traces hold by the representation (both sides regroup one "
+                         "cumulant product); L2 residuals compare independent computations")
     sp.add_argument("--t", type=_positive_rational, default="1")
     sp = _subcommand(ver, "examples", _cmd_verify_examples, "worked closed-form residuals")
     sp.add_argument("--which", choices=("free_poisson", "brownian"), required=True)

@@ -40,7 +40,6 @@ from .processes import (
     ProcessSpec,
     ScaledCumulants,
     Subdivision,
-    make_custom_process,
     make_free_poisson,
     make_semicircular,
     make_tuple,
@@ -498,36 +497,6 @@ def inner_peeling_residual(p: Partition, spec: ProcessSpec, order: str = "L1", t
     return _residuals(p, spec, _inner_peeling_sides, (order,), ScaledCumulants(spec, t))[0]
 
 
-def diagonal_nesting_residual(spec: ProcessSpec, interval_blocks, t=1) -> Fraction:
-    """Trace residual of the diagonal of diagonals against the flat diagonal."""
-    blocks = [tuple(sorted(b)) for b in interval_blocks]
-    if not all(blocks) or [i for b in blocks for i in b] != list(range(1, spec.k + 1)):
-        raise ValueError("blocks must form an interval partition of the components")
-    return _nesting(blocks, ScaledCumulants(spec, t))
-
-
-def _nesting(blocks, table: ScaledCumulants) -> Fraction:
-    """t R of the diagonal of the blocks' diagonals (merged parts) less that
-    of the flat diagonal, over the table's scale."""
-    whole = table.merge([table.merge([table.parts[i - 1] for i in b]) for b in blocks])
-    return Fraction(table.value(whole) - table.value(table.merge(table.parts)), table.scale)
-
-
-def free_sandwich_residual(base: ProcessSpec, z_cumulants, t=1) -> Fraction:
-    """Limit trace of the X_i Z X_i sum against tau(Z) times the order-2 diagonal.
-
-    Z is a fresh component free from the process.  Only the NC(3) patterns
-    with one block over the X positions survive the limit: (1,3)(2), the
-    diagonal's own term tau(Z) R(X X), and (1,2,3).  So the residual is
-    t R(X, Z, X), which freeness makes 0: two atoms merge to None.
-    """
-    if base.k != 1:
-        raise DimensionError("the sandwich check takes a single-component process")
-    z_spec = make_custom_process(z_cumulants)
-    table = ScaledCumulants(ProcessSpec((base.words[0], z_spec.words[0], base.words[0])), t)
-    return _limit_weight(((1, 2, 3),), table)
-
-
 # ---------------------------------------------------------------------------
 # worked closed-form examples and the identity suite
 
@@ -578,7 +547,7 @@ SUBDIVISION_BATTERY = (
 def _record(check: str, partition, process: str, subdivision: str, residual) -> dict:
     return {
         "check": check,
-        "partition": str(partition) if partition is not None else "",
+        "partition": str(partition),
         "process": process,
         "subdivision": subdivision,
         "residual": format_rational(residual),
@@ -605,13 +574,11 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
     over sigma >= p (`TraceTable.inversions`): evaluation is linear, so a
     record's residual is their value at its subdivision, 0 when one is empty.
     These (St refinement sums against the rho-outer Pr pass) and the L2
-    inner-peeling residuals compare independent computations.  The L1 inner
-    peeling, diagonal nesting and free-sandwich records hold by the engine's
-    representation, so they guard `ScaledCumulants` rather than the theorem:
-    `product` runs over blocks, `merge` is associative, and two atoms merge
-    to None.  The tables come from `_suite_table`, so repeated suites on one
-    base reuse them; the records and limit residuals are computed on every
-    call.
+    inner-peeling residuals compare independent computations; the suite has
+    no L1 record, since an L1 residual regroups one `ScaledCumulants`
+    product and holds by the representation.  The tables come from
+    `_suite_table`, so repeated suites on one base reuse them; the records
+    and limit residuals are computed on every call.
     """
     if base.k != 1:
         raise DimensionError("identity_suite takes a single-component process")
@@ -631,17 +598,8 @@ def identity_suite(base: ProcessSpec, k_max: int, battery=SUBDIVISION_BATTERY,
                 records.append(_record(check, text, process_name, where, residual))
         scaled = table.cumulants
         for p in enumerate_noncrossing(k):
-            l1, l2 = _residuals(p, spec, _inner_peeling_sides, ("L1", "L2"), scaled)
-            records.append(_record("inner_peeling_l1", p, process_name, "limit", l1))
+            (l2,) = _residuals(p, spec, _inner_peeling_sides, ("L2",), scaled)
             records.append(_record("inner_peeling_l2", p, process_name, "limit", l2))
-        for nesting in reversed(enumerate_set_partitions(k)):  # the compositions' order
-            if all(b[-1] - b[0] < len(b) for b in nesting.blocks):  # an interval partition
-                records.append(_record("diagonal_nesting", nesting, process_name, "limit",
-                                       _nesting(nesting.blocks, scaled)))
-    for t in (Fraction(1), Fraction(3, 2)):
-        records.append(_record("free_sandwich_limit", None, process_name,
-                               f"t={format_rational(t)}",
-                               free_sandwich_residual(base, (Fraction(1), Fraction(1, 2), Fraction(1, 3)), t)))
     return records
 
 

@@ -27,10 +27,8 @@ from freestoch.measures import (
     MeasureWord,
     _limit_sum,
     _record,
-    diagonal_nesting_residual,
     expect_pr,
     expect_st,
-    free_sandwich_residual,
     inner_peeling_residual,
     limit_expect_st,
     limit_product_of_st,
@@ -55,7 +53,6 @@ from freestoch.processes import (
     make_semicircular,
     make_tuple,
 )
-from freestoch.rational import format_rational
 
 CUSTOM_SEQ = (
     Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
@@ -563,19 +560,8 @@ def identity_suite_by_pairs(base, k_max, battery=SUBDIVISION_BATTERY, process_na
                 records.append(_record("mobius_inversion", p, process_name,
                                        sub.describe(), expect_st(p, sub, spec) - back))
         for p in enumerate_noncrossing(k):
-            records.append(_record("inner_peeling_l1", p, process_name, "limit",
-                                   inner_peeling_residual(p, spec, "L1")))
             records.append(_record("inner_peeling_l2", p, process_name, "limit",
                                    inner_peeling_residual(p, spec, "L2")))
-        for sizes in compositions(k):
-            nesting = interval_partition(sizes)
-            records.append(_record("diagonal_nesting", nesting, process_name, "limit",
-                                   diagonal_nesting_residual(spec, nesting.blocks)))
-    for t in (Fraction(1), Fraction(3, 2)):
-        records.append(_record("free_sandwich_limit", None, process_name,
-                               f"t={format_rational(t)}",
-                               free_sandwich_residual(base, (Fraction(1), Fraction(1, 2),
-                                                             Fraction(1, 3)), t)))
     return records
 
 

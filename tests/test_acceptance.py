@@ -7,6 +7,7 @@ to see the verdict lines as they appear.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -27,7 +28,6 @@ from freestoch.matrixsim import (
 )
 from freestoch.measures import (
     MeasureWord,
-    diagonal_nesting_residual,
     exact_moment,
     example_formulas_check,
     expect_pr,
@@ -46,6 +46,7 @@ from freestoch.partitions import (
     enumerate_set_partitions,
     is_noncrossing,
     mobius,
+    restrict,
 )
 from freestoch.processes import (
     Subdivision,
@@ -62,8 +63,12 @@ from helpers import (
     compositions,
     diagonal_substitution_residual,
     formula_limit,
+    interval_partition,
+    limit_product_by_patterns,
     partition_cumulant,
     process_fixtures,
+    restrict_spec,
+    unit_cumulant,
 )
 
 BATTERY = (
@@ -230,17 +235,21 @@ def test_inner_structure():
         for k in range(1, 5):
             spec = make_tuple(base, "identical", k=k)
             for p in enumerate_noncrossing(k):
-                if inner_peeling_residual(p, spec, "L1") != 0:
+                # L1 by the pattern walk: the inner classes' scalar times St
+                # of the outer blocks on their own positions
+                split = classify_classes(p)
+                scalar = math.prod((unit_cumulant(spec, b) for b in split.inner), start=Fraction(1))
+                support = sorted(el for b in split.outer for el in b)
+                outer = limit_product_by_patterns([(restrict(p, support), "st")],
+                                                  restrict_spec(spec, support))
+                if limit_product_by_patterns([(p, "st")], spec) != scalar * outer:
                     bad.append(("peel-L1", name, str(p)))
                 if inner_peeling_residual(p, spec, "L2") != 0:
                     bad.append(("peel-L2", name, str(p)))
             for sizes in compositions(k):
-                blocks, pos = [], 0
-                for s in sizes:
-                    blocks.append(tuple(range(pos + 1, pos + s + 1)))
-                    pos += s
-                if diagonal_nesting_residual(spec, blocks) != 0:
-                    bad.append(("nesting", name, str(blocks)))
+                nesting = interval_partition(sizes)
+                if diagonal_substitution_residual(spec, nesting.blocks):
+                    bad.append(("nesting", name, str(nesting)))
     # inner singletons kill centered measures, in trace and in L2 norm
     for name, base in (("semicircular", make_semicircular()),
                        ("centered-custom", make_custom_process(CENTERED_SEQ))):

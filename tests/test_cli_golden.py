@@ -37,7 +37,7 @@ GOLDEN = [
     (["cumulants", "from-moments", "--moments", "1,2,5,14"],
      "2e2b671e99d7424eb5ef85d4296b19ab70f6d04a171bb22246b37734acafc403"),
     (["verify", "suite", "--process", "free_poisson", "--k-max", "4"],
-     "ac0d5206dd68b744a75d5e36097874c8d551de34c1642d72a0852d054a1eafe7"),
+     "423e053664c889a72f2984de0b6cc743bb5a9dcdd198b4938ad127c5e9693453"),
     (["verify", "main-theorem", "--process", "semicircular", "--k-max", "4", "--order", "both"],
      "e9b4cb20741db080271fb42dd7785fcbd268e424751344538fa280bf01cf8595"),
     (["verify", "examples", "--which", "brownian", "--k-max", "4"],

@@ -11,8 +11,6 @@ from freestoch.measures import (
     SUBDIVISION_BATTERY,
     _inner_peeling_sides,
     _main_theorem_sides,
-    free_sandwich_residual,
-    diagonal_nesting_residual,
     exact_moment,
     example_formulas_check,
     expect_pr,
@@ -37,6 +35,7 @@ from freestoch.processes import (
     ProcessSpec,
     ScaledCumulants,
     Subdivision,
+    free_family,
     make_custom_process,
     make_free_poisson,
     make_semicircular,
@@ -50,10 +49,12 @@ from helpers import (
     brute_expect_pr,
     brute_expect_st,
     catalan,
+    diagonal_substitution_residual,
     expect_product_of_st,
     formula_at,
     formula_limit,
     l2_residual_by_four_traces,
+    limit_product_by_patterns,
     one_hat,
     process_fixtures,
     st_report,
@@ -409,19 +410,25 @@ def test_inner_peeling_residuals():
 
 
 def test_diagonal_nesting():
+    # the diagonal of the blocks' diagonals is the flat diagonal: the
+    # one-block terms of the substitution rule's two expansions
     for base in process_fixtures().values():
         spec = make_tuple(base, "identical", k=4)
         for blocks in ([(1, 2), (3, 4)], [(1,), (2, 3, 4)], [(1, 2, 3, 4)]):
-            assert diagonal_nesting_residual(spec, blocks) == 0
-    with pytest.raises(ValueError):
-        diagonal_nesting_residual(spec, [(1, 3), (2, 4)])
+            assert diagonal_substitution_residual(spec, blocks) == {}
 
 
-def test_free_sandwich_limit():
-    for base in process_fixtures().values():
-        for t in (Fraction(1), Fraction(2, 3)):
-            res = free_sandwich_residual(base, (Fraction(5, 7), Fraction(1), Fraction(2)), t)
-            assert res == 0
+@pytest.mark.parametrize("t", [Fraction(1), Fraction(3, 2)], ids=["t=1", "t=3/2"])
+@pytest.mark.parametrize("name", ["free_poisson", "semicircular", "custom"])
+def test_the_free_sandwich_is_tau_z_times_the_order_2_diagonal(name, t):
+    # the sum of X_i Z X_i, Z free from X, is Pr on (1,3)(2): its patterns
+    # are (1,3)(2) and (1,2,3), and freeness makes R(X, Z, X) vanish
+    x, z = free_family([process_fixtures()[name],
+                        make_custom_process((Fraction(5, 7), Fraction(1), Fraction(2)))]).words
+    spec = ProcessSpec((x, z, x))
+    factors = [(Partition(((1, 3), (2,))), "pr")]
+    assert (limit_product_of_st(factors, spec, t) == limit_product_by_patterns(factors, spec, t)
+            == t**2 * x[0].cumulant(2) * z[0].cumulant(1))
 
 
 def test_example_formulas():
@@ -444,9 +451,7 @@ def test_identity_suite_all_fixtures():
         records = identity_suite(base, 3, process_name=name)
         assert records and all(r["pass"] for r in records)
         checks = {r["check"] for r in records}
-        assert {"st_pr_inversion", "mobius_inversion",
-                "inner_peeling_l1", "inner_peeling_l2", "diagonal_nesting",
-                "free_sandwich_limit"} <= checks
+        assert checks == {"st_pr_inversion", "mobius_inversion", "inner_peeling_l2"}
 
 
 def test_engine_guards():

@@ -356,7 +356,6 @@ def test_interval_partition():
 
 
 def test_the_interval_members_of_p_k_reversed_are_the_compositions_in_order():
-    # identity_suite reads its diagonal-nesting partitions off P(k) this way
     for k in range(1, 11):
         members = [p for p in reversed(enumerate_set_partitions(k))
                    if all(b[-1] - b[0] < len(b) for b in p.blocks)]

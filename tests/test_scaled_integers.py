@@ -29,7 +29,6 @@ from freestoch.measures import (
     exact_moment,
     expect_pr,
     expect_st,
-    free_sandwich_residual,
     identity_suite,
     inner_peeling_residual,
     l2_residual,
@@ -72,7 +71,6 @@ from helpers import (
     partition_cumulant,
     restrict_spec,
     unit_cumulant,
-    word_cumulant,
 )
 
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True)
@@ -193,14 +191,6 @@ def test_limit_scalars_match_the_fraction_oracle_at_t_2_7():
                 support = sorted(el for b in split.outer for el in b)
                 assert inner_peeling_residual(p, spec, "L1", T) == left - scalar * (
                     _limit_by_fractions(restrict(p, support), restrict_spec(spec, support), T))
-    z = (Fraction(2, 3), Fraction(-1, 5), Fraction(3, 7))
-    for word in WORDS:
-        base = ProcessSpec((word,))
-        sandwich = ProcessSpec((word, make_custom_process(z).words[0], word))
-        single_x_block = sum(partition_cumulant(sandwich, rho) for rho in enumerate_noncrossing(3)
-                             if sum(1 for b in rho.blocks if 1 in b or 3 in b) == 1)
-        expected = T * single_x_block - z[0] * T * word_cumulant(word * 2)
-        assert free_sandwich_residual(base, z, T) == expected, word
 
 
 def _shared_table_families():
